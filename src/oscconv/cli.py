@@ -24,13 +24,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (
+# integrate and fsk_encode are not called here: perfbench/tracing.py patches
+# them under these names to count the runs the CLI causes.
+from .dynamics import (  # noqa: F401
     OscillatorArrayConfig,
+    default_peak_detector,
     integrate,
-    random_initial_state,
+    sample_times,
     sweep_locking,
 )
-from .encoding import Fragment, GaborFilter, default_bank, fsk_encode, gabor_filter
+from .encoding import GaborFilter, default_bank, fsk_encode, gabor_filter  # noqa: F401
 from .errors import ConfigurationError, InputError, NumericError, OscconvError
 from .hardware import (
     HardwareParams,
@@ -90,6 +93,11 @@ def load_image(path: str) -> Image:
 
 _POLICY_KEYS = {"method", "sample_time", "trailing_fraction"}
 _BANK_ENTRY_KEYS = {"theta_deg", "k", "phase", "binarized"}
+# RunConfig fields a flag of the same name overrides
+_FLAG_KEYS = (
+    "rho", "omega0", "delta_omega", "epsilon", "dt", "t_end", "stride", "side",
+    "spread_tol", "dom_threshold_fraction", "bank",
+)
 
 
 @dataclass
@@ -107,7 +115,6 @@ class RunConfig:
     seed: int = 0
     side: int = 5
     seeds: tuple = tuple(range(8))
-    jobs: int | None = None
     dom_policy: DomPolicy = DomPolicy()
     spread_tol: float | None = None
     dom_threshold_fraction: float = 0.8
@@ -194,22 +201,8 @@ def _config_from(path: str | None, args: argparse.Namespace) -> RunConfig:
         merged["seeds"] = tuple(int(s) for s in merged["seeds"])
 
     # flags win over file values
-    flag_map = {
-        "rho": "rho",
-        "omega0": "omega0",
-        "delta_omega": "delta_omega",
-        "epsilon": "epsilon",
-        "dt": "dt",
-        "t_end": "t_end",
-        "stride": "stride",
-        "side": "side",
-        "jobs": "jobs",
-        "spread_tol": "spread_tol",
-        "dom_threshold_fraction": "dom_threshold_fraction",
-        "bank": "bank",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
+    for key in _FLAG_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     if getattr(args, "seeds", None) is not None:
@@ -304,7 +297,6 @@ def cmd_match(args) -> int:
         cfg.dom_policy,
         cfg.seeds,
         reference_oscillator=cfg.reference_oscillator,
-        jobs=cfg.jobs,
         spread_tol=cfg.spread_tol,
         dom_threshold_fraction=cfg.dom_threshold_fraction,
     )
@@ -328,7 +320,7 @@ def cmd_match(args) -> int:
             f"all {len(report.errors)} filters failed; see report_errors.csv"
         )
     if args.dump_traces:
-        _dump_traces(out, fragment, bank, cfg, array_cfg)
+        _dump_traces(out, report, array_cfg)
     _print_match_summary(report, bank)
     return 0
 
@@ -347,21 +339,20 @@ def _print_match_summary(report: MatchReport, bank) -> None:
     print(f"filters: {len(report.results)} ok, {len(report.errors)} failed")
 
 
-def _dump_traces(out: Path, fragment: Fragment, bank, cfg: RunConfig, array_cfg) -> None:
-    """One trace CSV per filter, integrated at the first seed."""
-    seed = cfg.seeds[0]
-    for index, filt in enumerate(bank):
-        omega = fsk_encode(fragment, filt, array_cfg.omega0, array_cfg.delta_omega)
-        if cfg.reference_oscillator:
-            omega = np.append(omega, array_cfg.omega0)
-        trace = integrate(omega, array_cfg, random_initial_state(array_cfg.n, seed))
+def _dump_traces(out: Path, report: MatchReport, array_cfg: OscillatorArrayConfig) -> None:
+    """One trace CSV per successful filter, from its first-seed match run."""
+    for result in report.results:
+        envelope = np.abs(result.averager)
         _write_csv(
-            out / f"trace_filter_{index:02d}.csv",
+            out / f"trace_filter_{result.filter_index:02d}.csv",
             ["time", "averager_re", "averager_im", "envelope", "peak_detector"],
             [
                 [t, s.real, s.imag, e, p]
                 for t, s, e, p in zip(
-                    trace.times, trace.averager, trace.envelope, trace.peak_detector_output
+                    sample_times(array_cfg, envelope.size),
+                    result.averager,
+                    envelope,
+                    default_peak_detector(envelope, array_cfg),
                 )
             ],
         )
@@ -413,7 +404,7 @@ def cmd_featuremap(args) -> int:
             )
         filt = bank[index]
     array_cfg = cfg.array_config(cfg.side ** 2)
-    onn = feature_map_onn(img, filt, array_cfg, cfg.dom_policy, cfg.seeds, jobs=cfg.jobs)
+    onn = feature_map_onn(img, filt, array_cfg, cfg.dom_policy, cfg.seeds)
     oracle_map = convolve_valid(img, filt, mode="correlation")
     out = _out_dir(args)
     _write_map_csv(out / "onn_map.csv", onn)
@@ -464,7 +455,6 @@ def _add_common_flags(p: _Parser, with_sim: bool = True) -> None:
     p.add_argument("--out-dir", help="output directory (default: current)")
     if with_sim:
         p.add_argument("--seeds", help="seed list 'a,b,c' or range 'start:stop'")
-        p.add_argument("--jobs", type=int, help="worker threads for independent runs")
         p.add_argument("--rho", type=float)
         p.add_argument("--omega0", type=float)
         p.add_argument("--delta-omega", dest="delta_omega", type=float)

@@ -17,10 +17,11 @@ a presentation-layer multiplication by a carrier frequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigurationError,
@@ -54,6 +55,15 @@ def default_timestep(omega_max: float) -> float:
     if omega_max <= 0:
         raise ConfigurationError(f"omega_max must be positive, got {omega_max}")
     return 2.0 * math.pi / (50.0 * omega_max)
+
+
+def _check_accuracy(dt: float, omega_max: float) -> None:
+    """Integration-accuracy guard: at least 25 steps per period of omega_max."""
+    limit = 2.0 * math.pi / (25.0 * omega_max)
+    if dt > limit:
+        raise ConfigurationError(
+            f"dt={dt:.6g} exceeds the accuracy guard 2*pi/(25*omega_max)={limit:.6g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -110,13 +120,7 @@ class OscillatorArrayConfig:
             raise ConfigurationError(f"t_end must be >= dt, got t_end={self.t_end} dt={self.dt}")
         if self.stride < 1:
             raise ConfigurationError(f"stride must be >= 1, got {self.stride}")
-        # integration-accuracy guard: at least 25 steps per period of the
-        # fastest encodable frequency
-        limit = 2.0 * math.pi / (25.0 * self.omega_max)
-        if self.dt > limit:
-            raise ConfigurationError(
-                f"dt={self.dt:.6g} exceeds the accuracy guard 2*pi/(25*omega_max)={limit:.6g}"
-            )
+        _check_accuracy(self.dt, self.omega_max)
 
     @property
     def omega_max(self) -> float:
@@ -163,14 +167,10 @@ class SimulationTrace:
         """Smoothed instantaneous frequency at the default window (one period)."""
         return instantaneous_frequency(self)
 
-    def averager_signal(self, normalized: bool = True) -> np.ndarray:
-        """Complex averager output S(t); (1/n) * sum_j z_j when normalized."""
-        s = self.states.sum(axis=1)
-        return s / self.config.n if normalized else s
-
     @cached_property
     def averager(self) -> np.ndarray:
-        out = self.averager_signal()
+        """Complex averager output S(t) = (1/n) * sum_j z_j."""
+        out = self.states.sum(axis=1) / self.config.n
         out.setflags(write=False)
         return out
 
@@ -184,8 +184,7 @@ class SimulationTrace:
     @cached_property
     def peak_detector_output(self) -> np.ndarray:
         """Peak-detector response to the envelope at the default decay."""
-        tau = 10.0 * 2.0 * math.pi / self.config.omega0
-        out = peak_detector(self.envelope, tau, self.dt_sample)
+        out = default_peak_detector(self.envelope, self.config)
         out.setflags(write=False)
         return out
 
@@ -273,11 +272,7 @@ def integrate(
         )
     if not (np.isfinite(omega).all() and np.isfinite(init).all()):
         raise NumericError("non-finite values in omega or init")
-    limit = 2.0 * math.pi / (25.0 * max(np.abs(omega).max(), cfg.omega_max))
-    if cfg.dt > limit:
-        raise ConfigurationError(
-            f"dt={cfg.dt:.6g} exceeds the accuracy guard {limit:.6g} for the given frequencies"
-        )
+    _check_accuracy(cfg.dt, max(np.abs(omega).max(), cfg.omega_max))
 
     rho, eps, self_sum = cfg.rho, cfg.epsilon, cfg.include_self_in_sum
     dt = cfg.dt
@@ -300,8 +295,14 @@ def integrate(
         if step % cfg.stride == 0:
             states[sample] = z
             sample += 1
-    times = np.arange(num_samples) * (cfg.stride * dt)
-    return SimulationTrace(times=times, states=states[:sample], omega=omega, config=cfg)
+    return SimulationTrace(
+        times=sample_times(cfg, num_samples), states=states[:sample], omega=omega, config=cfg
+    )
+
+
+def sample_times(cfg: OscillatorArrayConfig, num_samples: int) -> np.ndarray:
+    """Times of the first num_samples trace samples, spaced stride * dt."""
+    return np.arange(num_samples) * (cfg.stride * cfg.dt)
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
@@ -312,7 +313,7 @@ def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     right = window - 1 - left
     padded = np.pad(values, ((left, right), (0, 0)), mode="edge")
     kernel = np.ones(window) / window
-    return np.apply_along_axis(lambda c: np.convolve(c, kernel, mode="valid"), 0, padded)
+    return sliding_window_view(padded, window, axis=0) @ kernel
 
 
 def instantaneous_frequency(trace: SimulationTrace, window: int | None = None) -> np.ndarray:
@@ -364,6 +365,12 @@ def peak_detector(envelope: np.ndarray, tau_decay: float, dt: float) -> np.ndarr
         held = max(envelope[k], held * decay)
         out[k] = held
     return out
+
+
+def default_peak_detector(envelope: np.ndarray, cfg: OscillatorArrayConfig) -> np.ndarray:
+    """Peak detector on a trace envelope, decaying over ten carrier periods."""
+    tau = 10.0 * 2.0 * math.pi / cfg.omega0
+    return peak_detector(envelope, tau, cfg.stride * cfg.dt)
 
 
 @dataclass(frozen=True)

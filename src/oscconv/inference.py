@@ -9,8 +9,7 @@ rides along in every report as ground truth.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,7 +129,11 @@ def measure_lock_time(
 
 @dataclass(frozen=True)
 class FilterResult:
-    """Aggregated outcome of matching one filter against the fragment."""
+    """Aggregated outcome of matching one filter against the fragment.
+
+    averager is the read-only averager output S(t) of the first seed's
+    run, the one signal a trace dump needs; the run's states are not kept.
+    """
 
     filter_index: int
     theta_deg: float
@@ -141,6 +144,7 @@ class FilterResult:
     doms: tuple[float, ...]
     locked: bool
     lock_time: float | None
+    averager: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -176,19 +180,25 @@ def _seed_runs(
     spread_tol: float | None = None,
     dom_threshold_fraction: float = 0.8,
     with_lock: bool = True,
-) -> tuple[tuple[float, ...], tuple[bool, ...], tuple[float | None, ...]]:
-    """DOM, lock flag, and lock time for each seed of one (fragment, filter) pair."""
+) -> tuple[tuple[float, ...], tuple[bool, ...], tuple[float | None, ...], np.ndarray]:
+    """DOM, lock flag, and lock time for each seed of one (fragment, filter) pair.
+
+    Also returns the averager output of the first seed's run.
+    """
     omega = fsk_encode(fragment, filt, cfg.omega0, cfg.delta_omega)
     if reference_oscillator:
         omega = np.append(omega, cfg.omega0)
     doms, locks, times = [], [], []
+    averager = None
     for seed in seeds:
         trace = integrate(omega, cfg, random_initial_state(cfg.n, seed))
+        if averager is None:
+            averager = trace.averager
         doms.append(dom(trace, policy))
         if with_lock:
             locks.append(classify_lock(trace, spread_tol))
             times.append(measure_lock_time(trace, dom_threshold_fraction))
-    return tuple(doms), tuple(locks), tuple(times)
+    return tuple(doms), tuple(locks), tuple(times), averager
 
 
 def _expected_n(side: int, reference_oscillator: bool) -> int:
@@ -202,7 +212,6 @@ def match_filters(
     policy: DomPolicy,
     seeds: tuple[int, ...],
     reference_oscillator: bool = False,
-    jobs: int | None = None,
     spread_tol: float | None = None,
     dom_threshold_fraction: float = 0.8,
 ) -> MatchReport:
@@ -213,7 +222,7 @@ def match_filters(
     lock_time is the median of the finite per-seed lock times when the
     majority locked. Filters whose runs diverge become error entries
     rather than crashing the report. Deterministic for a fixed seed
-    tuple regardless of jobs.
+    tuple.
 
     Args:
         fragment: the image patch to match.
@@ -224,7 +233,6 @@ def match_filters(
         seeds: nonempty initial-phase seeds, one integration per seed.
         reference_oscillator: append one extra oscillator at omega0 that
             encodes no pixel.
-        jobs: worker threads across filters; None or 1 runs serially.
         spread_tol: lock-classification frequency tolerance
             (None: 0.1 * delta_omega).
         dom_threshold_fraction: envelope threshold for lock-time
@@ -246,19 +254,20 @@ def match_filters(
         )
     seeds = tuple(int(s) for s in seeds)
 
-    def run_one(index: int) -> FilterResult | FilterError:
-        filt = bank[index]
+    results, errors = [], []
+    for index, filt in enumerate(bank):
         try:
-            doms, locks, times = _seed_runs(
+            doms, locks, times, averager = _seed_runs(
                 fragment, filt, cfg, policy, seeds, reference_oscillator,
                 spread_tol, dom_threshold_fraction,
             )
         except NumericError as exc:
-            return FilterError(filter_index=index, message=str(exc))
+            errors.append(FilterError(filter_index=index, message=str(exc)))
+            continue
         locked = sum(locks) * 2 > len(locks)
         finite = [t for t in times if t is not None]
         lock_time = float(np.median(finite)) if locked and finite else None
-        return FilterResult(
+        results.append(FilterResult(
             filter_index=index,
             theta_deg=filt.theta_deg,
             k=filt.k,
@@ -268,22 +277,16 @@ def match_filters(
             doms=doms,
             locked=locked,
             lock_time=lock_time,
-        )
+            averager=averager,
+        ))
 
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, range(len(bank))))
-    else:
-        outcomes = [run_one(i) for i in range(len(bank))]
-
-    results = tuple(o for o in outcomes if isinstance(o, FilterResult))
-    errors = tuple(o for o in outcomes if isinstance(o, FilterError))
     by_index = {r.filter_index: r for r in results}
     ranking = tuple(sorted(by_index, key=lambda i: (-by_index[i].dom_mean, i)))
     doms = [r.dom_mean for r in results]
     dynamic_range = float(max(doms) - min(doms)) if doms else 0.0
     return MatchReport(
-        results=results, errors=errors, ranking=ranking, dynamic_range=dynamic_range
+        results=tuple(results), errors=tuple(errors), ranking=ranking,
+        dynamic_range=dynamic_range,
     )
 
 
@@ -302,14 +305,13 @@ def feature_map_onn(
     cfg: OscillatorArrayConfig,
     policy: DomPolicy,
     seeds: tuple[int, ...],
-    jobs: int | None = None,
 ) -> FeatureMap:
     """Mean DOM of (window, filter) matches over every valid window.
 
     The analog counterpart of a valid-mode correlation map: each window
-    is matched independently, so windows fan out across worker threads;
-    results are keyed by position and the output is deterministic for a
-    fixed seed tuple. Failed windows hold NaN and are listed in errors.
+    is matched independently, in row-major order, and the output is
+    deterministic for a fixed seed tuple. Failed windows hold NaN and are
+    listed in errors.
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
@@ -324,29 +326,15 @@ def feature_map_onn(
     seeds = tuple(int(s) for s in seeds)
     out_h = img.height - filt.side + 1
     out_w = img.width - filt.side + 1
-    positions = [(r, c) for r in range(out_h) for c in range(out_w)]
-
-    def run_window(pos: tuple[int, int]) -> tuple[float, str | None]:
-        r, c = pos
-        fragment = img.window(r, c, filt.side)
-        try:
-            doms, _, _ = _seed_runs(
-                fragment, filt, cfg, policy, seeds, False, with_lock=False
-            )
-        except NumericError as exc:
-            return float("nan"), str(exc)
-        return float(np.mean(doms)), None
-
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(run_window, positions))
-    else:
-        cells = [run_window(p) for p in positions]
-
-    values = np.array([v for v, _ in cells])
-    errors = tuple(
-        (r, c, msg)
-        for (r, c), (_, msg) in zip(positions, cells)
-        if msg is not None
-    )
-    return FeatureMap(width=out_w, height=out_h, values=values, errors=errors)
+    values, errors = [], []
+    for r in range(out_h):
+        for c in range(out_w):
+            fragment = img.window(r, c, filt.side)
+            try:
+                doms = _seed_runs(fragment, filt, cfg, policy, seeds, False, with_lock=False)[0]
+            except NumericError as exc:
+                values.append(float("nan"))
+                errors.append((r, c, str(exc)))
+                continue
+            values.append(float(np.mean(doms)))
+    return FeatureMap(width=out_w, height=out_h, values=np.array(values), errors=tuple(errors))

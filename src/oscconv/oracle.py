@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoding import Fragment
 from .errors import ConfigurationError, InputError
@@ -114,14 +115,9 @@ def convolve_valid(img: Image, filt, mode: str = "convolution") -> FeatureMap:
     kernel = np.asarray(filt.values, dtype=np.float64).reshape(s, s)
     if mode == "convolution":
         kernel = kernel[::-1, ::-1]
-    grid = img.grid()
-    out_h = img.height - s + 1
-    out_w = img.width - s + 1
-    out = np.empty((out_h, out_w))
-    for r in range(out_h):
-        for c in range(out_w):
-            out[r, c] = float((grid[r:r + s, c:c + s] * kernel).sum())
-    return FeatureMap(width=out_w, height=out_h, values=out.ravel())
+    # einsum walks the strided windows without building the (h, w, s, s) product
+    out = np.einsum("rcij,ij->rc", sliding_window_view(img.grid(), (s, s)), kernel)
+    return FeatureMap(width=out.shape[1], height=out.shape[0], values=out.ravel())
 
 
 def distance_identity_check(fragment, filt) -> tuple[float, float]:

@@ -4,8 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from oscconv import default_bank
-from oscconv.cli import main
+import oscconv.cli
+import oscconv.inference
+from oscconv import (
+    OscillatorArrayConfig,
+    default_bank,
+    fsk_encode,
+    gabor_filter,
+    integrate,
+    random_initial_state,
+)
+from oscconv.cli import load_image, main
 from oscconv.pgm import write_pgm
 
 
@@ -99,6 +108,49 @@ class TestMatch:
         assert 99.9 < times[-1] < 100.1
         assert not (out_dir / "trace_filter_01.csv").exists()
 
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_dump_traces_are_the_first_seed_match_runs(
+        self, capsys, tmp_path, monkeypatch, white_image, reference
+    ):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        # every module that could integrate on behalf of the command
+        monkeypatch.setattr(oscconv.inference, "integrate", counting)
+        monkeypatch.setattr(oscconv.cli, "integrate", counting)
+        entries = [{"theta_deg": 0, "k": 0.2}, {"theta_deg": 90, "k": 0.35}]
+        bank_file = tmp_path / "bank.json"
+        bank_file.write_text(json.dumps(entries))
+        out_dir = tmp_path / "t"
+        code, _, _ = run_cli(
+            capsys, "match", white_image, "--out-dir", str(out_dir),
+            "--bank", str(bank_file), "--dump-traces", "--seeds", "3,5",
+            "--t-end", "100", *(["--reference-oscillator"] if reference else []),
+        )
+        assert code == 0
+        assert len(calls) == len(entries) * 2
+
+        fragment = load_image(white_image).window(0, 0, 5)
+        cfg = OscillatorArrayConfig(n=26 if reference else 25, t_end=100.0)
+        for index, entry in enumerate(entries):
+            omega = fsk_encode(
+                fragment, gabor_filter(5, entry["theta_deg"], entry["k"]),
+                cfg.omega0, cfg.delta_omega,
+            )
+            if reference:
+                omega = np.append(omega, cfg.omega0)
+            trace = integrate(omega, cfg, random_initial_state(cfg.n, 3))
+            rows = read_rows(out_dir / f"trace_filter_{index:02d}.csv")[1:]
+            dumped = np.array(rows, dtype=np.float64)
+            expected = np.column_stack([
+                trace.times, trace.averager.real, trace.averager.imag,
+                trace.envelope, trace.peak_detector_output,
+            ])
+            assert np.array_equal(dumped, expected)
+
     def test_all_filters_failing_exits_2(self, capsys, tmp_path, white_image):
         out_dir = tmp_path / "f"
         code, out, err = run_cli(
@@ -162,6 +214,21 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "match", white_image, "--config", str(cfg))
         assert code == 1
         assert "unknown field 'bogus'" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_jobs_is_not_an_option(self, capsys, tmp_path, white_image, source):
+        if source == "flag":
+            argv = ["--jobs", "2"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"jobs": 2}))
+            argv = ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, "match", white_image, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "jobs" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_invalid_json(self, capsys, tmp_path, white_image):
         cfg = tmp_path / "cfg.json"

@@ -187,17 +187,6 @@ class TestMatchFilters:
             assert result.dom_mean == pytest.approx(np.mean(result.doms))
             assert result.dom_std == pytest.approx(np.std(result.doms))
 
-    def test_deterministic_across_jobs(self):
-        bank = (FILTER, gabor_filter(5, 120.0, 0.5))
-        cfg = OscillatorArrayConfig(n=25, t_end=200.0)
-        serial = match_filters(MATCH_FRAG, bank, cfg, DomPolicy(), seeds=(0, 1))
-        threaded = match_filters(
-            MATCH_FRAG, bank, cfg, DomPolicy(), seeds=(0, 1), jobs=4
-        )
-        for a, b in zip(serial.results, threaded.results):
-            assert a.doms == b.doms
-            assert a.lock_time == b.lock_time
-
     def test_tie_breaks_toward_lower_index(self):
         bank = (FILTER, FILTER)
         cfg = OscillatorArrayConfig(n=25, t_end=200.0)
@@ -306,13 +295,6 @@ class TestFeatureMapOnn:
         assert fmap.grid().shape == (2, 2)
         peak = np.unravel_index(np.argmax(fmap.grid()), (2, 2))
         assert peak == (1, 1)
-
-    def test_threaded_matches_serial(self):
-        img = Image(width=6, height=6, values=np.zeros(36))
-        cfg = OscillatorArrayConfig(n=25, t_end=100.0)
-        serial = feature_map_onn(img, FILTER, cfg, DomPolicy(), seeds=(0,))
-        threaded = feature_map_onn(img, FILTER, cfg, DomPolicy(), seeds=(0,), jobs=3)
-        assert np.array_equal(serial.values, threaded.values)
 
     def test_divergent_windows_hold_nan(self):
         img = Image(width=5, height=5, values=MATCH_FRAG.values.copy())
