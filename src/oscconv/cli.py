@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ import numpy as np
 # integrate and fsk_encode are not called here: perfbench/tracing.py patches
 # them under these names to count the runs the CLI causes.
 from .dynamics import (  # noqa: F401
+    SWEEP_EPSILON,
     OscillatorArrayConfig,
     default_peak_detector,
     integrate,
@@ -61,9 +62,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     return repr(float(value))
 
@@ -90,147 +89,147 @@ def load_image(path: str) -> Image:
 
 
 # -- configuration ----------------------------------------------------------
+#
+# A checker takes a JSON value and the name to report it under, and returns
+# the value in the form the library takes or raises ConfigurationError.
+# Every config file value and every flag value passes its key's checker
+# once, where it enters. A null value, like an absent one, keeps the default.
 
-_POLICY_KEYS = {"method", "sample_time", "trailing_fraction"}
-_BANK_ENTRY_KEYS = {"theta_deg", "k", "phase", "binarized"}
-# RunConfig fields a flag of the same name overrides
-_FLAG_KEYS = (
-    "rho", "omega0", "delta_omega", "epsilon", "dt", "t_end", "stride", "side",
-    "spread_tol", "dom_threshold_fraction", "bank",
-)
+
+def _checker(kind: str, test, convert=lambda value: value):
+    """Checker of the values that pass test; kind describes them in errors."""
+
+    def check(value, name: str):
+        try:
+            if test(value):
+                return convert(value)
+        except (TypeError, OverflowError):  # not a number, or too large for a float
+            pass
+        raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+
+    return check
+
+
+_number = _checker("a finite number", lambda v: not isinstance(v, bool) and math.isfinite(v), float)
+# the library checks the tighter bounds of stride (>= 1) and side (>= 1)
+_natural = _checker("an integer >= 0", lambda v: type(v) is int and v >= 0)
+_boolean = _checker("true or false", lambda v: isinstance(v, bool))
+_string = _checker("a string", lambda v: isinstance(v, str))
+
+
+def _list(check, items: str):
+    """Checker of a nonempty JSON list whose items pass check."""
+
+    def checked(value, name: str) -> tuple:
+        if isinstance(value, (list, tuple)) and value:
+            return tuple(check(item, f"{name}[{i}]") for i, item in enumerate(value))
+        raise ConfigurationError(f"{name} must be a nonempty list of {items}, got {value!r}")
+
+    return checked
+
+
+def _object(checks: dict, required: tuple = ()):
+    """Checker of a JSON object whose fields are checked by checks[field]."""
+
+    def checked(value, name: str) -> dict:
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{name} must be an object, got {value!r}")
+        for key in value:
+            if key not in checks:
+                raise ConfigurationError(f"{name}: unknown field {key!r}")
+        for key in required:
+            if value.get(key) is None:
+                raise ConfigurationError(f"{name}: missing field {key!r}")
+        set_fields = {key: item for key, item in value.items() if item is not None}
+        return {key: checks[key](item, f"{name}.{key}") for key, item in set_fields.items()}
+
+    return checked
+
+
+_bank_entries = _list(_object(
+    {"theta_deg": _number, "k": _number, "phase": _number, "binarized": _boolean},
+    required=("theta_deg", "k"),
+), "filter entries")
+_POLICY_FIELDS = {"method": _string, "sample_time": _number, "trailing_fraction": _number}
+_CONFIG_KEYS = {
+    "rho": _number,
+    "omega0": _number,
+    "delta_omega": _number,
+    "epsilon": _number,
+    "include_self_in_sum": _boolean,
+    "dt": _number,
+    "t_end": _number,
+    "stride": _natural,
+    "seed": _natural,
+    "side": _natural,
+    "seeds": _list(_natural, "seeds"),
+    "dom_policy": _object(_POLICY_FIELDS),
+    "spread_tol": _number,
+    "dom_threshold_fraction": _number,
+    "reference_oscillator": _boolean,
+    # a bank file path or an inline list of entries
+    "bank": lambda v, name: v if isinstance(v, str) else _bank_entries(v, name),
+}
+# config keys that are OscillatorArrayConfig fields
+_ARRAY_KEYS = {f.name for f in fields(OscillatorArrayConfig)} & _CONFIG_KEYS.keys()
 
 
 @dataclass
 class RunConfig:
-    """Merged run configuration shared by the simulation commands."""
+    """Merged run configuration shared by the simulation commands.
 
-    rho: float = 1.0
-    omega0: float = 1.0
-    delta_omega: float = 0.05
-    epsilon: float | None = None
-    include_self_in_sum: bool = True
-    dt: float | None = None
-    t_end: float = 400.0
-    stride: int = 1
-    seed: int = 0
+    array holds the OscillatorArrayConfig fields that were set; the others
+    keep that class's defaults.
+    """
+
+    array: dict = field(default_factory=dict)
     side: int = 5
     seeds: tuple = tuple(range(8))
     dom_policy: DomPolicy = DomPolicy()
     spread_tol: float | None = None
     dom_threshold_fraction: float = 0.8
     reference_oscillator: bool = False
-    bank: object = None  # None (default bank), path string, or inline list
+    bank: object = None  # None (default bank), path string, or checked entries
 
     def array_config(self, n: int) -> OscillatorArrayConfig:
-        return OscillatorArrayConfig(
-            n=n,
-            rho=self.rho,
-            omega0=self.omega0,
-            delta_omega=self.delta_omega,
-            epsilon=self.epsilon,
-            include_self_in_sum=self.include_self_in_sum,
-            dt=self.dt,
-            t_end=self.t_end,
-            stride=self.stride,
-            seed=self.seed,
-        )
+        return OscillatorArrayConfig(n=n, **self.array)
 
     def resolve_bank(self) -> tuple[GaborFilter, ...]:
         if self.bank is None:
             return default_bank(self.side)
         entries = self.bank
         if isinstance(entries, str):
-            try:
-                entries = json.loads(Path(entries).read_text())
-            except OSError as exc:
-                raise InputError(f"cannot read bank file {self.bank}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise InputError(f"bank file {self.bank}: invalid JSON: {exc}") from exc
-        if not isinstance(entries, list) or not entries:
-            raise ConfigurationError("bank: must be a nonempty list of filter entries")
-        filters = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ConfigurationError(f"bank[{i}]: entry must be an object")
-            unknown = set(entry) - _BANK_ENTRY_KEYS
-            if unknown:
-                raise ConfigurationError(f"bank[{i}]: unknown field {sorted(unknown)[0]!r}")
-            for required in ("theta_deg", "k"):
-                if required not in entry:
-                    raise ConfigurationError(f"bank[{i}]: missing field {required!r}")
-            filters.append(
-                gabor_filter(
-                    self.side,
-                    float(entry["theta_deg"]),
-                    float(entry["k"]),
-                    float(entry.get("phase", 0.0)),
-                    bool(entry.get("binarized", True)),
-                )
-            )
-        return tuple(filters)
+            entries = _bank_entries(_read_json(entries, "bank file"), "bank")
+        return tuple(gabor_filter(self.side, **entry) for entry in entries)
 
 
-def _config_from(path: str | None, args: argparse.Namespace) -> RunConfig:
-    """Defaults, then JSON file values, then flag overrides."""
-    merged: dict = {}
-    if path is not None:
-        try:
-            loaded = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise InputError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config file {path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigurationError("config: top level must be a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        for key, value in loaded.items():
-            if key not in known:
-                raise ConfigurationError(f"config: unknown field {key!r}")
-            merged[key] = value
-    if "dom_policy" in merged:
-        raw = merged["dom_policy"]
-        if not isinstance(raw, dict):
-            raise ConfigurationError("config: dom_policy must be an object")
-        unknown = set(raw) - _POLICY_KEYS
-        if unknown:
-            raise ConfigurationError(f"config: dom_policy: unknown field {sorted(unknown)[0]!r}")
-        merged["dom_policy"] = DomPolicy(**raw)
-    if "seeds" in merged:
-        if not isinstance(merged["seeds"], list) or not merged["seeds"]:
-            raise ConfigurationError("config: seeds must be a nonempty list of integers")
-        merged["seeds"] = tuple(int(s) for s in merged["seeds"])
-
-    # flags win over file values
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    if getattr(args, "seeds", None) is not None:
-        merged["seeds"] = _parse_seeds(args.seeds)
-    if getattr(args, "reference_oscillator", False):
-        merged["reference_oscillator"] = True
-    policy_flags = {
-        k: getattr(args, a)
-        for k, a in (("method", "dom_method"), ("sample_time", "sample_time"),
-                     ("trailing_fraction", "trailing_fraction"))
-        if getattr(args, a, None) is not None
-    }
-    if policy_flags:
-        base = merged.get("dom_policy", DomPolicy())
-        merged["dom_policy"] = DomPolicy(
-            method=policy_flags.get("method", base.method),
-            sample_time=policy_flags.get("sample_time", base.sample_time),
-            trailing_fraction=policy_flags.get("trailing_fraction", base.trailing_fraction),
-        )
+def _read_json(path: str, what: str):
     try:
-        return RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigurationError(f"config: {exc}") from exc
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # malformed JSON, bad UTF-8, an integer too long to parse
+        raise InputError(f"{what} {path}: invalid JSON: {exc}") from exc
+
+
+def _config_from(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then JSON file values, then flag overrides."""
+    values = {}
+    if args.config is not None:
+        values = _object(_CONFIG_KEYS)(_read_json(args.config, "config file"), "config")
+    policy = values.pop("dom_policy", {})
+    # a flag's dest is the config key or dom_policy field it overrides
+    for key, value in vars(args).items():
+        if value is not None and key in _POLICY_FIELDS:
+            policy[key] = _POLICY_FIELDS[key](value, key)
+        elif value is not None and key in _CONFIG_KEYS:
+            values[key] = _CONFIG_KEYS[key](value, key)
+    array = {key: values.pop(key) for key in _ARRAY_KEYS & values.keys()}
+    return RunConfig(array=array, dom_policy=DomPolicy(**policy), **values)
 
 
 def _parse_seeds(text: str) -> tuple:
     """Seed list: '0,3,5' or a half-open range 'start:stop'."""
-    text = text.strip()
     try:
         if ":" in text:
             start, stop = (int(p) for p in text.split(":"))
@@ -239,7 +238,7 @@ def _parse_seeds(text: str) -> tuple:
             return tuple(range(start, stop))
         return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise _UsageError(f"--seeds expects 'a,b,c' or 'start:stop', got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects 'a,b,c' or 'start:stop', got {text!r}") from None
 
 
 def _parse_origin(text: str) -> tuple[int, int]:
@@ -262,7 +261,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out_dir", None) or ".")
+    out = Path(args.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -275,15 +274,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _write_map_csv(path: Path, fmap: FeatureMap) -> None:
-    grid = fmap.grid()
-    header = [f"c{j}" for j in range(fmap.width)]
-    _write_csv(path, header, [list(row) for row in grid])
+    _write_csv(path, [f"c{j}" for j in range(fmap.width)], fmap.grid().tolist())
 
 
 # -- subcommands -------------------------------------------------------------
 
 def cmd_match(args) -> int:
-    cfg = _config_from(args.config, args)
+    cfg = _config_from(args)
     bank = cfg.resolve_bank()
     img = load_image(args.image)
     row, col = _parse_origin(args.origin)
@@ -321,11 +318,11 @@ def cmd_match(args) -> int:
         )
     if args.dump_traces:
         _dump_traces(out, report, array_cfg)
-    _print_match_summary(report, bank)
+    _print_match_summary(report)
     return 0
 
 
-def _print_match_summary(report: MatchReport, bank) -> None:
+def _print_match_summary(report: MatchReport) -> None:
     if report.ranking:
         top = winner_take_all(report, min(4, len(report.ranking)))
         best = next(r for r in report.results if r.filter_index == top[0])
@@ -359,19 +356,11 @@ def _dump_traces(out: Path, report: MatchReport, array_cfg: OscillatorArrayConfi
 
 
 def cmd_sweep_locking(args) -> int:
-    cfg = _config_from(args.config, args)
+    cfg = _config_from(args)
     grid = _parse_grid(args.grid)
-    epsilon = args.epsilon if args.epsilon is not None else 0.05
-    points = sweep_locking(
-        epsilon,
-        grid,
-        omega0=cfg.omega0,
-        rho=cfg.rho,
-        t_end=args.t_end if args.t_end is not None else 1200.0,
-        dt=cfg.dt,
-        seed=cfg.seed,
-        gap_tol=cfg.spread_tol,
-    )
+    epsilon = cfg.array.get("epsilon", SWEEP_EPSILON)
+    run = {k: v for k, v in cfg.array.items() if k in ("rho", "omega0", "dt", "t_end", "seed")}
+    points = sweep_locking(epsilon, grid, gap_tol=cfg.spread_tol, **run)
     out = _out_dir(args)
     _write_csv(
         out / "sweep.csv",
@@ -387,7 +376,7 @@ def cmd_sweep_locking(args) -> int:
 
 
 def cmd_featuremap(args) -> int:
-    cfg = _config_from(args.config, args)
+    cfg = _config_from(args)
     img = load_image(args.image)
     if args.theta_deg is not None or args.k is not None:
         if args.theta_deg is None or args.k is None:
@@ -397,11 +386,9 @@ def cmd_featuremap(args) -> int:
         )
     else:
         bank = cfg.resolve_bank()
-        index = args.filter_index if args.filter_index is not None else 0
+        index = args.filter_index
         if not 0 <= index < len(bank):
-            raise ConfigurationError(
-                f"--filter-index {index} outside bank of {len(bank)} filters"
-            )
+            raise ConfigurationError(f"--filter-index {index} outside bank of {len(bank)} filters")
         filt = bank[index]
     array_cfg = cfg.array_config(cfg.side ** 2)
     onn = feature_map_onn(img, filt, array_cfg, cfg.dom_policy, cfg.seeds)
@@ -450,29 +437,38 @@ def cmd_hw(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-def _add_common_flags(p: _Parser, with_sim: bool = True) -> None:
+# Flags that override a setting: each one's dest is the config key or the
+# dom_policy field it overrides.
+_FLAGS = {
+    "seeds": ("--seeds", dict(type=_parse_seeds, help="seed list 'a,b,c' or range 'start:stop'")),
+    "rho": ("--rho", dict(type=float)),
+    "omega0": ("--omega0", dict(type=float)),
+    "delta_omega": ("--delta-omega", dict(type=float)),
+    "epsilon": ("--epsilon", dict(type=float)),
+    "dt": ("--dt", dict(type=float)),
+    "t_end": ("--t-end", dict(type=float)),
+    "stride": ("--stride", dict(type=int)),
+    "side": ("--side", dict(type=int, help="fragment/filter side in pixels")),
+    "spread_tol": ("--spread-tol", dict(type=float)),
+    "dom_threshold_fraction": ("--dom-threshold", dict(
+        type=float, help="lock-time envelope threshold as a fraction of the plateau")),
+    "method": ("--dom-method", dict(choices=("trailing_mean_envelope", "sample_peak_detector"))),
+    "sample_time": ("--sample-time", dict(type=float)),
+    "trailing_fraction": ("--trailing-fraction", dict(type=float)),
+    "bank": ("--bank", dict(help="JSON bank file: list of {theta_deg, k, phase, binarized}")),
+}
+
+
+def _add_flags(p: _Parser, *keys: str, **helps: str) -> None:
+    """The override flags of keys, in order; helps replaces a flag's help text."""
+    for key in keys:
+        flag, kwargs = _FLAGS[key]
+        p.add_argument(flag, dest=key, **{**kwargs, "help": helps.get(key, kwargs.get("help"))})
+
+
+def _add_io_flags(p: _Parser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--out-dir", help="output directory (default: current)")
-    if with_sim:
-        p.add_argument("--seeds", help="seed list 'a,b,c' or range 'start:stop'")
-        p.add_argument("--rho", type=float)
-        p.add_argument("--omega0", type=float)
-        p.add_argument("--delta-omega", dest="delta_omega", type=float)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--t-end", dest="t_end", type=float)
-        p.add_argument("--stride", type=int)
-        p.add_argument("--side", type=int, help="fragment/filter side in pixels")
-        p.add_argument("--spread-tol", dest="spread_tol", type=float)
-        p.add_argument(
-            "--dom-threshold", dest="dom_threshold_fraction", type=float,
-            help="lock-time envelope threshold as a fraction of the plateau",
-        )
-        p.add_argument("--dom-method", dest="dom_method",
-                       choices=("trailing_mean_envelope", "sample_peak_detector"))
-        p.add_argument("--sample-time", dest="sample_time", type=float)
-        p.add_argument("--trailing-fraction", dest="trailing_fraction", type=float)
-        p.add_argument("--bank", help="JSON bank file: list of {theta_deg, k, phase, binarized}")
 
 
 def build_parser() -> _Parser:
@@ -484,33 +480,33 @@ def build_parser() -> _Parser:
     p.add_argument("--origin", default="0,0", help="fragment top-left 'row,col'")
     p.add_argument("--dump-traces", action="store_true", help="write per-filter trace CSVs")
     p.add_argument(
-        "--reference-oscillator", action="store_true",
+        "--reference-oscillator", action="store_true", default=None,
         help="add one extra oscillator at omega0 that encodes no pixel",
     )
-    _add_common_flags(p)
+    _add_io_flags(p)
+    _add_flags(p, *_FLAGS)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("sweep-locking", help="two-oscillator locking sweep")
-    p.add_argument("--epsilon", type=float, help="coupling coefficient (default 0.05)")
+    _add_flags(p, "epsilon", epsilon=f"coupling coefficient (default {SWEEP_EPSILON:g})")
     p.add_argument("--grid", default="0:0.2:0.01", help="detuning grid 'start:stop:step'")
-    p.add_argument("--t-end", dest="t_end", type=float, help="span per run (default 1200)")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--omega0", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--spread-tol", dest="spread_tol", type=float,
-                   help="locked threshold on the final frequency gap (default 0.1*epsilon)")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--out-dir", help="output directory (default: current)")
+    _add_flags(
+        p, "t_end", "rho", "omega0", "dt", "spread_tol",
+        t_end="span per run (default 1200)",
+        spread_tol="locked threshold on the final frequency gap (default 0.1*epsilon)",
+    )
+    _add_io_flags(p)
     p.set_defaults(func=cmd_sweep_locking)
 
     p = sub.add_parser("featuremap", help="analog feature map plus oracle map")
     p.add_argument("image", help="PGM image (P2 or P5)")
-    p.add_argument("--filter-index", type=int, help="index into the bank (default 0)")
+    p.add_argument("--filter-index", type=int, default=0, help="index into the bank (default 0)")
     p.add_argument("--theta-deg", type=float, help="build a single filter instead: direction")
     p.add_argument("--k", type=float, help="build a single filter instead: inverse period")
     p.add_argument("--phase", type=float, help="filter phase offset (default 0)")
     p.add_argument("--raw-filter", action="store_true", help="skip binarization")
-    _add_common_flags(p)
+    _add_io_flags(p)
+    _add_flags(p, *_FLAGS)
     p.set_defaults(func=cmd_featuremap)
 
     p = sub.add_parser("hw", help="hardware locking range, power, and cost")
@@ -531,13 +527,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
-    except OscconvError as exc:
+    except (_UsageError, OscconvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

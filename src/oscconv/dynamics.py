@@ -34,6 +34,9 @@ from .errors import (
 # so 10*sqrt(n) is only reachable through integrator blow-up.
 DIVERGENCE_FACTOR = 10.0
 
+# Coupling of the two-oscillator locking sweep when none is configured.
+SWEEP_EPSILON = 0.05
+
 
 def default_coupling(n: int, delta_omega: float) -> float:
     """Default coupling coefficient for an n-oscillator FSK-encoded array.
@@ -100,24 +103,25 @@ class OscillatorArrayConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the negated comparisons also reject NaN and +inf
         if self.n < 1:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
-        if self.rho <= 0:
-            raise ConfigurationError(f"rho must be positive, got {self.rho}")
-        if self.omega0 <= 0:
-            raise ConfigurationError(f"omega0 must be positive, got {self.omega0}")
-        if self.delta_omega < 0:
-            raise ConfigurationError(f"delta_omega must be >= 0, got {self.delta_omega}")
+        if not 0 < self.rho < math.inf:
+            raise ConfigurationError(f"rho must be positive and finite, got {self.rho}")
+        if not 0 < self.omega0 < math.inf:
+            raise ConfigurationError(f"omega0 must be positive and finite, got {self.omega0}")
+        if not 0 <= self.delta_omega < math.inf:
+            raise ConfigurationError(f"delta_omega must be >= 0 and finite, got {self.delta_omega}")
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", default_coupling(self.n, self.delta_omega))
-        if self.epsilon < 0:
-            raise ConfigurationError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ConfigurationError(f"epsilon must be >= 0 and finite, got {self.epsilon}")
         if self.dt is None:
             object.__setattr__(self, "dt", default_timestep(self.omega_max))
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if self.t_end < self.dt:
-            raise ConfigurationError(f"t_end must be >= dt, got t_end={self.t_end} dt={self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
+        if not self.dt <= self.t_end < math.inf:
+            raise ConfigurationError(f"t_end must be finite and >= dt={self.dt}, got {self.t_end}")
         if self.stride < 1:
             raise ConfigurationError(f"stride must be >= 1, got {self.stride}")
         _check_accuracy(self.dt, self.omega_max)
@@ -166,6 +170,13 @@ class SimulationTrace:
     def inst_freq(self) -> np.ndarray:
         """Smoothed instantaneous frequency at the default window (one period)."""
         return instantaneous_frequency(self)
+
+    @cached_property
+    def final_freq(self) -> np.ndarray:
+        """Per-oscillator inst_freq averaged over the final 10% of the trace."""
+        out = self.inst_freq[-max(1, self.num_samples // 10):].mean(axis=0)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def averager(self) -> np.ndarray:
@@ -316,16 +327,12 @@ def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     return sliding_window_view(padded, window, axis=0) @ kernel
 
 
-def instantaneous_frequency(trace: SimulationTrace, window: int | None = None) -> np.ndarray:
+def instantaneous_frequency(trace: SimulationTrace) -> np.ndarray:
     """Per-oscillator instantaneous frequency, shape (num_samples, n).
 
     Unwraps the phase of each oscillator, differentiates with central
-    differences, and smooths with a moving average.
-
-    Args:
-        trace: simulation trace with at least 3 samples.
-        window: smoothing window in samples; None selects one oscillation
-            period (2*pi/omega0) worth of samples.
+    differences, and smooths with a moving average over one oscillation
+    period (2*pi/omega0) worth of samples.
 
     Raises:
         InsufficientDataError: for traces shorter than 3 samples.
@@ -334,11 +341,8 @@ def instantaneous_frequency(trace: SimulationTrace, window: int | None = None) -
         raise InsufficientDataError(
             f"instantaneous frequency needs >= 3 samples, trace has {trace.num_samples}"
         )
-    if window is None:
-        period = 2.0 * math.pi / trace.config.omega0
-        window = max(1, int(round(period / trace.dt_sample)))
-    if window < 1:
-        raise ConfigurationError(f"window must be >= 1, got {window}")
+    period = 2.0 * math.pi / trace.config.omega0
+    window = max(1, int(round(period / trace.dt_sample)))
     freq = np.gradient(trace.phases, trace.times, axis=0)
     return _moving_average(freq, min(window, trace.num_samples))
 
@@ -352,12 +356,17 @@ def peak_detector(envelope: np.ndarray, tau_decay: float, dt: float) -> np.ndarr
         envelope: sampled non-negative signal.
         tau_decay: decay time constant, radian-time.
         dt: sample spacing of the envelope.
+
+    Raises:
+        InsufficientDataError: for an empty envelope.
     """
     if tau_decay <= 0:
         raise ConfigurationError(f"tau_decay must be positive, got {tau_decay}")
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     envelope = np.asarray(envelope, dtype=np.float64)
+    if envelope.size == 0:
+        raise InsufficientDataError("peak detector needs at least one envelope sample")
     decay = math.exp(-dt / tau_decay)
     out = np.empty_like(envelope)
     held = out[0] = envelope[0]
@@ -422,17 +431,15 @@ def sweep_locking(
         raise ConfigurationError("detunings must be >= 0")
     if gap_tol is None:
         gap_tol = 0.1 * epsilon
-    if gap_tol <= 0:
-        raise ConfigurationError(f"gap_tol must be positive, got {gap_tol}")
-    d_max = float(detunings.max())
-    if dt is None:
-        dt = default_timestep(omega0 + 0.5 * d_max)
-    # delta_omega sized so the config accuracy guard covers the whole grid
+    if not 0 < gap_tol < math.inf:
+        raise ConfigurationError(f"gap_tol must be positive and finite, got {gap_tol}")
+    # delta_omega sized so omega_max, and with it the default dt and the
+    # accuracy guard, covers the fastest frequency on the grid
     cfg = OscillatorArrayConfig(
         n=2,
         rho=rho,
         omega0=omega0,
-        delta_omega=0.25 * d_max,
+        delta_omega=0.25 * float(detunings.max()),
         epsilon=epsilon,
         dt=dt,
         t_end=t_end,
@@ -443,9 +450,7 @@ def sweep_locking(
     for d in detunings:
         omega = np.array([omega0 - 0.5 * d, omega0 + 0.5 * d])
         trace = integrate(omega, cfg, init)
-        tail = max(1, trace.num_samples // 10)
-        final_freq = trace.inst_freq[-tail:].mean(axis=0)
-        gap = float(abs(final_freq[1] - final_freq[0]))
+        gap = float(abs(trace.final_freq[1] - trace.final_freq[0]))
         window = trace.envelope[-max(1, trace.num_samples // 5):]
         beat = float((window.max() - window.min()) / 2.0)
         points.append(

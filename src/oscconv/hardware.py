@@ -29,9 +29,9 @@ class HardwareParams:
     n: int = 26
 
     def __post_init__(self):
-        for name in ("i_drv", "vcc", "f", "c_coup", "n"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be strictly positive, got {getattr(self, name)}")
+        for name, value in vars(self).items():
+            if not 0 < value < math.inf:  # also rejects NaN
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
 
 
 def locking_range_fraction(hw: HardwareParams) -> float:
@@ -60,8 +60,8 @@ def inference_cost_estimate(
     delay = n_filters * delay_per_conv (filters run sequentially);
     energy = n * power_per_oscillator * delay.
     """
-    if delay_per_conv <= 0:
-        raise ConfigurationError(f"delay_per_conv must be positive, got {delay_per_conv}")
+    if not 0 < delay_per_conv < math.inf:
+        raise ConfigurationError(f"delay_per_conv must be finite and > 0, got {delay_per_conv}")
     if n_filters < 1:
         raise ConfigurationError(f"n_filters must be >= 1, got {n_filters}")
     delay = n_filters * delay_per_conv

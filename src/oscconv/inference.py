@@ -9,6 +9,7 @@ rides along in every report as ground truth.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,11 +50,10 @@ class DomPolicy:
             raise ConfigurationError(
                 f"trailing_fraction must be in (0, 1], got {self.trailing_fraction}"
             )
-        if self.method == "sample_peak_detector":
-            if self.sample_time is None or self.sample_time < 0:
-                raise ConfigurationError(
-                    "sample_peak_detector needs a nonnegative sample_time"
-                )
+        if self.sample_time is not None and not 0 <= self.sample_time < math.inf:
+            raise ConfigurationError(f"sample_time must be >= 0 and finite, got {self.sample_time}")
+        if self.method == "sample_peak_detector" and self.sample_time is None:
+            raise ConfigurationError("sample_peak_detector needs a nonnegative sample_time")
 
 
 def dom(trace: SimulationTrace, policy: DomPolicy) -> float:
@@ -86,10 +86,9 @@ def classify_lock(trace: SimulationTrace, spread_tol: float | None = None) -> bo
     """
     if spread_tol is None:
         spread_tol = 0.1 * trace.config.delta_omega
-    if spread_tol <= 0:
-        raise ConfigurationError(f"spread_tol must be positive, got {spread_tol}")
-    tail = max(1, trace.num_samples // 10)
-    final = trace.inst_freq[-tail:].mean(axis=0)
+    if not 0 < spread_tol < math.inf:
+        raise ConfigurationError(f"spread_tol must be positive and finite, got {spread_tol}")
+    final = trace.final_freq
     return bool(np.abs(final - np.median(final)).max() < spread_tol)
 
 

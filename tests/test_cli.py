@@ -1,10 +1,15 @@
 import csv
+import inspect
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oscconv.cli
+import oscconv.dynamics
 import oscconv.inference
 from oscconv import (
     OscillatorArrayConfig,
@@ -44,6 +49,20 @@ def planted_image(tmp_path):
     path = tmp_path / "planted.pgm"
     write_pgm(path, (values + 1.0) / 2.0 * 255.0)
     return str(path)
+
+
+@pytest.fixture()
+def one_filter_bank(tmp_path):
+    path = tmp_path / "one_filter_bank.json"
+    path.write_text(json.dumps([{"theta_deg": 0, "k": 0.2}]))
+    return str(path)
+
+
+def assert_one_line_error(code, err):
+    assert code == 1
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 MATCH_FAST = ("--seeds", "0,1", "--t-end", "200")
@@ -292,6 +311,92 @@ class TestConfigHandling:
         assert len(rows) == 2
 
 
+class TestMalformedValues:
+    """Each malformed value exits 1 with one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize("config, argv", [
+        pytest.param({"t_end": "abc"}, ["--seeds", "0"], id="t_end-string"),
+        pytest.param({"stride": "2"}, ["--t-end", "2", "--seeds", "0"], id="stride-string"),
+        pytest.param({"seeds": [-1]}, ["--t-end", "2"], id="seeds-negative"),
+        pytest.param({}, ["--t-end", "2", "--seeds=-1"], id="seeds-flag-negative"),
+        pytest.param({"seeds": [1.5]}, ["--t-end", "2"], id="seeds-fraction"),
+        pytest.param({"side": True}, ["--t-end", "2", "--seeds", "0"], id="side-boolean"),
+        pytest.param(
+            {"bank": [{"theta_deg": 0, "k": "x"}]}, ["--t-end", "2", "--seeds", "0"],
+            id="bank-inline-k-string",
+        ),
+        pytest.param(
+            {"dom_policy": {"method": "sample_peak_detector", "sample_time": "3"}},
+            ["--t-end", "2", "--seeds", "0"], id="sample_time-string",
+        ),
+        pytest.param({"rho": float("nan")}, ["--t-end", "2", "--seeds", "0"], id="rho-nan"),
+    ])
+    def test_config_value(self, capsys, tmp_path, white_image, one_filter_bank, config, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        bank = [] if "bank" in config else ["--bank", one_filter_bank]
+        code, _, err = run_cli(
+            capsys, "match", white_image, "--config", str(cfg), *bank, *argv,
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert_one_line_error(code, err)
+
+    def test_bank_file_entry(self, capsys, tmp_path, white_image):
+        bank_file = tmp_path / "bank.json"
+        bank_file.write_text(json.dumps([{"theta_deg": 0, "k": "x"}]))
+        code, _, err = run_cli(
+            capsys, "match", white_image, "--bank", str(bank_file), "--t-end", "2",
+            "--seeds", "0", "--out-dir", str(tmp_path / "o"),
+        )
+        assert_one_line_error(code, err)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["match", "IMAGE", "--t-end", "nan", "--seeds", "0", "--out-dir", "OUT"],
+                     id="match-t_end"),
+        pytest.param(["hw", "--i-drv", "nan", "--vcc", "0.8", "--freq", "6e9",
+                      "--c-coup", "1e-15"], id="hw-i_drv"),
+        pytest.param(["sweep-locking", "--epsilon", "nan", "--grid", "0:0.01:0.01",
+                      "--t-end", "50", "--out-dir", "OUT"], id="sweep-epsilon"),
+    ])
+    def test_nan_flag(self, capsys, tmp_path, white_image, argv):
+        paths = {"IMAGE": white_image, "OUT": str(tmp_path / "o")}
+        code, _, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
+        assert_one_line_error(code, err)
+
+
+# Every config key, and values of the wrong JSON type, non-finite or negative
+CONFIG_KEYS = (
+    "rho", "omega0", "delta_omega", "epsilon", "include_self_in_sum", "dt", "t_end",
+    "stride", "seed", "side", "seeds", "dom_policy", "spread_tol",
+    "dom_threshold_fraction", "reference_oscillator", "bank",
+)
+BAD_VALUES = st.one_of(
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-9, allow_infinity=False),
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=st.dictionaries(st.sampled_from(CONFIG_KEYS), BAD_VALUES, max_size=4))
+    def test_main_never_raises(self, capsys, tmp_path, white_image, one_filter_bank, config):
+        cfg = tmp_path / "fuzz.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(
+            capsys, "match", white_image, "--config", str(cfg), "--t-end", "2",
+            "--seeds", "0", "--bank", one_filter_bank, "--out-dir", str(tmp_path / "o"),
+        )
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert_one_line_error(code, err)
+
+
 class TestSweep:
     def test_sweep_csv_and_boundary(self, capsys, tmp_path):
         out_dir = tmp_path / "s"
@@ -319,6 +424,49 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep-locking", "--grid", "0.2:0.1:0.05")
         assert code == 1
         assert "--grid" in err
+
+    def test_config_file_equals_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 0.01, "t_end": 50}))
+        grid = ("--grid", "0:0.02:0.01")
+        code_file, _, _ = run_cli(
+            capsys, "sweep-locking", "--config", str(cfg), *grid,
+            "--out-dir", str(tmp_path / "file"),
+        )
+        code_flags, _, _ = run_cli(
+            capsys, "sweep-locking", "--epsilon", "0.01", "--t-end", "50", *grid,
+            "--out-dir", str(tmp_path / "flags"),
+        )
+        assert code_file == code_flags == 0
+        assert (tmp_path / "file" / "sweep.csv").read_bytes() == (
+            tmp_path / "flags" / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("config, argv, expected", [
+        pytest.param({}, [], (0.05, 1200.0), id="defaults"),
+        pytest.param({"epsilon": 0.01, "t_end": 50}, [], (0.01, 50.0), id="file"),
+        pytest.param({"epsilon": 0.01, "t_end": 50}, ["--t-end", "40"], (0.01, 40.0),
+                     id="flag-beats-file"),
+    ])
+    def test_epsilon_and_t_end_layering(
+        self, capsys, tmp_path, monkeypatch, config, argv, expected
+    ):
+        received = []
+
+        def recorder(*args, **kwargs):
+            bound = inspect.signature(oscconv.dynamics.sweep_locking).bind(*args, **kwargs)
+            bound.apply_defaults()
+            received.append((bound.arguments["epsilon"], bound.arguments["t_end"]))
+            return ()
+
+        monkeypatch.setattr(oscconv.cli, "sweep_locking", recorder)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, _ = run_cli(
+            capsys, "sweep-locking", "--config", str(cfg), *argv,
+            "--out-dir", str(tmp_path / "s"),
+        )
+        assert code == 0
+        assert received == [expected]
 
     def test_divergence_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -53,6 +53,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             OscillatorArrayConfig(**kw)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["rho", "omega0", "delta_omega", "epsilon", "dt", "t_end"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            OscillatorArrayConfig(n=2, **{name: value})
+
     def test_dt_accuracy_guard(self):
         limit = 2.0 * math.pi / (25.0 * 1.1)
         with pytest.raises(ConfigurationError):
@@ -291,6 +297,12 @@ class TestInstantaneousFrequency:
         final = trace.inst_freq[-tail:].mean(axis=0)
         assert abs(final[1] - final[0]) < 0.1 * cfg.epsilon
 
+    def test_final_freq_is_the_mean_over_the_final_tenth(self):
+        cfg = two_osc_cfg(t_end=100.0)
+        trace = integrate(np.array([0.98, 1.02]), cfg, random_initial_state(2, 1))
+        tail = trace.num_samples // 10
+        assert np.array_equal(trace.final_freq, trace.inst_freq[-tail:].mean(axis=0))
+
     def test_needs_three_samples(self):
         cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, epsilon=0.0, dt=0.1, t_end=0.1)
         trace = integrate(np.array([1.0]), cfg, np.array([1.0 + 0j]))
@@ -323,6 +335,10 @@ class TestPeakDetector:
         out = peak_detector(env, 2.0, 0.05)
         assert (out >= env - 1e-15).all()
 
+    def test_empty_envelope(self):
+        with pytest.raises(InsufficientDataError):
+            peak_detector(np.array([]), tau_decay=1.0, dt=0.1)
+
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigurationError):
             peak_detector(np.ones(3), tau_decay=0.0, dt=0.1)
@@ -347,3 +363,15 @@ class TestSweepLocking:
             sweep_locking(0.05, np.array([-0.1]))
         with pytest.raises(ConfigurationError):
             sweep_locking(0.0, np.array([0.1]))
+
+    @pytest.mark.parametrize("gap_tol", [math.nan, math.inf])
+    def test_rejects_non_finite_gap_tol(self, gap_tol):
+        with pytest.raises(ConfigurationError, match="gap_tol"):
+            sweep_locking(0.05, np.array([0.1]), gap_tol=gap_tol)
+        with pytest.raises(ConfigurationError, match="gap_tol"):
+            sweep_locking(gap_tol, np.array([0.1]))
+
+    def test_default_dt_covers_the_fastest_grid_frequency(self):
+        grid = np.array([0.0, 0.06, 0.1])
+        explicit = sweep_locking(0.05, grid, t_end=60.0, dt=default_timestep(1.0 + 0.5 * 0.1))
+        assert sweep_locking(0.05, grid, t_end=60.0) == explicit

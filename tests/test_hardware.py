@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from oscconv import (
@@ -79,6 +81,16 @@ class TestParams:
     def test_rejects_nonpositive(self, kw):
         with pytest.raises(ConfigurationError):
             HardwareParams(**kw)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["i_drv", "vcc", "f", "c_coup"])
+    def test_rejects_non_finite(self, name, value):
+        kw = dict(i_drv=0.26e-3, vcc=0.8, f=6e9, c_coup=1e-15)
+        kw[name] = value
+        with pytest.raises(ConfigurationError, match=name):
+            HardwareParams(**kw)
+        with pytest.raises(ConfigurationError, match="delay_per_conv"):
+            inference_cost_estimate(REFERENCE, value, 1)
 
     def test_default_count(self):
         assert REFERENCE.n == 26

@@ -57,6 +57,13 @@ class TestDomPolicy:
             DomPolicy(**kw)
 
 
+    @pytest.mark.parametrize("method", ["sample_peak_detector", "trailing_mean_envelope"])
+    @pytest.mark.parametrize("sample_time", [math.nan, math.inf])
+    def test_rejects_non_finite_sample_time(self, method, sample_time):
+        with pytest.raises(ConfigurationError, match="sample_time"):
+            DomPolicy(method=method, sample_time=sample_time)
+
+
 class TestDom:
     def test_identical_oscillators_reach_unity(self):
         # uncoupled, equal frequencies, one shared initial state: all
@@ -124,6 +131,12 @@ class TestClassifyLock:
         trace = run_match_trace(MATCH_FRAG, FILTER, t_end=50.0)
         with pytest.raises(ConfigurationError):
             classify_lock(trace, spread_tol=0.0)
+
+    @pytest.mark.parametrize("spread_tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerance(self, spread_tol):
+        trace = run_match_trace(MATCH_FRAG, FILTER, t_end=50.0)
+        with pytest.raises(ConfigurationError, match="spread_tol"):
+            classify_lock(trace, spread_tol=spread_tol)
 
 
 class TestMeasureLockTime:
