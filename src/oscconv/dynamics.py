@@ -124,12 +124,29 @@ class OscillatorArrayConfig:
             raise ConfigurationError(f"t_end must be finite and >= dt={self.dt}, got {self.t_end}")
         if self.stride < 1:
             raise ConfigurationError(f"stride must be >= 1, got {self.stride}")
+        # a run records at most 2**24 complex values (256 MiB); the float test
+        # comes first, as round() fails on a t_end/dt that overflows to inf
+        if self.t_end / self.dt > 2**24 * self.stride or self.n * self.num_samples > 2**24:
+            raise ConfigurationError(
+                f"t_end={self.t_end:g}, dt={self.dt:g} and stride={self.stride} record more than "
+                f"2**24 values of the {self.n} oscillators; raise dt or stride, or lower t_end"
+            )
         _check_accuracy(self.dt, self.omega_max)
 
     @property
     def omega_max(self) -> float:
         """Largest frequency the FSK encoding can produce under this config."""
         return self.omega0 + 2.0 * self.delta_omega
+
+    @property
+    def n_steps(self) -> int:
+        """RK4 steps of one run."""
+        return int(round(self.t_end / self.dt))
+
+    @property
+    def num_samples(self) -> int:
+        """Samples of one run: the initial state and every stride-th of the n_steps."""
+        return self.n_steps // self.stride + 1
 
 
 @dataclass(eq=False)
@@ -143,11 +160,10 @@ class SimulationTrace:
 
     times: np.ndarray
     states: np.ndarray
-    omega: np.ndarray
     config: OscillatorArrayConfig
 
     def __post_init__(self):
-        for arr in (self.times, self.states, self.omega):
+        for arr in (self.times, self.states):
             arr.setflags(write=False)
 
     @property
@@ -200,10 +216,29 @@ class SimulationTrace:
         return out
 
 
-def _rhs(z: np.ndarray, omega: np.ndarray, rho: float, eps: float, include_self: bool) -> np.ndarray:
-    s = z.sum()
-    coupling = eps * (s if include_self else s - z)
-    return (rho + 1j * omega) * z - rho * z * np.abs(z) ** 2 + coupling
+def _field(omega: np.ndarray, cfg: OscillatorArrayConfig):
+    """The right-hand side z -> dz/dt of the array with natural frequencies omega."""
+    gain = cfg.rho + 1j * omega
+    rho, eps, include_self = cfg.rho, cfg.epsilon, cfg.include_self_in_sum
+
+    def rhs(z: np.ndarray) -> np.ndarray:
+        s = z.sum()
+        return gain * z - rho * z * np.abs(z) ** 2 + eps * (s if include_self else s - z)
+
+    return rhs
+
+
+def _checked(omega, z, cfg: OscillatorArrayConfig, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """omega and the complex state z (called name in errors) as length-n finite arrays."""
+    omega = np.asarray(omega, dtype=np.float64)
+    z = np.asarray(z, dtype=np.complex128)
+    if omega.shape != (cfg.n,) or z.shape != (cfg.n,):
+        raise ConfigurationError(
+            f"omega/{name} must both have length n={cfg.n}, got {omega.shape} and {z.shape}"
+        )
+    if not (np.isfinite(omega).all() and np.isfinite(z).all()):
+        raise NumericError(f"non-finite values in omega or {name}")
+    return omega, z
 
 
 def derivative(state: np.ndarray, omega: np.ndarray, cfg: OscillatorArrayConfig) -> np.ndarray:
@@ -221,15 +256,8 @@ def derivative(state: np.ndarray, omega: np.ndarray, cfg: OscillatorArrayConfig)
         ConfigurationError: if the lengths do not match cfg.n.
         NumericError: if state or omega contain non-finite values.
     """
-    state = np.asarray(state, dtype=np.complex128)
-    omega = np.asarray(omega, dtype=np.float64)
-    if state.shape != (cfg.n,) or omega.shape != (cfg.n,):
-        raise ConfigurationError(
-            f"state/omega must both have length n={cfg.n}, got {state.shape} and {omega.shape}"
-        )
-    if not (np.isfinite(state).all() and np.isfinite(omega).all()):
-        raise NumericError("non-finite values in state or omega")
-    return _rhs(state, omega, cfg.rho, cfg.epsilon, cfg.include_self_in_sum)
+    omega, state = _checked(omega, state, cfg, "state")
+    return _field(omega, cfg)(state)
 
 
 def random_initial_state(n: int, seed: int, amplitude: float = 1.0) -> np.ndarray:
@@ -273,42 +301,30 @@ def integrate(
         NumericError: on non-finite inputs.
         DivergenceError: if the state norm exceeds 10*sqrt(n) at any step.
     """
-    omega = np.asarray(omega, dtype=np.float64)
     if init is None:
         init = random_initial_state(cfg.n, cfg.seed)
-    init = np.asarray(init, dtype=np.complex128)
-    if omega.shape != (cfg.n,) or init.shape != (cfg.n,):
-        raise ConfigurationError(
-            f"omega/init must both have length n={cfg.n}, got {omega.shape} and {init.shape}"
-        )
-    if not (np.isfinite(omega).all() and np.isfinite(init).all()):
-        raise NumericError("non-finite values in omega or init")
+    omega, init = _checked(omega, init, cfg, "init")
     _check_accuracy(cfg.dt, max(np.abs(omega).max(), cfg.omega_max))
 
-    rho, eps, self_sum = cfg.rho, cfg.epsilon, cfg.include_self_in_sum
-    dt = cfg.dt
-    n_steps = int(round(cfg.t_end / dt))
+    rhs = _field(omega, cfg)
+    dt, stride = cfg.dt, cfg.stride
+    half, sixth = 0.5 * dt, dt / 6.0
     guard = DIVERGENCE_FACTOR * math.sqrt(cfg.n)
-    num_samples = n_steps // cfg.stride + 1
-    states = np.empty((num_samples, cfg.n), dtype=np.complex128)
+    states = np.empty((cfg.num_samples, cfg.n), dtype=np.complex128)
     states[0] = init
     z = init.copy()
-    sample = 1
-    for step in range(1, n_steps + 1):
-        k1 = _rhs(z, omega, rho, eps, self_sum)
-        k2 = _rhs(z + 0.5 * dt * k1, omega, rho, eps, self_sum)
-        k3 = _rhs(z + 0.5 * dt * k2, omega, rho, eps, self_sum)
-        k4 = _rhs(z + dt * k3, omega, rho, eps, self_sum)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for step in range(1, cfg.n_steps + 1):
+        k1 = rhs(z)
+        k2 = rhs(z + half * k1)
+        k3 = rhs(z + half * k2)
+        k4 = rhs(z + dt * k3)
+        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norm = math.sqrt(float(np.sum(z.real * z.real + z.imag * z.imag)))
         if not math.isfinite(norm) or norm > guard:
             raise DivergenceError(step, norm)
-        if step % cfg.stride == 0:
-            states[sample] = z
-            sample += 1
-    return SimulationTrace(
-        times=sample_times(cfg, num_samples), states=states[:sample], omega=omega, config=cfg
-    )
+        if step % stride == 0:
+            states[step // stride] = z
+    return SimulationTrace(times=sample_times(cfg, cfg.num_samples), states=states, config=cfg)
 
 
 def sample_times(cfg: OscillatorArrayConfig, num_samples: int) -> np.ndarray:
@@ -318,8 +334,6 @@ def sample_times(cfg: OscillatorArrayConfig, num_samples: int) -> np.ndarray:
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     """Column-wise moving average, edge-padded so the length is preserved."""
-    if window <= 1:
-        return values
     left = window // 2
     right = window - 1 - left
     padded = np.pad(values, ((left, right), (0, 0)), mode="edge")
@@ -445,11 +459,10 @@ def sweep_locking(
         t_end=t_end,
         seed=seed,
     )
-    init = random_initial_state(2, seed)
     points = []
     for d in detunings:
         omega = np.array([omega0 - 0.5 * d, omega0 + 0.5 * d])
-        trace = integrate(omega, cfg, init)
+        trace = integrate(omega, cfg)
         gap = float(abs(trace.final_freq[1] - trace.final_freq[0]))
         window = trace.envelope[-max(1, trace.num_samples // 5):]
         beat = float((window.max() - window.min()) / 2.0)

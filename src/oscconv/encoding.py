@@ -40,9 +40,19 @@ class Fragment:
     def __post_init__(self):
         if self.side < 1:
             raise ConfigurationError(f"side must be >= 1, got {self.side}")
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        object.__setattr__(self, "values", np.array(self.values, dtype=np.float64))
         _check_values(self.values, self.side, "fragment")
         self.values.setflags(write=False)
+
+
+def _check_parameters(side: int, theta_deg: float, k: float, phase: float) -> None:
+    if side < 1:
+        raise ConfigurationError(f"side must be >= 1, got {side}")
+    if not 0 <= k < math.inf:
+        raise ConfigurationError(f"k must be >= 0 and finite, got {k}")
+    for name, value in (("theta_deg", theta_deg), ("phase", phase)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,11 +72,8 @@ class GaborFilter:
     binarized: bool = True
 
     def __post_init__(self):
-        if self.side < 1:
-            raise ConfigurationError(f"side must be >= 1, got {self.side}")
-        if self.k < 0:
-            raise ConfigurationError(f"k must be >= 0, got {self.k}")
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        _check_parameters(self.side, self.theta_deg, self.k, self.phase)
+        object.__setattr__(self, "values", np.array(self.values, dtype=np.float64))
         _check_values(self.values, self.side, "filter")
         if self.binarized and not np.isin(self.values, (-1.0, 1.0)).all():
             raise ConfigurationError("binarized filter entries must be exactly -1 or +1")
@@ -109,10 +116,8 @@ def gabor_filter(
     Binarized output maps raw >= 0 to +1 and raw < 0 to -1 (ties at
     exactly 0 break to +1); otherwise the raw cosine values are kept.
     """
-    if side < 1:
-        raise ConfigurationError(f"side must be >= 1, got {side}")
-    if k < 0:
-        raise ConfigurationError(f"k must be >= 0, got {k}")
+    # checked before the grid is built: math.cos rejects an infinite angle
+    _check_parameters(side, theta_deg, k, phase)
     half = (side - 1) / 2.0
     coords = np.arange(side) - half
     x, y = np.meshgrid(coords, coords, indexing="xy")

@@ -85,6 +85,8 @@ def classify_lock(trace: SimulationTrace, spread_tol: float | None = None) -> bo
     of the trace. spread_tol defaults to 0.1 * delta_omega.
     """
     if spread_tol is None:
+        if trace.config.delta_omega == 0:
+            raise ConfigurationError("delta_omega is 0: set spread_tol (default 0.1*delta_omega)")
         spread_tol = 0.1 * trace.config.delta_omega
     if not 0 < spread_tol < math.inf:
         raise ConfigurationError(f"spread_tol must be positive and finite, got {spread_tol}")
@@ -169,39 +171,10 @@ class MatchReport:
     dynamic_range: float
 
 
-def _seed_runs(
-    fragment: Fragment,
-    filt: GaborFilter,
-    cfg: OscillatorArrayConfig,
-    policy: DomPolicy,
-    seeds: tuple[int, ...],
-    reference_oscillator: bool,
-    spread_tol: float | None = None,
-    dom_threshold_fraction: float = 0.8,
-    with_lock: bool = True,
-) -> tuple[tuple[float, ...], tuple[bool, ...], tuple[float | None, ...], np.ndarray]:
-    """DOM, lock flag, and lock time for each seed of one (fragment, filter) pair.
-
-    Also returns the averager output of the first seed's run.
-    """
-    omega = fsk_encode(fragment, filt, cfg.omega0, cfg.delta_omega)
-    if reference_oscillator:
-        omega = np.append(omega, cfg.omega0)
-    doms, locks, times = [], [], []
-    averager = None
+def _seed_runs(omega: np.ndarray, cfg: OscillatorArrayConfig, seeds: tuple[int, ...]):
+    """One run of the array per seed, each from that seed's random initial phases."""
     for seed in seeds:
-        trace = integrate(omega, cfg, random_initial_state(cfg.n, seed))
-        if averager is None:
-            averager = trace.averager
-        doms.append(dom(trace, policy))
-        if with_lock:
-            locks.append(classify_lock(trace, spread_tol))
-            times.append(measure_lock_time(trace, dom_threshold_fraction))
-    return tuple(doms), tuple(locks), tuple(times), averager
-
-
-def _expected_n(side: int, reference_oscillator: bool) -> int:
-    return side * side + (1 if reference_oscillator else 0)
+        yield integrate(omega, cfg, random_initial_state(cfg.n, seed))
 
 
 def match_filters(
@@ -246,7 +219,7 @@ def match_filters(
             raise ConfigurationError(
                 f"filter side {filt.side} does not match fragment side {fragment.side}"
             )
-    expected = _expected_n(fragment.side, reference_oscillator)
+    expected = fragment.side ** 2 + (1 if reference_oscillator else 0)
     if cfg.n != expected:
         raise ConfigurationError(
             f"cfg.n={cfg.n} but this match needs n={expected} oscillators"
@@ -255,11 +228,17 @@ def match_filters(
 
     results, errors = [], []
     for index, filt in enumerate(bank):
+        omega = fsk_encode(fragment, filt, cfg.omega0, cfg.delta_omega)
+        if reference_oscillator:
+            omega = np.append(omega, cfg.omega0)
+        doms, locks, times = [], [], []
         try:
-            doms, locks, times, averager = _seed_runs(
-                fragment, filt, cfg, policy, seeds, reference_oscillator,
-                spread_tol, dom_threshold_fraction,
-            )
+            for trace in _seed_runs(omega, cfg, seeds):
+                if not doms:
+                    averager = trace.averager
+                doms.append(dom(trace, policy))
+                locks.append(classify_lock(trace, spread_tol))
+                times.append(measure_lock_time(trace, dom_threshold_fraction))
         except NumericError as exc:
             errors.append(FilterError(filter_index=index, message=str(exc)))
             continue
@@ -273,7 +252,7 @@ def match_filters(
             dot=dot(fragment, filt),
             dom_mean=float(np.mean(doms)),
             dom_std=float(np.std(doms)),
-            doms=doms,
+            doms=tuple(doms),
             locked=locked,
             lock_time=lock_time,
             averager=averager,
@@ -314,7 +293,7 @@ def feature_map_onn(
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
-    if cfg.n != _expected_n(filt.side, False):
+    if cfg.n != filt.side ** 2:
         raise ConfigurationError(
             f"cfg.n={cfg.n} but this map needs n={filt.side ** 2} oscillators"
         )
@@ -328,9 +307,9 @@ def feature_map_onn(
     values, errors = [], []
     for r in range(out_h):
         for c in range(out_w):
-            fragment = img.window(r, c, filt.side)
+            omega = fsk_encode(img.window(r, c, filt.side), filt, cfg.omega0, cfg.delta_omega)
             try:
-                doms = _seed_runs(fragment, filt, cfg, policy, seeds, False, with_lock=False)[0]
+                doms = [dom(trace, policy) for trace in _seed_runs(omega, cfg, seeds)]
             except NumericError as exc:
                 values.append(float("nan"))
                 errors.append((r, c, str(exc)))

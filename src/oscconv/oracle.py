@@ -31,7 +31,7 @@ class Image:
             raise ConfigurationError(
                 f"image dimensions must be positive, got {self.width}x{self.height}"
             )
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        object.__setattr__(self, "values", np.array(self.values, dtype=np.float64))
         if self.values.shape != (self.width * self.height,):
             raise ConfigurationError(
                 f"image values must be a flat length-{self.width * self.height} vector, "
@@ -72,7 +72,7 @@ class FeatureMap:
             raise ConfigurationError(
                 f"map dimensions must be positive, got {self.width}x{self.height}"
             )
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        object.__setattr__(self, "values", np.array(self.values, dtype=np.float64))
         if self.values.shape != (self.width * self.height,):
             raise ConfigurationError(
                 f"map values must be a flat length-{self.width * self.height} vector, "

@@ -363,6 +363,39 @@ class TestMalformedValues:
         code, _, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
         assert_one_line_error(code, err)
 
+    # each exits 1 with one line; filterwarnings turns a numpy warning,
+    # which would print a second stderr line, into a failure
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["match", "IMAGE", "--dt", "1e-12", "--seeds", "0"], id="match-tiny-dt"),
+        pytest.param(["featuremap", "IMAGE", "--theta-deg", "nan", "--k", "0.2", "--seeds", "0"],
+                     id="featuremap-theta-nan"),
+        pytest.param(["featuremap", "IMAGE", "--theta-deg", "inf", "--k", "0.2", "--seeds", "0"],
+                     id="featuremap-theta-inf"),
+        pytest.param(["featuremap", "IMAGE", "--theta-deg", "0", "--k", "inf", "--seeds", "0"],
+                     id="featuremap-k-inf"),
+        pytest.param(["featuremap", "IMAGE", "--theta-deg", "0", "--k", "0.2", "--phase", "nan",
+                      "--seeds", "0"], id="featuremap-phase-nan"),
+    ])
+    def test_rejected_input(self, capsys, tmp_path, white_image, argv):
+        paths = {"IMAGE": white_image}
+        code, _, err = run_cli(
+            capsys, *(paths.get(a, a) for a in argv), "--out-dir", str(tmp_path / "o")
+        )
+        assert_one_line_error(code, err)
+
+    def test_zero_delta_omega_names_spread_tol(self, capsys, tmp_path, white_image,
+                                               one_filter_bank):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta_omega": 0}))
+        argv = ["match", white_image, "--config", str(cfg), "--bank", one_filter_bank,
+                "--seeds", "0", "--t-end", "20", "--out-dir", str(tmp_path / "o")]
+        code, _, err = run_cli(capsys, *argv)
+        assert_one_line_error(code, err)
+        assert "delta_omega is 0: set spread_tol" in err
+        code, _, err = run_cli(capsys, *argv, "--spread-tol", "0.01")
+        assert code == 0 and err == ""
+
 
 # Every config key, and values of the wrong JSON type, non-finite or negative
 CONFIG_KEYS = (

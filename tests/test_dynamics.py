@@ -59,6 +59,20 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=name):
             OscillatorArrayConfig(n=2, **{name: value})
 
+    def test_caps_recorded_values(self):
+        with pytest.raises(ConfigurationError, match="t_end.*dt.*stride"):
+            OscillatorArrayConfig(n=25, dt=1e-5)
+        # t_end/dt overflows a float: rejected, not an OverflowError
+        with pytest.raises(ConfigurationError, match="2\\*\\*24"):
+            OscillatorArrayConfig(n=2, dt=1e-10, t_end=1e300)
+        # exactly 2**24 samples of one oscillator fit, one more does not
+        cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, dt=0.125, t_end=(2**24 - 1) * 0.125)
+        assert cfg.num_samples == 2**24
+        with pytest.raises(ConfigurationError):
+            OscillatorArrayConfig(n=1, delta_omega=0.0, dt=0.125, t_end=2**24 * 0.125)
+        # a longer run fits at a coarser stride
+        assert OscillatorArrayConfig(n=25, dt=1e-5, stride=100).num_samples == 400_001
+
     def test_dt_accuracy_guard(self):
         limit = 2.0 * math.pi / (25.0 * 1.1)
         with pytest.raises(ConfigurationError):
@@ -181,6 +195,31 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             a.states[0, 0] = 0
 
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_one_step_is_rk4_over_derivative(self, include_self):
+        # integrate and derivative evaluate one vector field
+        dt = 0.1
+        cfg = OscillatorArrayConfig(
+            n=3, epsilon=0.02, include_self_in_sum=include_self, dt=dt, t_end=dt
+        )
+        omega = np.array([0.95, 1.0, 1.08])
+        z = random_initial_state(3, 4)
+        k1 = derivative(z, omega, cfg)
+        k2 = derivative(z + 0.5 * dt * k1, omega, cfg)
+        k3 = derivative(z + 0.5 * dt * k2, omega, cfg)
+        k4 = derivative(z + dt * k3, omega, cfg)
+        expected = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        trace = integrate(omega, cfg, z)
+        assert trace.num_samples == 2
+        assert np.array_equal(trace.states[1], expected)
+
+    def test_leaves_callers_arrays_writeable(self):
+        omega = np.array([1.0, 1.02])
+        init = random_initial_state(2, 9)
+        integrate(omega, two_osc_cfg(t_end=5.0), init)
+        omega[0] = 1.01
+        init[0] = 1.0
+
     def test_uniform_sampling_with_stride(self):
         cfg = two_osc_cfg(t_end=50.0, stride=4)
         trace = integrate(np.array([1.0, 1.01]), cfg, random_initial_state(2, 5))
@@ -286,9 +325,17 @@ class TestInstantaneousFrequency:
         cfg = OscillatorArrayConfig(n=2, delta_omega=0.0, epsilon=0.0, dt=0.1, t_end=9.9)
         times = np.arange(100) * 0.1
         states = np.full((100, 2), 0.3 + 0.4j)
-        trace = SimulationTrace(times=times, states=states, omega=np.ones(2), config=cfg)
+        trace = SimulationTrace(times=times, states=states, config=cfg)
         freq = instantaneous_frequency(trace)
         assert np.abs(freq).max() < 1e-12
+
+    def test_window_of_one_sample_is_the_raw_gradient(self):
+        # at stride 50 and the default dt one sample spans about a period
+        cfg = two_osc_cfg(stride=50)
+        trace = integrate(np.array([0.98, 1.03]), cfg, random_initial_state(2, 2))
+        assert round(2.0 * math.pi / trace.dt_sample) == 1
+        raw = np.gradient(trace.phases, trace.times, axis=0)
+        assert np.array_equal(instantaneous_frequency(trace), raw)
 
     def test_two_locked_share_final_frequency(self):
         cfg = two_osc_cfg()

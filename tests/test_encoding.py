@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscconv import (
     ConfigurationError,
@@ -40,6 +42,12 @@ class TestFragment:
             Fragment(side=2, values=np.array([0.0, 0.0, 0.0, 1.5]))
         with pytest.raises(ConfigurationError):
             Fragment(side=0, values=np.zeros(0))
+
+    def test_copies_callers_values(self):
+        values = np.zeros(4)
+        frag = Fragment(side=2, values=values)
+        values[0] = 0.5
+        assert frag.values[0] == 0.0
 
     def test_fragment_immutable(self):
         frag = Fragment(side=2, values=np.zeros(4))
@@ -97,6 +105,22 @@ class TestGaborFilter:
             gabor_filter(5, 0.0, -0.1)
         with pytest.raises(ConfigurationError):
             GaborFilter(side=2, values=np.array([1.0, -1.0, 0.5, 1.0]), theta_deg=0, k=0.2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["theta_deg", "k", "phase"])
+    def test_rejects_non_finite_parameters(self, name, value):
+        params = {"theta_deg": 0.0, "k": 0.2, "phase": 0.0, name: value}
+        with pytest.raises(ConfigurationError, match=name):
+            gabor_filter(5, **params)
+        with pytest.raises(ConfigurationError, match=name):
+            GaborFilter(side=1, values=np.ones(1), **params)
+
+    def test_copies_callers_values(self):
+        values = np.array([1.0, -1.0, -1.0, 1.0])
+        filt = GaborFilter(side=2, values=values, theta_deg=0.0, k=0.0)
+        values[0] = -1.0
+        assert filt.values[0] == 1.0
 
 
 class TestDefaultBank:
@@ -156,6 +180,23 @@ class TestFskEncode:
             omega = fsk_encode(frag, filt, 1.0, 0.05)
             assert omega.min() >= 1.0 - 2 * 0.05 - 1e-12
             assert omega.max() <= 1.0 + 2 * 0.05 + 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        side=st.integers(1, 4),
+        data=st.data(),
+        omega0=st.floats(0.1, 10.0),
+        delta_omega=st.floats(0.0, 1.0),
+    )
+    def test_range_bound_property(self, side, data, omega0, delta_omega):
+        unit = st.lists(st.floats(-1.0, 1.0), min_size=side * side, max_size=side * side)
+        frag = Fragment(side=side, values=np.array(data.draw(unit)))
+        filt = GaborFilter(
+            side=side, values=np.array(data.draw(unit)), theta_deg=0.0, k=0.0, binarized=False
+        )
+        omega = fsk_encode(frag, filt, omega0, delta_omega)
+        assert omega.min() >= omega0 - 2.0 * delta_omega
+        assert omega.max() <= omega0 + 2.0 * delta_omega
 
     def test_side_mismatch(self):
         with pytest.raises(ConfigurationError):

@@ -138,6 +138,13 @@ class TestClassifyLock:
         with pytest.raises(ConfigurationError, match="spread_tol"):
             classify_lock(trace, spread_tol=spread_tol)
 
+    def test_zero_delta_omega_needs_a_tolerance(self):
+        cfg = OscillatorArrayConfig(n=2, delta_omega=0.0, epsilon=0.05, t_end=20.0)
+        trace = integrate(np.ones(2), cfg)
+        with pytest.raises(ConfigurationError, match="delta_omega is 0: set spread_tol"):
+            classify_lock(trace)
+        assert classify_lock(trace, spread_tol=0.01) in (True, False)
+
 
 class TestMeasureLockTime:
     def test_match_settles_early(self):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscconv import (
     ConfigurationError,
+    FeatureMap,
     Fragment,
     Image,
     InputError,
@@ -101,6 +104,24 @@ class TestConvolveValid:
             )
             assert fmap.grid() == pytest.approx(ref, abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from(["convolution", "correlation"]),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_naive_loop_property(self, mode, shape, seed):
+        width, height, side = shape
+        side = min(side, width, height)
+        rng = np.random.default_rng(seed)
+        img = random_image(rng, width, height)
+        filt = Fragment(side=side, values=rng.uniform(-1, 1, side * side))
+        fmap = convolve_valid(img, filt, mode=mode)
+        ref = naive_feature_map(
+            img.grid().tolist(), filt.values.reshape(side, side).tolist(), mode
+        )
+        assert fmap.grid() == pytest.approx(ref, abs=1e-12)
+
     def test_single_position_correlation_is_dot(self):
         rng = np.random.default_rng(2)
         img = random_image(rng, 5, 5)
@@ -144,6 +165,12 @@ class TestImage:
         with pytest.raises(InputError):
             img.window(-1, 0, 2)
 
+    def test_copies_callers_values(self):
+        values = np.zeros(16)
+        img = Image(width=4, height=4, values=values)
+        values[0] = 0.5
+        assert img.values[0] == 0.0
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             Image(width=2, height=2, values=np.zeros(3))
@@ -151,6 +178,14 @@ class TestImage:
             Image(width=2, height=2, values=np.array([0.0, 0.0, 0.0, 2.0]))
         with pytest.raises(ConfigurationError):
             Image(width=0, height=2, values=np.zeros(0))
+
+
+class TestFeatureMap:
+    def test_copies_callers_values(self):
+        values = np.zeros(6)
+        fmap = FeatureMap(width=3, height=2, values=values)
+        values[0] = 2.0
+        assert fmap.values[0] == 0.0
 
 
 class TestDistanceIdentity:
