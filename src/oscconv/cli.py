@@ -281,10 +281,11 @@ def _write_map_csv(path: Path, fmap: FeatureMap) -> None:
 
 def cmd_match(args) -> int:
     cfg = _config_from(args)
-    bank = cfg.resolve_bank()
     img = load_image(args.image)
     row, col = _parse_origin(args.origin)
+    # the window checks side against the image before the bank is built at that side
     fragment = img.window(row, col, cfg.side)
+    bank = cfg.resolve_bank()
     n = cfg.side ** 2 + (1 if cfg.reference_oscillator else 0)
     array_cfg = cfg.array_config(n)
     report = match_filters(
@@ -378,6 +379,8 @@ def cmd_sweep_locking(args) -> int:
 def cmd_featuremap(args) -> int:
     cfg = _config_from(args)
     img = load_image(args.image)
+    if cfg.side > min(img.width, img.height):
+        raise ConfigurationError(f"filter side {cfg.side} exceeds image {img.height}x{img.width}")
     if args.theta_deg is not None or args.k is not None:
         if args.theta_deg is None or args.k is None:
             raise _UsageError("--theta-deg and --k must be given together")

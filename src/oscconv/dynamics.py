@@ -153,17 +153,23 @@ class OscillatorArrayConfig:
 class SimulationTrace:
     """Sampled time evolution of one integration run.
 
-    All arrays are read-only; times and states are set by integrate and
-    the derived signals are computed lazily and cached. states has shape
-    (num_samples, n); sample k corresponds to times[k].
+    All arrays are read-only; the derived signals are computed lazily and
+    cached. times and averager cover every sample, sample k at times[k].
+    states, shape (recorded, n), holds the final recorded samples: every
+    sample of a single run, the frequency tail (what final_freq reads) of
+    a batched one. averager defaults to the mean of states, which must
+    then cover every sample.
     """
 
     times: np.ndarray
     states: np.ndarray
     config: OscillatorArrayConfig
+    averager: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.times, self.states):
+        if self.averager is None:
+            self.averager = self.states.sum(axis=1) / self.config.n
+        for arr in (self.times, self.states, self.averager):
             arr.setflags(write=False)
 
     @property
@@ -177,7 +183,7 @@ class SimulationTrace:
 
     @cached_property
     def phases(self) -> np.ndarray:
-        """Per-oscillator unwrapped phase arg(z_i), shape (num_samples, n)."""
+        """Per-oscillator unwrapped phase arg(z_i) of the recorded states."""
         out = np.unwrap(np.angle(self.states), axis=0)
         out.setflags(write=False)
         return out
@@ -195,15 +201,8 @@ class SimulationTrace:
         return out
 
     @cached_property
-    def averager(self) -> np.ndarray:
-        """Complex averager output S(t) = (1/n) * sum_j z_j."""
-        out = self.states.sum(axis=1) / self.config.n
-        out.setflags(write=False)
-        return out
-
-    @cached_property
     def envelope(self) -> np.ndarray:
-        """|S(t)| for the normalized averager; the DOM readout signal."""
+        """|S(t)| of the averager S(t) = (1/n) * sum_j z_j; the DOM readout signal."""
         out = np.abs(self.averager)
         out.setflags(write=False)
         return out
@@ -217,22 +216,29 @@ class SimulationTrace:
 
 
 def _field(omega: np.ndarray, cfg: OscillatorArrayConfig):
-    """The right-hand side z -> dz/dt of the array with natural frequencies omega."""
+    """The right-hand side z -> dz/dt of the array with natural frequencies omega.
+
+    omega and z have shape (n,) or (rows, n); each row is an array of its own.
+    """
     gain = cfg.rho + 1j * omega
     rho, eps, include_self = cfg.rho, cfg.epsilon, cfg.include_self_in_sum
 
     def rhs(z: np.ndarray) -> np.ndarray:
-        s = z.sum()
+        s = z.sum(axis=-1, keepdims=True)
         return gain * z - rho * z * np.abs(z) ** 2 + eps * (s if include_self else s - z)
 
     return rhs
 
 
 def _checked(omega, z, cfg: OscillatorArrayConfig, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """omega and the complex state z (called name in errors) as length-n finite arrays."""
-    omega = np.asarray(omega, dtype=np.float64)
-    z = np.asarray(z, dtype=np.complex128)
-    if omega.shape != (cfg.n,) or z.shape != (cfg.n,):
+    """omega, shape (n,) or (rows, n), and the complex state z (called name
+    in errors), shape (n,) or omega's, as finite C-ordered arrays."""
+    # C order keeps each row's sums in the same order, whatever the caller's layout
+    omega = np.ascontiguousarray(omega, dtype=np.float64)
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    if omega.ndim > 2 or omega.shape[-1:] != (cfg.n,) or not omega.size or z.shape not in (
+        (cfg.n,), omega.shape
+    ):
         raise ConfigurationError(
             f"omega/{name} must both have length n={cfg.n}, got {omega.shape} and {z.shape}"
         )
@@ -279,52 +285,90 @@ def integrate(
     omega: np.ndarray,
     cfg: OscillatorArrayConfig,
     init: np.ndarray | None = None,
-) -> SimulationTrace:
+) -> SimulationTrace | tuple[SimulationTrace | DivergenceError, ...]:
     """Integrate the array with a classical 4th-order Runge-Kutta scheme.
 
     The step is fixed at cfg.dt and the trace records every cfg.stride-th
     step, so runs are deterministic: identical (omega, cfg, init) produce
     bit-identical traces.
 
+    A 1-D omega is one run, and its trace keeps every state. A 2-D omega
+    steps its rows together, one run each; a row's trace keeps the
+    averager at every sample but only the states final_freq reads, and
+    its averager is bit-identical to its 1-D run's, whatever rows share
+    its batch.
+
     Args:
-        omega: length-n natural frequencies (radian-time units).
+        omega: natural frequencies (radian-time units), shape (n,) or
+            (rows, n).
         cfg: array configuration.
-        init: initial complex state; defaults to
-            random_initial_state(cfg.n, cfg.seed).
+        init: initial complex state, shape (n,) or omega's shape;
+            defaults to random_initial_state(cfg.n, cfg.seed).
 
     Returns:
-        SimulationTrace sampled at uniform spacing stride * dt.
+        For a 1-D omega, its SimulationTrace sampled at uniform spacing
+        stride * dt. For a 2-D omega, one entry per row: the row's trace,
+        or the DivergenceError that stopped that row alone.
 
     Raises:
-        ConfigurationError: on length mismatch or a dt too coarse for the
-            actual frequency vector.
+        ConfigurationError: on a shape mismatch or a dt too coarse for the
+            actual frequencies.
         NumericError: on non-finite inputs.
-        DivergenceError: if the state norm exceeds 10*sqrt(n) at any step.
+        DivergenceError: for a 1-D omega, if the state norm exceeds
+            10*sqrt(n) at any step.
     """
     if init is None:
         init = random_initial_state(cfg.n, cfg.seed)
     omega, init = _checked(omega, init, cfg, "init")
     _check_accuracy(cfg.dt, max(np.abs(omega).max(), cfg.omega_max))
 
-    rhs = _field(omega, cfg)
+    rows = np.atleast_2d(omega)
+    z = np.array(np.broadcast_to(init, rows.shape), order="C")
+    rhs = _field(rows, cfg)
     dt, stride = cfg.dt, cfg.stride
     half, sixth = 0.5 * dt, dt / 6.0
     guard = DIVERGENCE_FACTOR * math.sqrt(cfg.n)
-    states = np.empty((cfg.num_samples, cfg.n), dtype=np.complex128)
-    states[0] = init
-    z = init.copy()
+    # per row: the state sums (n times the averager) at every sample and
+    # the states from sample first on, every sample of a single run
+    first = 0 if omega.ndim == 1 else cfg.num_samples - _tail_samples(cfg)
+    sums = np.empty((len(rows), cfg.num_samples), dtype=np.complex128)
+    states = np.empty((len(rows), cfg.num_samples - first, cfg.n), dtype=np.complex128)
+    sums[:, 0] = z.sum(axis=1)
+    if first == 0:
+        states[:, 0] = z
+    failures = {}
     for step in range(1, cfg.n_steps + 1):
         k1 = rhs(z)
         k2 = rhs(z + half * k1)
         k3 = rhs(z + half * k2)
         k4 = rhs(z + dt * k3)
         z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norm = math.sqrt(float(np.sum(z.real * z.real + z.imag * z.imag)))
-        if not math.isfinite(norm) or norm > guard:
-            raise DivergenceError(step, norm)
+        norm = np.sqrt((z.real * z.real + z.imag * z.imag).sum(axis=1))
+        if not norm.max() <= guard:
+            # a failed row restarts from zero, a fixed point that never
+            # trips the guard again, and its samples are discarded
+            for row in np.flatnonzero(~(norm <= guard)):
+                failures[int(row)] = DivergenceError(step, float(norm[row]))
+                z[row] = 0.0
+            if len(failures) == len(rows):
+                break
         if step % stride == 0:
-            states[step // stride] = z
-    return SimulationTrace(times=sample_times(cfg, cfg.num_samples), states=states, config=cfg)
+            sample = step // stride
+            sums[:, sample] = z.sum(axis=1)
+            if sample >= first:
+                states[:, sample - first] = z
+    if omega.ndim == 1 and failures:
+        raise failures[0]
+    sums /= cfg.n
+    times = sample_times(cfg, cfg.num_samples)
+    # each row's arrays are views of the blocks; copy one to keep it alone
+    runs = tuple(
+        failures[row] if row in failures else SimulationTrace(
+            times=times, states=states[row], config=cfg, averager=sums[row]
+        )
+        for row in range(len(rows))
+    )
+    return runs if omega.ndim == 2 else runs[0]
 
 
 def sample_times(cfg: OscillatorArrayConfig, num_samples: int) -> np.ndarray:
@@ -341,8 +385,24 @@ def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     return sliding_window_view(padded, window, axis=0) @ kernel
 
 
+def _smoothing_window(cfg: OscillatorArrayConfig, num_samples: int) -> int:
+    """Samples in instantaneous_frequency's moving average: one period of omega0."""
+    period = 2.0 * math.pi / cfg.omega0
+    return min(max(1, int(round(period / (cfg.stride * cfg.dt)))), num_samples)
+
+
+def _tail_samples(cfg: OscillatorArrayConfig) -> int:
+    """Final samples whose states final_freq reads.
+
+    The final 10%, plus the half window that smooths their frequencies,
+    plus one sample for the central difference at its start.
+    """
+    num = cfg.num_samples
+    return min(num, max(1, num // 10) + _smoothing_window(cfg, num) // 2 + 1)
+
+
 def instantaneous_frequency(trace: SimulationTrace) -> np.ndarray:
-    """Per-oscillator instantaneous frequency, shape (num_samples, n).
+    """Per-oscillator instantaneous frequency at each recorded state, shape (recorded, n).
 
     Unwraps the phase of each oscillator, differentiates with central
     differences, and smooths with a moving average over one oscillation
@@ -355,10 +415,9 @@ def instantaneous_frequency(trace: SimulationTrace) -> np.ndarray:
         raise InsufficientDataError(
             f"instantaneous frequency needs >= 3 samples, trace has {trace.num_samples}"
         )
-    period = 2.0 * math.pi / trace.config.omega0
-    window = max(1, int(round(period / trace.dt_sample)))
-    freq = np.gradient(trace.phases, trace.times, axis=0)
-    return _moving_average(freq, min(window, trace.num_samples))
+    times = trace.times[trace.num_samples - len(trace.states):]
+    freq = np.gradient(trace.phases, times, axis=0)
+    return _moving_average(freq, _smoothing_window(trace.config, trace.num_samples))
 
 
 def peak_detector(envelope: np.ndarray, tau_decay: float, dt: float) -> np.ndarray:
@@ -437,6 +496,9 @@ def sweep_locking(
 
     Returns:
         One SweepPoint per detuning, in grid order.
+
+    Raises:
+        DivergenceError: of the first diverging detuning in grid order.
     """
     detunings = np.asarray(detunings, dtype=np.float64)
     if detunings.size == 0:
@@ -459,12 +521,15 @@ def sweep_locking(
         t_end=t_end,
         seed=seed,
     )
+    omega = np.column_stack([omega0 - 0.5 * detunings, omega0 + 0.5 * detunings])
     points = []
-    for d in detunings:
-        omega = np.array([omega0 - 0.5 * d, omega0 + 0.5 * d])
-        trace = integrate(omega, cfg)
+    for d, trace in zip(detunings, integrate(omega, cfg)):
+        if isinstance(trace, DivergenceError):
+            raise trace
         gap = float(abs(trace.final_freq[1] - trace.final_freq[0]))
-        window = trace.envelope[-max(1, trace.num_samples // 5):]
+        # the final fifth's envelope only: caching every row's whole envelope
+        # would hold them all until the sweep ends
+        window = np.abs(trace.averager[-max(1, trace.num_samples // 5):])
         beat = float((window.max() - window.min()) / 2.0)
         points.append(
             SweepPoint(

@@ -131,11 +131,11 @@ class TestMatch:
     def test_dump_traces_are_the_first_seed_match_runs(
         self, capsys, tmp_path, monkeypatch, white_image, reference
     ):
-        calls = []
+        rows = []  # the rows of each call: the leading dimension of omega
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return integrate(*args, **kwargs)
+        def counting(omega, *args, **kwargs):
+            rows.append(np.atleast_2d(omega).shape[0])
+            return integrate(omega, *args, **kwargs)
 
         # every module that could integrate on behalf of the command
         monkeypatch.setattr(oscconv.inference, "integrate", counting)
@@ -150,7 +150,8 @@ class TestMatch:
             "--t-end", "100", *(["--reference-oscillator"] if reference else []),
         )
         assert code == 0
-        assert len(calls) == len(entries) * 2
+        # one call per filter, one row per seed: nothing is integrated twice
+        assert rows == [2] * len(entries)
 
         fragment = load_image(white_image).window(0, 0, 5)
         cfg = OscillatorArrayConfig(n=26 if reference else 25, t_end=100.0)
@@ -376,6 +377,13 @@ class TestMalformedValues:
                      id="featuremap-k-inf"),
         pytest.param(["featuremap", "IMAGE", "--theta-deg", "0", "--k", "0.2", "--phase", "nan",
                       "--seeds", "0"], id="featuremap-phase-nan"),
+        # a side far beyond the image is rejected before a filter of that side is built
+        pytest.param(["match", "IMAGE", "--side", "1000000", "--seeds", "0"],
+                     id="match-huge-side"),
+        pytest.param(["featuremap", "IMAGE", "--side", "1000000", "--seeds", "0"],
+                     id="featuremap-huge-side"),
+        pytest.param(["featuremap", "IMAGE", "--side", "1000000", "--theta-deg", "0", "--k", "0.2",
+                      "--seeds", "0"], id="featuremap-filter-huge-side"),
     ])
     def test_rejected_input(self, capsys, tmp_path, white_image, argv):
         paths = {"IMAGE": white_image}

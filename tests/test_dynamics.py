@@ -1,7 +1,10 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscconv import (
     ConfigurationError,
@@ -10,6 +13,7 @@ from oscconv import (
     NumericError,
     OscillatorArrayConfig,
     SimulationTrace,
+    classify_lock,
     default_coupling,
     default_timestep,
     derivative,
@@ -245,6 +249,74 @@ class TestIntegrate:
             assert trace.envelope.max() <= bound + 1e-9
 
 
+# Rows for the batch tests: five oscillators each, frequencies inside the
+# FSK range, so some rows lock and some do not.
+BATCH_OMEGA = 1.0 + 0.05 * np.random.default_rng(11).uniform(-2.0, 2.0, (6, 5))
+BATCH_INIT = np.array([random_initial_state(5, seed) for seed in range(6)])
+BATCH_CONFIGS = (
+    OscillatorArrayConfig(n=5, t_end=60.0),
+    OscillatorArrayConfig(n=5, t_end=60.0, stride=3, include_self_in_sum=False),
+)
+
+
+@lru_cache(maxsize=None)
+def single_run(config: int, row: int) -> SimulationTrace:
+    return integrate(BATCH_OMEGA[row], BATCH_CONFIGS[config], BATCH_INIT[row])
+
+
+class TestBatchedIntegrate:
+    @settings(max_examples=25, deadline=None)
+    @given(config=st.sampled_from(range(len(BATCH_CONFIGS))),
+           rows=st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    def test_rows_do_not_depend_on_their_batch(self, config, rows):
+        cfg = BATCH_CONFIGS[config]
+        runs = integrate(BATCH_OMEGA[rows], cfg, BATCH_INIT[rows])
+        assert len(runs) == len(rows)
+        for row, run in zip(rows, runs):
+            single = single_run(config, row)
+            assert np.array_equal(run.times, single.times)
+            assert np.array_equal(run.averager, single.averager)
+            assert np.abs(run.final_freq - single.final_freq).max() <= 1e-12
+            assert classify_lock(run) == classify_lock(single)
+            # a batched row keeps only the frequency tail of its states
+            assert run.states.shape[0] < run.num_samples
+            assert np.array_equal(run.states, single.states[-run.states.shape[0]:])
+
+    @settings(max_examples=15, deadline=None)
+    @given(size=st.integers(1, 6), data=st.data())
+    def test_a_diverging_row_fails_alone(self, size, data):
+        bad = data.draw(st.integers(0, size - 1))
+        cfg = BATCH_CONFIGS[0]
+        init = BATCH_INIT[:size].copy()
+        init[bad] *= 12.0  # norm 12*sqrt(5), beyond the guard 10*sqrt(5)
+        with pytest.raises(DivergenceError) as alone:
+            integrate(BATCH_OMEGA[bad], cfg, init[bad])
+        runs = integrate(BATCH_OMEGA[:size], cfg, init)
+        assert isinstance(runs[bad], DivergenceError)
+        assert (runs[bad].step, runs[bad].norm) == (alone.value.step, alone.value.norm)
+        for row, run in enumerate(runs):
+            if row != bad:
+                assert np.array_equal(run.averager, single_run(0, row).averager)
+
+    def test_one_length_n_init_starts_every_row(self):
+        cfg = BATCH_CONFIGS[0]
+        # the caller's memory layout does not reach the rows' bits either
+        runs = integrate(np.asfortranarray(BATCH_OMEGA[:3]), cfg, BATCH_INIT[4])
+        for row, run in enumerate(runs):
+            single = integrate(BATCH_OMEGA[row], cfg, BATCH_INIT[4])
+            assert np.array_equal(run.averager, single.averager)
+
+    @pytest.mark.parametrize("omega, init", [
+        (np.ones((2, 4)), np.ones(5)),
+        (np.ones((2, 5)), np.ones((3, 5))),
+        (np.ones((0, 5)), np.ones(5)),
+        (np.ones((1, 2, 5)), np.ones(5)),
+    ])
+    def test_rejects_mismatched_shapes(self, omega, init):
+        with pytest.raises(ConfigurationError):
+            integrate(omega, BATCH_CONFIGS[0], init)
+
+
 class TestSymmetries:
     def test_rotational_symmetry(self):
         cfg = OscillatorArrayConfig(n=3, t_end=50.0, epsilon=0.02)
@@ -422,3 +494,26 @@ class TestSweepLocking:
         grid = np.array([0.0, 0.06, 0.1])
         explicit = sweep_locking(0.05, grid, t_end=60.0, dt=default_timestep(1.0 + 0.5 * 0.1))
         assert sweep_locking(0.05, grid, t_end=60.0) == explicit
+
+    def test_divergence_is_the_first_failing_detunings(self):
+        # every detuning diverges, the later ones at earlier steps; the sweep
+        # reports the first in grid order, as its own run would
+        grid = np.linspace(0.0, 0.2, 6)
+        with pytest.raises(DivergenceError) as swept:
+            sweep_locking(0.5, grid, rho=1e-3, t_end=50.0)
+        cfg = OscillatorArrayConfig(n=2, rho=1e-3, delta_omega=0.05, epsilon=0.5, t_end=50.0)
+        with pytest.raises(DivergenceError) as first:
+            integrate(np.array([1.0, 1.0]), cfg)
+        assert (swept.value.step, swept.value.norm) == (first.value.step, first.value.norm)
+
+    # Adler (1946): two oscillators coupled at epsilon lock while their
+    # detuning stays below 2*epsilon
+    @settings(max_examples=6, deadline=None)
+    @given(epsilon=st.floats(0.01, 0.08), seed=st.integers(0, 20))
+    def test_locking_boundary_is_adlers(self, epsilon, seed):
+        points = sweep_locking(epsilon, np.linspace(epsilon, 3.0 * epsilon, 41), seed=seed)
+        locked = [p.locked for p in points]
+        assert locked[0]
+        assert locked == sorted(locked, reverse=True)  # the locked points are a prefix
+        boundary = max(p.detuning for p in points if p.locked)
+        assert abs(boundary / (2.0 * epsilon) - 1.0) <= 0.05

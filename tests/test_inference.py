@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscconv import (
     ConfigurationError,
@@ -104,6 +106,28 @@ class TestDom:
         policy = DomPolicy(method="sample_peak_detector", sample_time=51.0)
         with pytest.raises(PolicyError):
             dom(trace, policy)
+
+    # from unit-amplitude initial phases the mean-field gain lifts the
+    # coherent amplitude, and so the DOM, to at most sqrt(1 + eps*n/rho)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 9), rho=st.floats(0.2, 2.0), epsilon=st.floats(0.0, 0.1),
+        include_self=st.booleans(), seed=st.integers(0, 10**6), peak=st.booleans(),
+        data=st.data(),
+    )
+    def test_bounds_property(self, n, rho, epsilon, include_self, seed, peak, data):
+        detuning = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+        cfg = OscillatorArrayConfig(
+            n=n, rho=rho, epsilon=epsilon, include_self_in_sum=include_self, t_end=60.0
+        )
+        omega = cfg.omega0 + cfg.delta_omega * np.array(detuning)
+        init = np.array([random_initial_state(n, seed + k) for k in range(3)])
+        policy = DomPolicy("sample_peak_detector", 30.0) if peak else DomPolicy()
+        # the relative 1e-5 covers the fixed RK4 step, whose limit cycle lies
+        # up to 2e-6 above the exact one at the default dt and rho >= 0.2
+        bound = math.sqrt(1.0 + epsilon * n / rho) * (1.0 + 1e-5)
+        for run in integrate(np.tile(omega, (3, 1)), cfg, init):
+            assert 0.0 <= dom(run, policy) <= bound
 
     def test_coupled_match_exceeds_mismatch(self):
         # the anti-match splits into two coherent groups at omega0 +/- 2
