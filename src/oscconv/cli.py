@@ -339,20 +339,15 @@ def _print_match_summary(report: MatchReport) -> None:
 
 def _dump_traces(out: Path, report: MatchReport, array_cfg: OscillatorArrayConfig) -> None:
     """One trace CSV per successful filter, from its first-seed match run."""
-    for result in report.results:
-        envelope = np.abs(result.averager)
+    averagers = np.array([result.averager for result in report.results])
+    envelopes = np.abs(averagers)
+    peaks = default_peak_detector(envelopes, array_cfg)
+    times = sample_times(array_cfg, averagers.shape[-1])
+    for result, averager, envelope, peak in zip(report.results, averagers, envelopes, peaks):
         _write_csv(
             out / f"trace_filter_{result.filter_index:02d}.csv",
             ["time", "averager_re", "averager_im", "envelope", "peak_detector"],
-            [
-                [t, s.real, s.imag, e, p]
-                for t, s, e, p in zip(
-                    sample_times(array_cfg, envelope.size),
-                    result.averager,
-                    envelope,
-                    default_peak_detector(envelope, array_cfg),
-                )
-            ],
+            [[t, s.real, s.imag, e, p] for t, s, e, p in zip(times, averager, envelope, peak)],
         )
 
 

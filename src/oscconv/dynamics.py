@@ -149,28 +149,37 @@ class OscillatorArrayConfig:
         return self.n_steps // self.stride + 1
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(eq=False)
 class SimulationTrace:
-    """Sampled time evolution of one integration run.
+    """Sampled time evolution of one integration run, or of a block of runs.
 
-    All arrays are read-only; the derived signals are computed lazily and
-    cached. times and averager cover every sample, sample k at times[k].
-    states, shape (recorded, n), holds the final recorded samples: every
-    sample of a single run, the frequency tail (what final_freq reads) of
-    a batched one. averager defaults to the mean of states, which must
-    then cover every sample.
+    All arrays are read-only views; the derived signals are computed
+    lazily and cached, along the sample axis, so that the same code reads
+    one run or a block. times and averager cover every sample, sample k
+    at times[k]. One run has states of shape (samples, n), every sample,
+    and averager of shape (samples,), which defaults to the mean of
+    states. A block has a leading row axis: averager (rows, samples) and
+    states (rows, tail, n), only the final samples final_freq reads; its
+    failures[i] is the DivergenceError that stopped row i, or None.
     """
 
     times: np.ndarray
     states: np.ndarray
     config: OscillatorArrayConfig
     averager: np.ndarray | None = None
+    failures: tuple[DivergenceError | None, ...] = ()
 
     def __post_init__(self):
         if self.averager is None:
-            self.averager = self.states.sum(axis=1) / self.config.n
-        for arr in (self.times, self.states, self.averager):
-            arr.setflags(write=False)
+            self.averager = self.states.sum(axis=-1) / self.config.n
+        # read-only views: the caller's own arrays stay writeable
+        for name in ("times", "states", "averager"):
+            setattr(self, name, _read_only(getattr(self, name).view()))
 
     @property
     def num_samples(self) -> int:
@@ -184,9 +193,7 @@ class SimulationTrace:
     @cached_property
     def phases(self) -> np.ndarray:
         """Per-oscillator unwrapped phase arg(z_i) of the recorded states."""
-        out = np.unwrap(np.angle(self.states), axis=0)
-        out.setflags(write=False)
-        return out
+        return _read_only(np.unwrap(np.angle(self.states), axis=-2))
 
     @cached_property
     def inst_freq(self) -> np.ndarray:
@@ -196,23 +203,17 @@ class SimulationTrace:
     @cached_property
     def final_freq(self) -> np.ndarray:
         """Per-oscillator inst_freq averaged over the final 10% of the trace."""
-        out = self.inst_freq[-max(1, self.num_samples // 10):].mean(axis=0)
-        out.setflags(write=False)
-        return out
+        return _read_only(self.inst_freq[..., -max(1, self.num_samples // 10):, :].mean(axis=-2))
 
     @cached_property
     def envelope(self) -> np.ndarray:
         """|S(t)| of the averager S(t) = (1/n) * sum_j z_j; the DOM readout signal."""
-        out = np.abs(self.averager)
-        out.setflags(write=False)
-        return out
+        return _read_only(np.abs(self.averager))
 
     @cached_property
     def peak_detector_output(self) -> np.ndarray:
         """Peak-detector response to the envelope at the default decay."""
-        out = default_peak_detector(self.envelope, self.config)
-        out.setflags(write=False)
-        return out
+        return _read_only(default_peak_detector(self.envelope, self.config))
 
 
 def _field(omega: np.ndarray, cfg: OscillatorArrayConfig):
@@ -285,7 +286,7 @@ def integrate(
     omega: np.ndarray,
     cfg: OscillatorArrayConfig,
     init: np.ndarray | None = None,
-) -> SimulationTrace | tuple[SimulationTrace | DivergenceError, ...]:
+) -> SimulationTrace:
     """Integrate the array with a classical 4th-order Runge-Kutta scheme.
 
     The step is fixed at cfg.dt and the trace records every cfg.stride-th
@@ -293,10 +294,11 @@ def integrate(
     bit-identical traces.
 
     A 1-D omega is one run, and its trace keeps every state. A 2-D omega
-    steps its rows together, one run each; a row's trace keeps the
-    averager at every sample but only the states final_freq reads, and
-    its averager is bit-identical to its 1-D run's, whatever rows share
-    its batch.
+    is a block of runs, one per row, stepped together; the block's trace
+    keeps every row's averager at every sample but only the states
+    final_freq reads. A row's averager is bit-identical to its 1-D run's,
+    whatever rows share its block, and a diverging row stops alone: from
+    then on it holds zeros, and its error is in the trace's failures.
 
     Args:
         omega: natural frequencies (radian-time units), shape (n,) or
@@ -306,13 +308,13 @@ def integrate(
             defaults to random_initial_state(cfg.n, cfg.seed).
 
     Returns:
-        For a 1-D omega, its SimulationTrace sampled at uniform spacing
-        stride * dt. For a 2-D omega, one entry per row: the row's trace,
-        or the DivergenceError that stopped that row alone.
+        The SimulationTrace of the run or the block, sampled at uniform
+        spacing stride * dt.
 
     Raises:
-        ConfigurationError: on a shape mismatch or a dt too coarse for the
-            actual frequencies.
+        ConfigurationError: on a shape mismatch, a dt too coarse for the
+            actual frequencies, or a block that would record more than
+            2**24 values.
         NumericError: on non-finite inputs.
         DivergenceError: for a 1-D omega, if the state norm exceeds
             10*sqrt(n) at any step.
@@ -323,14 +325,21 @@ def integrate(
     _check_accuracy(cfg.dt, max(np.abs(omega).max(), cfg.omega_max))
 
     rows = np.atleast_2d(omega)
+    # per row: the state sums (n times the averager) at every sample and
+    # the states from sample first on, every sample of a single run
+    first = 0 if omega.ndim == 1 else cfg.num_samples - _tail_samples(cfg)
+    recorded = len(rows) * (cfg.num_samples + (cfg.num_samples - first) * cfg.n)
+    # a block is held to the cap OscillatorArrayConfig puts on one run
+    if omega.ndim == 2 and recorded > 2**24:
+        raise ConfigurationError(
+            f"a block of {len(rows)} runs would record {recorded} values, more than 2**24; "
+            f"integrate fewer rows at a time, raise dt or stride, or lower t_end"
+        )
     z = np.array(np.broadcast_to(init, rows.shape), order="C")
     rhs = _field(rows, cfg)
     dt, stride = cfg.dt, cfg.stride
     half, sixth = 0.5 * dt, dt / 6.0
     guard = DIVERGENCE_FACTOR * math.sqrt(cfg.n)
-    # per row: the state sums (n times the averager) at every sample and
-    # the states from sample first on, every sample of a single run
-    first = 0 if omega.ndim == 1 else cfg.num_samples - _tail_samples(cfg)
     sums = np.empty((len(rows), cfg.num_samples), dtype=np.complex128)
     states = np.empty((len(rows), cfg.num_samples - first, cfg.n), dtype=np.complex128)
     sums[:, 0] = z.sum(axis=1)
@@ -346,7 +355,7 @@ def integrate(
         norm = np.sqrt((z.real * z.real + z.imag * z.imag).sum(axis=1))
         if not norm.max() <= guard:
             # a failed row restarts from zero, a fixed point that never
-            # trips the guard again, and its samples are discarded
+            # trips the guard again
             for row in np.flatnonzero(~(norm <= guard)):
                 failures[int(row)] = DivergenceError(step, float(norm[row]))
                 z[row] = 0.0
@@ -357,18 +366,16 @@ def integrate(
             sums[:, sample] = z.sum(axis=1)
             if sample >= first:
                 states[:, sample - first] = z
-    if omega.ndim == 1 and failures:
-        raise failures[0]
     sums /= cfg.n
     times = sample_times(cfg, cfg.num_samples)
-    # each row's arrays are views of the blocks; copy one to keep it alone
-    runs = tuple(
-        failures[row] if row in failures else SimulationTrace(
-            times=times, states=states[row], config=cfg, averager=sums[row]
-        )
-        for row in range(len(rows))
+    if omega.ndim == 1:
+        if failures:
+            raise failures[0]
+        return SimulationTrace(times=times, states=states[0], config=cfg, averager=sums[0])
+    return SimulationTrace(
+        times=times, states=states, config=cfg, averager=sums,
+        failures=tuple(failures.get(row) for row in range(len(rows))),
     )
-    return runs if omega.ndim == 2 else runs[0]
 
 
 def sample_times(cfg: OscillatorArrayConfig, num_samples: int) -> np.ndarray:
@@ -377,12 +384,12 @@ def sample_times(cfg: OscillatorArrayConfig, num_samples: int) -> np.ndarray:
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    """Column-wise moving average, edge-padded so the length is preserved."""
-    left = window // 2
-    right = window - 1 - left
-    padded = np.pad(values, ((left, right), (0, 0)), mode="edge")
+    """Moving average along the sample axis (-2), edge-padded so the length is preserved."""
+    pad = [(0, 0)] * values.ndim
+    pad[-2] = (window // 2, window - 1 - window // 2)
+    padded = np.pad(values, pad, mode="edge")
     kernel = np.ones(window) / window
-    return sliding_window_view(padded, window, axis=0) @ kernel
+    return sliding_window_view(padded, window, axis=-2) @ kernel
 
 
 def _smoothing_window(cfg: OscillatorArrayConfig, num_samples: int) -> int:
@@ -402,7 +409,7 @@ def _tail_samples(cfg: OscillatorArrayConfig) -> int:
 
 
 def instantaneous_frequency(trace: SimulationTrace) -> np.ndarray:
-    """Per-oscillator instantaneous frequency at each recorded state, shape (recorded, n).
+    """Per-oscillator instantaneous frequency at each recorded state, states' shape.
 
     Unwraps the phase of each oscillator, differentiates with central
     differences, and smooths with a moving average over one oscillation
@@ -415,18 +422,19 @@ def instantaneous_frequency(trace: SimulationTrace) -> np.ndarray:
         raise InsufficientDataError(
             f"instantaneous frequency needs >= 3 samples, trace has {trace.num_samples}"
         )
-    times = trace.times[trace.num_samples - len(trace.states):]
-    freq = np.gradient(trace.phases, times, axis=0)
+    times = trace.times[trace.num_samples - trace.states.shape[-2]:]
+    freq = np.gradient(trace.phases, times, axis=-2)
     return _moving_average(freq, _smoothing_window(trace.config, trace.num_samples))
 
 
 def peak_detector(envelope: np.ndarray, tau_decay: float, dt: float) -> np.ndarray:
     """Behavioral peak detector: decaying running maximum of the envelope.
 
-    v[0] = envelope[0]; v[k] = max(envelope[k], v[k-1] * exp(-dt/tau_decay)).
+    v[0] = envelope[0]; v[k] = max(envelope[k], v[k-1] * exp(-dt/tau_decay)),
+    along the last axis, so a block of envelopes is one pass.
 
     Args:
-        envelope: sampled non-negative signal.
+        envelope: sampled non-negative signal, shape (..., samples).
         tau_decay: decay time constant, radian-time.
         dt: sample spacing of the envelope.
 
@@ -442,10 +450,9 @@ def peak_detector(envelope: np.ndarray, tau_decay: float, dt: float) -> np.ndarr
         raise InsufficientDataError("peak detector needs at least one envelope sample")
     decay = math.exp(-dt / tau_decay)
     out = np.empty_like(envelope)
-    held = out[0] = envelope[0]
-    for k in range(1, envelope.size):
-        held = max(envelope[k], held * decay)
-        out[k] = held
+    held = out[..., 0] = envelope[..., 0]
+    for k in range(1, envelope.shape[-1]):
+        held = out[..., k] = np.maximum(envelope[..., k], held * decay)
     return out
 
 
@@ -522,21 +529,17 @@ def sweep_locking(
         seed=seed,
     )
     omega = np.column_stack([omega0 - 0.5 * detunings, omega0 + 0.5 * detunings])
-    points = []
-    for d, trace in zip(detunings, integrate(omega, cfg)):
-        if isinstance(trace, DivergenceError):
-            raise trace
-        gap = float(abs(trace.final_freq[1] - trace.final_freq[0]))
-        # the final fifth's envelope only: caching every row's whole envelope
-        # would hold them all until the sweep ends
-        window = np.abs(trace.averager[-max(1, trace.num_samples // 5):])
-        beat = float((window.max() - window.min()) / 2.0)
-        points.append(
-            SweepPoint(
-                detuning=float(d),
-                locked=bool(gap < gap_tol),
-                final_freq_gap=gap,
-                beat_amplitude=beat,
-            )
-        )
-    return tuple(points)
+    trace = integrate(omega, cfg)
+    failure = next((f for f in trace.failures if f is not None), None)
+    if failure is not None:
+        raise failure
+    gaps = np.abs(trace.final_freq[:, 1] - trace.final_freq[:, 0])
+    # the final fifth's envelope only: caching the whole envelope of every
+    # row would hold it until the sweep ends
+    window = np.abs(trace.averager[:, -max(1, trace.num_samples // 5):])
+    beats = (window.max(axis=1) - window.min(axis=1)) / 2.0
+    return tuple(
+        SweepPoint(detuning=float(d), locked=bool(gap < gap_tol),
+                   final_freq_gap=float(gap), beat_amplitude=float(beat))
+        for d, gap, beat in zip(detunings, gaps, beats)
+    )

@@ -21,7 +21,7 @@ from .dynamics import (
     random_initial_state,
 )
 from .encoding import Fragment, GaborFilter, fsk_encode
-from .errors import ConfigurationError, NumericError, PolicyError
+from .errors import ConfigurationError, PolicyError
 from .oracle import FeatureMap, Image, dot
 
 DOM_METHODS = ("sample_peak_detector", "trailing_mean_envelope")
@@ -56,35 +56,37 @@ class DomPolicy:
             raise ConfigurationError("sample_peak_detector needs a nonnegative sample_time")
 
 
-def dom(trace: SimulationTrace, policy: DomPolicy) -> float:
+def dom(trace: SimulationTrace, policy: DomPolicy) -> float | list[float]:
     """Degree of Match of one run under the given readout policy.
 
     Nonnegative; at most 1 for an uncoupled unit-amplitude array and at
     most sqrt(1 + eps*n/rho) in general (mean-field gain lifts the
     coherent amplitude slightly above the free limit cycle), up to the
     fixed RK4 step's error: at the default dt and rho 0.2 the integrated
-    limit cycle lies 2e-6 above the exact one.
+    limit cycle lies 2e-6 above the exact one. A block trace gives one
+    DOM per row.
 
     Raises:
         PolicyError: if sample_time lies beyond the trace.
     """
     if policy.method == "trailing_mean_envelope":
         m = min(trace.num_samples, max(1, int(round(policy.trailing_fraction * trace.num_samples))))
-        return float(trace.envelope[-m:].mean())
+        return trace.envelope[..., -m:].mean(axis=-1).tolist()
     if policy.sample_time > trace.times[-1]:
         raise PolicyError(
             f"sample_time {policy.sample_time} beyond trace end {trace.times[-1]}"
         )
     idx = int(np.argmin(np.abs(trace.times - policy.sample_time)))
-    return float(trace.peak_detector_output[idx])
+    return trace.peak_detector_output[..., idx].tolist()
 
 
-def classify_lock(trace: SimulationTrace, spread_tol: float | None = None) -> bool:
+def classify_lock(trace: SimulationTrace, spread_tol: float | None = None) -> bool | list[bool]:
     """Whether the array has synchronized to a common frequency.
 
     True iff max_i |f_i - median(f)| < spread_tol, with f_i the
     per-oscillator instantaneous frequency averaged over the final 10%
-    of the trace. spread_tol defaults to 0.1 * delta_omega.
+    of the trace. spread_tol defaults to 0.1 * delta_omega. A block
+    trace gives one flag per row.
     """
     if spread_tol is None:
         if trace.config.delta_omega == 0:
@@ -93,21 +95,23 @@ def classify_lock(trace: SimulationTrace, spread_tol: float | None = None) -> bo
     if not 0 < spread_tol < math.inf:
         raise ConfigurationError(f"spread_tol must be positive and finite, got {spread_tol}")
     final = trace.final_freq
-    return bool(np.abs(final - np.median(final)).max() < spread_tol)
+    spread = np.abs(final - np.median(final, axis=-1, keepdims=True)).max(axis=-1)
+    return (spread < spread_tol).tolist()
 
 
 def measure_lock_time(
     trace: SimulationTrace,
     dom_threshold_fraction: float = 0.8,
     min_hold_fraction: float = 0.25,
-) -> float | None:
+) -> float | None | list[float | None]:
     """Earliest time after which the envelope stays above threshold.
 
     The threshold is dom_threshold_fraction times the final plateau
     (mean envelope over the last 10%). Returns None when the envelope
     never settles: the above-threshold suffix must span at least
     min_hold_fraction of the trace, which rejects beating envelopes
-    whose last upswing happens to end the run above threshold.
+    whose last upswing happens to end the run above threshold. A block
+    trace gives one lock time (or None) per row.
     """
     if not 0.0 < dom_threshold_fraction < 1.0:
         raise ConfigurationError(
@@ -117,17 +121,15 @@ def measure_lock_time(
         raise ConfigurationError(
             f"min_hold_fraction must be in [0, 1), got {min_hold_fraction}"
         )
-    env = trace.envelope
-    plateau = env[-max(1, trace.num_samples // 10):].mean()
-    threshold = dom_threshold_fraction * plateau
-    below = np.nonzero(env < threshold)[0]
-    k = 0 if below.size == 0 else int(below[-1]) + 1
-    if k >= trace.num_samples:
-        return None
-    span = trace.times[-1] - trace.times[0]
-    if trace.times[-1] - trace.times[k] < min_hold_fraction * span:
-        return None
-    return float(trace.times[k] - trace.times[0])
+    env, times = trace.envelope, trace.times
+    plateau = env[..., -max(1, trace.num_samples // 10):].mean(axis=-1, keepdims=True)
+    below = env < dom_threshold_fraction * plateau
+    # k: the sample after the last one below threshold, 0 if none is
+    k = np.where(below.any(axis=-1), trace.num_samples - np.argmax(below[..., ::-1], axis=-1), 0)
+    start = times[np.minimum(k, trace.num_samples - 1)]
+    span = times[-1] - times[0]
+    settled = (k < trace.num_samples) & ~(times[-1] - start < min_hold_fraction * span)
+    return np.where(settled, start - times[0], None).tolist()
 
 
 @dataclass(frozen=True)
@@ -171,19 +173,6 @@ class MatchReport:
     errors: tuple[FilterError, ...]
     ranking: tuple[int, ...]
     dynamic_range: float
-
-
-def _seed_batch(omega: np.ndarray, cfg: OscillatorArrayConfig, seeds: tuple[int, ...]):
-    """Each seed's run of the array from its random initial phases, in seed order.
-
-    The runs are one batched integration. A failed run raises its error
-    when reached, so the error raised is the first failed seed's.
-    """
-    inits = np.array([random_initial_state(cfg.n, seed) for seed in seeds])
-    for run in integrate(np.tile(omega, (len(seeds), 1)), cfg, inits):
-        if isinstance(run, NumericError):
-            raise run
-        yield run
 
 
 def match_filters(
@@ -234,30 +223,25 @@ def match_filters(
         raise ConfigurationError(
             f"cfg.n={cfg.n} but this match needs n={expected} oscillators"
         )
-    seeds = tuple(int(s) for s in seeds)
+    inits = np.array([random_initial_state(cfg.n, int(seed)) for seed in seeds])
 
     results, errors = [], []
     for index, filt in enumerate(bank):
         omega = fsk_encode(fragment, filt, cfg.omega0, cfg.delta_omega)
         if reference_oscillator:
             omega = np.append(omega, cfg.omega0)
-        doms, locks, times = [], [], []
-        try:
-            for run in _seed_batch(omega, cfg, seeds):
-                if not doms:
-                    # a copy: the run's averager is a view of every seed's block
-                    averager = run.averager.copy()
-                    averager.setflags(write=False)
-                doms.append(dom(run, policy))
-                locks.append(classify_lock(run, spread_tol))
-                times.append(measure_lock_time(run, dom_threshold_fraction))
-            del run  # so that this filter's block is freed before the next is made
-        except NumericError as exc:
-            errors.append(FilterError(filter_index=index, message=str(exc)))
+        trace = integrate(np.tile(omega, (len(seeds), 1)), cfg, inits)
+        failure = next((f for f in trace.failures if f is not None), None)
+        if failure is not None:
+            errors.append(FilterError(filter_index=index, message=str(failure)))
             continue
-        locked = sum(locks) * 2 > len(locks)
-        finite = [t for t in times if t is not None]
+        doms = dom(trace, policy)
+        locked = sum(classify_lock(trace, spread_tol)) * 2 > len(seeds)
+        finite = [t for t in measure_lock_time(trace, dom_threshold_fraction) if t is not None]
         lock_time = float(np.median(finite)) if locked and finite else None
+        # a copy: a view would keep every seed's averager alive
+        averager = trace.averager[0].copy()
+        averager.setflags(write=False)
         results.append(FilterResult(
             filter_index=index,
             theta_deg=filt.theta_deg,
@@ -314,18 +298,18 @@ def feature_map_onn(
         raise ConfigurationError(
             f"filter side {filt.side} exceeds image {img.height}x{img.width}"
         )
-    seeds = tuple(int(s) for s in seeds)
+    inits = np.array([random_initial_state(cfg.n, int(seed)) for seed in seeds])
     out_h = img.height - filt.side + 1
     out_w = img.width - filt.side + 1
     values, errors = [], []
     for r in range(out_h):
         for c in range(out_w):
             omega = fsk_encode(img.window(r, c, filt.side), filt, cfg.omega0, cfg.delta_omega)
-            try:
-                doms = [dom(run, policy) for run in _seed_batch(omega, cfg, seeds)]
-            except NumericError as exc:
+            trace = integrate(np.tile(omega, (len(seeds), 1)), cfg, inits)
+            failure = next((f for f in trace.failures if f is not None), None)
+            if failure is not None:
                 values.append(float("nan"))
-                errors.append((r, c, str(exc)))
+                errors.append((r, c, str(failure)))
                 continue
-            values.append(float(np.mean(doms)))
+            values.append(float(np.mean(dom(trace, policy))))
     return FeatureMap(width=out_w, height=out_h, values=np.array(values), errors=tuple(errors))

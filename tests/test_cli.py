@@ -384,6 +384,11 @@ class TestMalformedValues:
                      id="featuremap-huge-side"),
         pytest.param(["featuremap", "IMAGE", "--side", "1000000", "--theta-deg", "0", "--k", "0.2",
                       "--seeds", "0"], id="featuremap-filter-huge-side"),
+        # a block of runs far beyond the recording cap (about 34 GB and 41 GB) is
+        # rejected before it is allocated
+        pytest.param(["match", "IMAGE", "--seeds", "0:1000", "--t-end", "70000"],
+                     id="match-huge-block"),
+        pytest.param(["sweep-locking", "--grid", "0:0.2:0.000001"], id="sweep-huge-block"),
     ])
     def test_rejected_input(self, capsys, tmp_path, white_image, argv):
         paths = {"IMAGE": white_image}

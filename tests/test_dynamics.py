@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oscconv import (
     ConfigurationError,
     DivergenceError,
+    DomPolicy,
     InsufficientDataError,
     NumericError,
     OscillatorArrayConfig,
@@ -17,8 +18,10 @@ from oscconv import (
     default_coupling,
     default_timestep,
     derivative,
+    dom,
     instantaneous_frequency,
     integrate,
+    measure_lock_time,
     peak_detector,
     random_initial_state,
     sweep_locking,
@@ -270,17 +273,27 @@ class TestBatchedIntegrate:
            rows=st.lists(st.integers(0, 5), min_size=1, max_size=6))
     def test_rows_do_not_depend_on_their_batch(self, config, rows):
         cfg = BATCH_CONFIGS[config]
-        runs = integrate(BATCH_OMEGA[rows], cfg, BATCH_INIT[rows])
-        assert len(runs) == len(rows)
-        for row, run in zip(rows, runs):
+        block = integrate(BATCH_OMEGA[rows], cfg, BATCH_INIT[rows])
+        assert len(block.failures) == len(block.averager) == len(rows)
+        peak = DomPolicy("sample_peak_detector", sample_time=30.0)
+
+        def readouts(trace):
+            return (dom(trace, DomPolicy()), dom(trace, peak), classify_lock(trace),
+                    measure_lock_time(trace))
+
+        lone_values = list(zip(*readouts(block)))
+        for i, row in enumerate(rows):
             single = single_run(config, row)
-            assert np.array_equal(run.times, single.times)
-            assert np.array_equal(run.averager, single.averager)
-            assert np.abs(run.final_freq - single.final_freq).max() <= 1e-12
-            assert classify_lock(run) == classify_lock(single)
-            # a batched row keeps only the frequency tail of its states
-            assert run.states.shape[0] < run.num_samples
-            assert np.array_equal(run.states, single.states[-run.states.shape[0]:])
+            assert block.failures[i] is None
+            assert np.array_equal(block.times, single.times)
+            assert np.array_equal(block.averager[i], single.averager)
+            assert np.abs(block.final_freq[i] - single.final_freq).max() <= 1e-12
+            assert classify_lock(block)[i] == classify_lock(single)
+            # the block's readouts give each row its lone run's values
+            assert lone_values[i] == readouts(single)
+            # a block keeps only the frequency tail of its states
+            assert block.states.shape[1] < block.num_samples
+            assert np.array_equal(block.states[i], single.states[-block.states.shape[1]:])
 
     @settings(max_examples=15, deadline=None)
     @given(size=st.integers(1, 6), data=st.data())
@@ -291,20 +304,29 @@ class TestBatchedIntegrate:
         init[bad] *= 12.0  # norm 12*sqrt(5), beyond the guard 10*sqrt(5)
         with pytest.raises(DivergenceError) as alone:
             integrate(BATCH_OMEGA[bad], cfg, init[bad])
-        runs = integrate(BATCH_OMEGA[:size], cfg, init)
-        assert isinstance(runs[bad], DivergenceError)
-        assert (runs[bad].step, runs[bad].norm) == (alone.value.step, alone.value.norm)
-        for row, run in enumerate(runs):
+        block = integrate(BATCH_OMEGA[:size], cfg, init)
+        failure = block.failures[bad]
+        assert isinstance(failure, DivergenceError)
+        assert (failure.step, failure.norm) == (alone.value.step, alone.value.norm)
+        for row in range(size):
             if row != bad:
-                assert np.array_equal(run.averager, single_run(0, row).averager)
+                assert block.failures[row] is None
+                assert np.array_equal(block.averager[row], single_run(0, row).averager)
 
     def test_one_length_n_init_starts_every_row(self):
         cfg = BATCH_CONFIGS[0]
         # the caller's memory layout does not reach the rows' bits either
-        runs = integrate(np.asfortranarray(BATCH_OMEGA[:3]), cfg, BATCH_INIT[4])
-        for row, run in enumerate(runs):
+        block = integrate(np.asfortranarray(BATCH_OMEGA[:3]), cfg, BATCH_INIT[4])
+        for row in range(3):
             single = integrate(BATCH_OMEGA[row], cfg, BATCH_INIT[4])
-            assert np.array_equal(run.averager, single.averager)
+            assert np.array_equal(block.averager[row], single.averager)
+
+    def test_caps_the_values_a_block_records(self):
+        # 1,400 rows of 25 oscillators at the default t_end record about
+        # 18e6 values; the block is rejected before any of it is allocated
+        cfg = OscillatorArrayConfig(n=25)
+        with pytest.raises(ConfigurationError, match="1400 runs.*2\\*\\*24"):
+            integrate(np.ones((1400, 25)), cfg)
 
     @pytest.mark.parametrize("omega, init", [
         (np.ones((2, 4)), np.ones(5)),
@@ -400,6 +422,18 @@ class TestInstantaneousFrequency:
         trace = SimulationTrace(times=times, states=states, config=cfg)
         freq = instantaneous_frequency(trace)
         assert np.abs(freq).max() < 1e-12
+
+    def test_trace_leaves_callers_arrays_writeable(self):
+        cfg = OscillatorArrayConfig(n=2, delta_omega=0.0, epsilon=0.0, dt=0.1, t_end=9.9)
+        times = np.arange(100) * 0.1
+        states = np.full((100, 2), 0.3 + 0.4j)
+        averager = states.mean(axis=1)
+        trace = SimulationTrace(times=times, states=states, config=cfg, averager=averager)
+        assert times.flags.writeable and states.flags.writeable and averager.flags.writeable
+        for arr in (trace.times, trace.states, trace.averager):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_window_of_one_sample_is_the_raw_gradient(self):
         # at stride 50 and the default dt one sample spans about a period

@@ -31,7 +31,8 @@ GRATING = ("featuremap", "{inputs}/grating7.pgm", "--theta-deg", "30", "--k", "0
 # case name -> CLI arguments, without --out-dir
 CASES = {
     "match_dump": ("match", FRAGMENT, *BANK3, "--dump-traces", *FAST),
-    "match_reference": ("match", FRAGMENT, *BANK3, "--reference-oscillator", "--dump-traces", *FAST),
+    "match_reference": ("match", FRAGMENT, *BANK3, "--reference-oscillator", "--dump-traces",
+                        *FAST),
     "match_peak": ("match", FRAGMENT, *BANK3, "--dom-method", "sample_peak_detector",
                    "--sample-time", "30", *FAST),
     "match_stride": ("match", FRAGMENT, *BANK3, "--stride", "3", "--dump-traces", *FAST),

@@ -126,8 +126,8 @@ class TestDom:
         # the relative 1e-5 covers the fixed RK4 step, whose limit cycle lies
         # up to 2e-6 above the exact one at the default dt and rho >= 0.2
         bound = math.sqrt(1.0 + epsilon * n / rho) * (1.0 + 1e-5)
-        for run in integrate(np.tile(omega, (3, 1)), cfg, init):
-            assert 0.0 <= dom(run, policy) <= bound
+        for value in dom(integrate(np.tile(omega, (3, 1)), cfg, init), policy):
+            assert 0.0 <= value <= bound
 
     def test_coupled_match_exceeds_mismatch(self):
         # the anti-match splits into two coherent groups at omega0 +/- 2
