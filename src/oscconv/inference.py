@@ -187,7 +187,7 @@ def match_filters(
 ) -> MatchReport:
     """Match a fragment against every filter in the bank.
 
-    Each filter is FSK-encoded and integrated in one batch, a run per
+    Each filter is FSK-encoded and integrated as one block, a run per
     seed; DOMs are averaged across seeds, the lock flag is a
     strict-majority vote, and lock_time is the median of the finite
     per-seed lock times when the majority locked. Filters whose runs

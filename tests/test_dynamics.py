@@ -227,6 +227,18 @@ class TestIntegrate:
         omega[0] = 1.01
         init[0] = 1.0
 
+    def test_trace_leaves_callers_arrays_writeable(self):
+        cfg = OscillatorArrayConfig(n=2, delta_omega=0.0, epsilon=0.0, dt=0.1, t_end=9.9)
+        times = np.arange(100) * 0.1
+        states = np.full((100, 2), 0.3 + 0.4j)
+        averager = states.mean(axis=1)
+        trace = SimulationTrace(times=times, states=states, config=cfg, averager=averager)
+        assert times.flags.writeable and states.flags.writeable and averager.flags.writeable
+        for arr in (trace.times, trace.states, trace.averager):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_uniform_sampling_with_stride(self):
         cfg = two_osc_cfg(t_end=50.0, stride=4)
         trace = integrate(np.array([1.0, 1.01]), cfg, random_initial_state(2, 5))
@@ -281,7 +293,7 @@ class TestBatchedIntegrate:
             return (dom(trace, DomPolicy()), dom(trace, peak), classify_lock(trace),
                     measure_lock_time(trace))
 
-        lone_values = list(zip(*readouts(block)))
+        block_values = list(zip(*readouts(block)))
         for i, row in enumerate(rows):
             single = single_run(config, row)
             assert block.failures[i] is None
@@ -290,7 +302,7 @@ class TestBatchedIntegrate:
             assert np.abs(block.final_freq[i] - single.final_freq).max() <= 1e-12
             assert classify_lock(block)[i] == classify_lock(single)
             # the block's readouts give each row its lone run's values
-            assert lone_values[i] == readouts(single)
+            assert block_values[i] == readouts(single)
             # a block keeps only the frequency tail of its states
             assert block.states.shape[1] < block.num_samples
             assert np.array_equal(block.states[i], single.states[-block.states.shape[1]:])
@@ -422,18 +434,6 @@ class TestInstantaneousFrequency:
         trace = SimulationTrace(times=times, states=states, config=cfg)
         freq = instantaneous_frequency(trace)
         assert np.abs(freq).max() < 1e-12
-
-    def test_trace_leaves_callers_arrays_writeable(self):
-        cfg = OscillatorArrayConfig(n=2, delta_omega=0.0, epsilon=0.0, dt=0.1, t_end=9.9)
-        times = np.arange(100) * 0.1
-        states = np.full((100, 2), 0.3 + 0.4j)
-        averager = states.mean(axis=1)
-        trace = SimulationTrace(times=times, states=states, config=cfg, averager=averager)
-        assert times.flags.writeable and states.flags.writeable and averager.flags.writeable
-        for arr in (trace.times, trace.states, trace.averager):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
 
     def test_window_of_one_sample_is_the_raw_gradient(self):
         # at stride 50 and the default dt one sample spans about a period
