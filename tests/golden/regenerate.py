@@ -9,7 +9,6 @@ in test_golden.CASES, the files the command writes plus result.json
 (its exit code, stdout and stderr) under tests/golden/<case>/.
 """
 import json
-import math
 import shutil
 import sys
 from pathlib import Path
@@ -18,17 +17,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from oscconv import default_bank, edge_fragment  # noqa: E402
+from oscconv import default_bank, edge_fragment, gabor_filter  # noqa: E402
 from oscconv.pgm import write_pgm  # noqa: E402
 from test_golden import CASES, GOLDEN, INPUTS, RESULT, run_case  # noqa: E402
-
-
-def grating(side: int, theta_deg: float, k: float) -> np.ndarray:
-    """Unbinarized oriented cosine grating on a centered side x side grid."""
-    coords = np.arange(side) - (side - 1) / 2.0
-    x, y = np.meshgrid(coords, coords, indexing="xy")
-    theta = math.radians(theta_deg)
-    return np.cos(2.0 * math.pi * k * (x * math.cos(theta) + y * math.sin(theta)))
 
 
 def write_inputs() -> None:
@@ -36,10 +27,12 @@ def write_inputs() -> None:
     fragment = edge_fragment().values.reshape(5, 5)
     write_pgm(INPUTS / "fragment.pgm", np.round((fragment + 1.0) / 2.0 * 255.0))
     # the top-left 7x7 crop of acceptance criterion 11's 16x16 image
-    crop = 0.9 * grating(16, 30.0, 0.35)[:7, :7]
+    image = 0.9 * gabor_filter(16, 30.0, 0.35, binarized=False).values.reshape(16, 16)
+    crop = image[:7, :7]
     write_pgm(INPUTS / "grating7.pgm", np.round((crop + 1.0) / 2.0 * 255.0))
     # filter 4's first-seed envelope beats, so its dump exercises the peak detector's decay
-    bank = [{"theta_deg": f.theta_deg, "k": f.k} for f in np.take(default_bank(), (0, 4, 14))]
+    filters = [default_bank()[i] for i in (0, 4, 14)]
+    bank = [{"theta_deg": f.theta_deg, "k": f.k} for f in filters]
     (INPUTS / "bank3.json").write_text(json.dumps(bank) + "\n")
 
 
