@@ -228,6 +228,11 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(array=array, dom_policy=DomPolicy(**policy), **values)
 
 
+# No block of more than 2**24 rows passes the cap on the values a block
+# records, so a longer seed range or grid is rejected before it is built.
+_MAX_ROWS = 2**24
+
+
 def _parse_seeds(text: str) -> tuple:
     """Seed list: '0,3,5' or a half-open range 'start:stop'."""
     try:
@@ -235,6 +240,8 @@ def _parse_seeds(text: str) -> tuple:
             start, stop = (int(p) for p in text.split(":"))
             if stop <= start:
                 raise ValueError
+            if stop - start > _MAX_ROWS:
+                raise argparse.ArgumentTypeError(f"range {text!r} holds more than 2**24 seeds")
             return tuple(range(start, stop))
         return tuple(int(p) for p in text.split(","))
     except ValueError:
@@ -252,10 +259,14 @@ def _parse_origin(text: str) -> tuple[int, int]:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, step = (float(p) for p in text.split(":"))
-        if step <= 0 or stop < start:
+        # the sum is finite only if every grid point is; NaN fails every comparison
+        if not (start <= stop and 0 < step and abs(start) + abs(stop) + step < math.inf):
             raise ValueError
     except ValueError:
         raise _UsageError(f"--grid expects 'start:stop:step', got {text!r}") from None
+    # compared as a float first: floor() fails on a quotient that overflows to inf
+    if not (stop - start) / step + 0.5 < _MAX_ROWS:
+        raise _UsageError(f"--grid {text!r} holds more than 2**24 points")
     count = int(math.floor((stop - start) / step + 0.5)) + 1
     return start + step * np.arange(count)
 

@@ -282,6 +282,16 @@ def random_initial_state(n: int, seed: int, amplitude: float = 1.0) -> np.ndarra
     return amplitude * np.exp(1j * theta)
 
 
+def _check_block(rows: int, cfg: OscillatorArrayConfig) -> None:
+    """Hold a block of rows to the 2**24 values OscillatorArrayConfig lets one run record."""
+    recorded = rows * (cfg.num_samples + _tail_samples(cfg) * cfg.n)
+    if recorded > 2**24:
+        raise ConfigurationError(
+            f"a block of {rows} runs would record {recorded} values, more than 2**24; "
+            f"integrate fewer rows at a time, raise dt or stride, or lower t_end"
+        )
+
+
 def integrate(
     omega: np.ndarray,
     cfg: OscillatorArrayConfig,
@@ -328,13 +338,8 @@ def integrate(
     # per row: the state sums (n times the averager) at every sample and
     # the states from sample first on, every sample of a single run
     first = 0 if omega.ndim == 1 else cfg.num_samples - _tail_samples(cfg)
-    recorded = len(rows) * (cfg.num_samples + (cfg.num_samples - first) * cfg.n)
-    # a block is held to the cap OscillatorArrayConfig puts on one run
-    if omega.ndim == 2 and recorded > 2**24:
-        raise ConfigurationError(
-            f"a block of {len(rows)} runs would record {recorded} values, more than 2**24; "
-            f"integrate fewer rows at a time, raise dt or stride, or lower t_end"
-        )
+    if omega.ndim == 2:
+        _check_block(len(rows), cfg)
     z = np.array(np.broadcast_to(init, rows.shape), order="C")
     rhs = _field(rows, cfg)
     dt, stride = cfg.dt, cfg.stride

@@ -18,16 +18,23 @@ from .errors import ConfigurationError, InputError
 _TOL = 1e-12
 
 
-def _check_values(values: np.ndarray, side: int, what: str) -> None:
-    if values.shape != (side * side,):
+def _frozen_values(values, dims: tuple[int, int], what: str, bounded: bool = True) -> np.ndarray:
+    """A read-only float64 copy of values, the flat row-major vector of a
+    dims[0] x dims[1] grid, with entries in [-1, +1] when bounded."""
+    if min(dims) < 1:
+        raise ConfigurationError(f"{what} dimensions must be positive, got {dims[0]}x{dims[1]}")
+    values, length = np.array(values, dtype=np.float64), dims[0] * dims[1]
+    if values.shape != (length,):
         raise ConfigurationError(
-            f"{what} values must be a flat length-{side * side} vector, got shape {values.shape}"
+            f"{what} values must be a flat length-{length} vector, got shape {values.shape}"
         )
-    if values.min() < -1.0 - _TOL or values.max() > 1.0 + _TOL:
+    if bounded and (values.min() < -1.0 - _TOL or values.max() > 1.0 + _TOL):
         raise ConfigurationError(
             f"{what} values must lie in [-1, +1], got range "
             f"[{values.min():.6g}, {values.max():.6g}]"
         )
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)
@@ -40,9 +47,8 @@ class Fragment:
     def __post_init__(self):
         if self.side < 1:
             raise ConfigurationError(f"side must be >= 1, got {self.side}")
-        object.__setattr__(self, "values", np.array(self.values, dtype=np.float64))
-        _check_values(self.values, self.side, "fragment")
-        self.values.setflags(write=False)
+        values = _frozen_values(self.values, (self.side, self.side), "fragment")
+        object.__setattr__(self, "values", values)
 
 
 def _check_parameters(side: int, theta_deg: float, k: float, phase: float) -> None:
@@ -73,11 +79,10 @@ class GaborFilter:
 
     def __post_init__(self):
         _check_parameters(self.side, self.theta_deg, self.k, self.phase)
-        object.__setattr__(self, "values", np.array(self.values, dtype=np.float64))
-        _check_values(self.values, self.side, "filter")
-        if self.binarized and not np.isin(self.values, (-1.0, 1.0)).all():
+        values = _frozen_values(self.values, (self.side, self.side), "filter")
+        if self.binarized and not np.isin(values, (-1.0, 1.0)).all():
             raise ConfigurationError("binarized filter entries must be exactly -1 or +1")
-        self.values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
 
 def normalize_fragment(raw: np.ndarray, g_max: float) -> Fragment:

@@ -17,6 +17,7 @@ import numpy as np
 from .dynamics import (
     OscillatorArrayConfig,
     SimulationTrace,
+    _check_block,
     integrate,
     random_initial_state,
 )
@@ -175,6 +176,21 @@ class MatchReport:
     dynamic_range: float
 
 
+def _seed_blocks(omegas: list[np.ndarray], cfg: OscillatorArrayConfig, seeds: tuple[int, ...]):
+    """Yield, per frequency vector, the trace of one block with a run per seed
+    and its first failed seed's error, or None. The seeds, cfg.n and the
+    block cap are checked, and the initial states built, before any run."""
+    if not seeds:
+        raise ConfigurationError("need at least one seed")
+    if cfg.n != len(omegas[0]):
+        raise ConfigurationError(f"cfg.n={cfg.n} but the runs need n={len(omegas[0])} oscillators")
+    _check_block(len(seeds), cfg)
+    inits = np.array([random_initial_state(cfg.n, int(seed)) for seed in seeds])
+    for omega in omegas:
+        trace = integrate(np.tile(omega, (len(seeds), 1)), cfg, inits)
+        yield trace, next((f for f in trace.failures if f is not None), None)
+
+
 def match_filters(
     fragment: Fragment,
     bank: tuple[GaborFilter, ...],
@@ -211,30 +227,18 @@ def match_filters(
     """
     if not bank:
         raise ConfigurationError("filter bank must be nonempty")
-    if not seeds:
-        raise ConfigurationError("need at least one seed")
-    for filt in bank:
-        if filt.side != fragment.side:
-            raise ConfigurationError(
-                f"filter side {filt.side} does not match fragment side {fragment.side}"
-            )
-    expected = fragment.side ** 2 + (1 if reference_oscillator else 0)
-    if cfg.n != expected:
-        raise ConfigurationError(
-            f"cfg.n={cfg.n} but this match needs n={expected} oscillators"
-        )
-    inits = np.array([random_initial_state(cfg.n, int(seed)) for seed in seeds])
+    # every filter is encoded, and its side checked, before the first run
+    omegas = [fsk_encode(fragment, filt, cfg.omega0, cfg.delta_omega) for filt in bank]
+    if reference_oscillator:
+        omegas = [np.append(omega, cfg.omega0) for omega in omegas]
 
     results, errors = [], []
-    for index, filt in enumerate(bank):
-        omega = fsk_encode(fragment, filt, cfg.omega0, cfg.delta_omega)
-        if reference_oscillator:
-            omega = np.append(omega, cfg.omega0)
-        trace = integrate(np.tile(omega, (len(seeds), 1)), cfg, inits)
-        failure = next((f for f in trace.failures if f is not None), None)
+    # not zip(bank, ...): its reused result tuple keeps an older block alive into the next run
+    for index, (trace, failure) in enumerate(_seed_blocks(omegas, cfg, seeds)):
         if failure is not None:
             errors.append(FilterError(filter_index=index, message=str(failure)))
             continue
+        filt = bank[index]
         doms = dom(trace, policy)
         locked = sum(classify_lock(trace, spread_tol)) * 2 > len(seeds)
         finite = [t for t in measure_lock_time(trace, dom_threshold_fraction) if t is not None]
@@ -288,28 +292,21 @@ def feature_map_onn(
     deterministic for a fixed seed tuple. Failed windows hold NaN and are
     listed in errors.
     """
-    if not seeds:
-        raise ConfigurationError("need at least one seed")
-    if cfg.n != filt.side ** 2:
-        raise ConfigurationError(
-            f"cfg.n={cfg.n} but this map needs n={filt.side ** 2} oscillators"
-        )
     if filt.side > img.width or filt.side > img.height:
         raise ConfigurationError(
             f"filter side {filt.side} exceeds image {img.height}x{img.width}"
         )
-    inits = np.array([random_initial_state(cfg.n, int(seed)) for seed in seeds])
     out_h = img.height - filt.side + 1
     out_w = img.width - filt.side + 1
+    omegas = [
+        fsk_encode(img.window(*divmod(cell, out_w), filt.side), filt, cfg.omega0, cfg.delta_omega)
+        for cell in range(out_h * out_w)
+    ]
     values, errors = [], []
-    for r in range(out_h):
-        for c in range(out_w):
-            omega = fsk_encode(img.window(r, c, filt.side), filt, cfg.omega0, cfg.delta_omega)
-            trace = integrate(np.tile(omega, (len(seeds), 1)), cfg, inits)
-            failure = next((f for f in trace.failures if f is not None), None)
-            if failure is not None:
-                values.append(float("nan"))
-                errors.append((r, c, str(failure)))
-                continue
-            values.append(float(np.mean(dom(trace, policy))))
+    for cell, (trace, failure) in enumerate(_seed_blocks(omegas, cfg, seeds)):
+        if failure is not None:
+            values.append(float("nan"))
+            errors.append((*divmod(cell, out_w), str(failure)))
+            continue
+        values.append(float(np.mean(dom(trace, policy))))
     return FeatureMap(width=out_w, height=out_h, values=np.array(values), errors=tuple(errors))

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .encoding import Fragment
+from .encoding import Fragment, _frozen_values
 from .errors import ConfigurationError, InputError
-
-_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -27,19 +25,8 @@ class Image:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ConfigurationError(
-                f"image dimensions must be positive, got {self.width}x{self.height}"
-            )
-        object.__setattr__(self, "values", np.array(self.values, dtype=np.float64))
-        if self.values.shape != (self.width * self.height,):
-            raise ConfigurationError(
-                f"image values must be a flat length-{self.width * self.height} vector, "
-                f"got shape {self.values.shape}"
-            )
-        if self.values.min() < -1.0 - _TOL or self.values.max() > 1.0 + _TOL:
-            raise ConfigurationError("image values must lie in [-1, +1]")
-        self.values.setflags(write=False)
+        values = _frozen_values(self.values, (self.width, self.height), "image")
+        object.__setattr__(self, "values", values)
 
     def grid(self) -> np.ndarray:
         return self.values.reshape(self.height, self.width)
@@ -68,17 +55,8 @@ class FeatureMap:
     errors: tuple = ()
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ConfigurationError(
-                f"map dimensions must be positive, got {self.width}x{self.height}"
-            )
-        object.__setattr__(self, "values", np.array(self.values, dtype=np.float64))
-        if self.values.shape != (self.width * self.height,):
-            raise ConfigurationError(
-                f"map values must be a flat length-{self.width * self.height} vector, "
-                f"got shape {self.values.shape}"
-            )
-        self.values.setflags(write=False)
+        values = _frozen_values(self.values, (self.width, self.height), "map", bounded=False)
+        object.__setattr__(self, "values", values)
 
     def grid(self) -> np.ndarray:
         return self.values.reshape(self.height, self.width)

@@ -389,6 +389,16 @@ class TestMalformedValues:
         pytest.param(["match", "IMAGE", "--seeds", "0:1000", "--t-end", "70000"],
                      id="match-huge-block"),
         pytest.param(["sweep-locking", "--grid", "0:0.2:0.000001"], id="sweep-huge-block"),
+        # a non-finite grid value, or a grid or seed range of more than 2**24 rows,
+        # is rejected before the rows are built
+        pytest.param(["sweep-locking", "--grid", "0:1e300:1e-300"], id="sweep-grid-overflow"),
+        pytest.param(["sweep-locking", "--grid", "nan:1:0.1"], id="sweep-grid-nan-start"),
+        pytest.param(["sweep-locking", "--grid", "0:nan:0.1"], id="sweep-grid-nan-stop"),
+        pytest.param(["sweep-locking", "--grid", "0:1e12:1e-6"], id="sweep-grid-huge"),
+        pytest.param(["sweep-locking", "--grid", "0:1:inf"], id="sweep-grid-inf-step"),
+        pytest.param(["sweep-locking", "--grid", "1e308:1.7e308:1.2e308"],
+                     id="sweep-grid-point-overflows"),
+        pytest.param(["match", "IMAGE", "--seeds", "0:10000000000"], id="match-huge-seed-range"),
     ])
     def test_rejected_input(self, capsys, tmp_path, white_image, argv):
         paths = {"IMAGE": white_image}

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oscconv.inference
 from oscconv import (
     ConfigurationError,
     DomPolicy,
@@ -26,10 +28,12 @@ from oscconv import (
     random_initial_state,
     winner_take_all,
 )
+from oscconv.dynamics import SimulationTrace
 
 FILTER = gabor_filter(5, 30.0, 0.35)
 MATCH_FRAG = Fragment(side=5, values=FILTER.values.copy())
 ANTI_FRAG = Fragment(side=5, values=-FILTER.values)
+ANTI_FILTER = gabor_filter(5, 30.0, 0.35, phase=math.pi)
 
 
 def run_match_trace(fragment, filt, seed=0, t_end=400.0, init=None):
@@ -277,6 +281,66 @@ class TestMatchFilters:
         bad_n = OscillatorArrayConfig(n=24, t_end=50.0)
         with pytest.raises(ConfigurationError):
             match_filters(MATCH_FRAG, (FILTER,), bad_n, DomPolicy(), seeds=(0,))
+
+
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """The SimulationTraces alive at each integrate call the inference module
+    makes, not counting those alive before (which this list keeps alive)."""
+    live = []
+
+    def traces():
+        gc.collect()
+        return [obj for obj in gc.get_objects() if isinstance(obj, SimulationTrace)]
+
+    before = traces()
+
+    def counting(*args, **kwargs):
+        live.append(len(traces()) - len(before))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(oscconv.inference, "integrate", counting)
+    return live
+
+
+class TestSeedBlocks:
+    """match_filters and feature_map_onn check and encode everything before the first run."""
+
+    def test_a_wrong_side_in_the_last_filter_raises_before_any_run(self, integrate_calls):
+        bank = (FILTER, FILTER, gabor_filter(4, 0.0, 0.2))
+        cfg = OscillatorArrayConfig(n=25, t_end=50.0)
+        with pytest.raises(ConfigurationError, match="side"):
+            match_filters(MATCH_FRAG, bank, cfg, DomPolicy(), seeds=(0,))
+        assert integrate_calls == []
+
+    def test_a_wrong_n_raises_before_any_map_run(self, integrate_calls):
+        img = Image(width=6, height=6, values=np.zeros(36))
+        cfg = OscillatorArrayConfig(n=24, t_end=50.0)
+        with pytest.raises(ConfigurationError, match="n=25"):
+            feature_map_onn(img, FILTER, cfg, DomPolicy(), seeds=(0,))
+        assert integrate_calls == []
+
+    def test_block_cap_is_checked_before_the_seeds_are_built(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return random_initial_state(*args, **kwargs)
+
+        monkeypatch.setattr(oscconv.inference, "random_initial_state", counting)
+        # at this t_end a block holds at most 13 runs
+        cfg = OscillatorArrayConfig(n=25, t_end=40000.0)
+        with pytest.raises(ConfigurationError, match="2\\*\\*24"):
+            match_filters(MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=tuple(range(20)))
+        assert built == []
+
+    def test_one_block_is_alive_at_a_time(self, integrate_calls):
+        bank = (FILTER, ANTI_FILTER, FILTER, ANTI_FILTER)
+        cfg = OscillatorArrayConfig(n=25, t_end=20.0)
+        match_filters(MATCH_FRAG, bank, cfg, DomPolicy(), seeds=(0, 1))
+        # the previous filter's block, and no older one, outlives its readout
+        assert len(integrate_calls) == len(bank)
+        assert max(integrate_calls) <= 1
 
 
 class TestWinnerTakeAll:
