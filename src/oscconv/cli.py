@@ -146,6 +146,14 @@ def _object(checks: dict, required: tuple = ()):
     return checked
 
 
+def _seeds(value, name: str) -> tuple | range:
+    """Seeds checked one by one, or a --seeds range by its first and least seed."""
+    if isinstance(value, range):
+        _natural(value[0], f"{name}[0]")
+        return value
+    return _list(_natural, "seeds")(value, name)
+
+
 _bank_entries = _list(_object(
     {"theta_deg": _number, "k": _number, "phase": _number, "binarized": _boolean},
     required=("theta_deg", "k"),
@@ -162,7 +170,7 @@ _CONFIG_KEYS = {
     "stride": _natural,
     "seed": _natural,
     "side": _natural,
-    "seeds": _list(_natural, "seeds"),
+    "seeds": _seeds,
     "dom_policy": _object(_POLICY_FIELDS),
     "spread_tol": _number,
     "dom_threshold_fraction": _number,
@@ -184,7 +192,7 @@ class RunConfig:
 
     array: dict = field(default_factory=dict)
     side: int = 5
-    seeds: tuple = tuple(range(8))
+    seeds: tuple | range = range(8)
     dom_policy: DomPolicy = DomPolicy()
     spread_tol: float | None = None
     dom_threshold_fraction: float = 0.8
@@ -229,20 +237,18 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 
 # No block of more than 2**24 rows passes the cap on the values a block
-# records, so a longer seed range or grid is rejected before it is built.
+# records, so a longer grid is rejected before it is built.
 _MAX_ROWS = 2**24
 
 
-def _parse_seeds(text: str) -> tuple:
-    """Seed list: '0,3,5' or a half-open range 'start:stop'."""
+def _parse_seeds(text: str) -> tuple | range:
+    """Seed list '0,3,5', or half-open range 'start:stop' left unbuilt for the block cap."""
     try:
         if ":" in text:
             start, stop = (int(p) for p in text.split(":"))
-            if stop <= start:
+            if not 0 < stop - start <= sys.maxsize:  # len() of a longer range overflows
                 raise ValueError
-            if stop - start > _MAX_ROWS:
-                raise argparse.ArgumentTypeError(f"range {text!r} holds more than 2**24 seeds")
-            return tuple(range(start, stop))
+            return range(start, stop)
         return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects 'a,b,c' or 'start:stop', got {text!r}") from None

@@ -267,19 +267,17 @@ def derivative(state: np.ndarray, omega: np.ndarray, cfg: OscillatorArrayConfig)
     return _field(omega, cfg)(state)
 
 
-def random_initial_state(n: int, seed: int, amplitude: float = 1.0) -> np.ndarray:
-    """Oscillators on a circle of the given amplitude with seeded random phases.
+def random_initial_state(n: int, seed: int) -> np.ndarray:
+    """Oscillators on the unit circle with seeded random phases.
 
-    z_i = amplitude * exp(i theta_i), theta_i drawn independently and
-    uniformly from [0, 2*pi). The same seed always produces the same state.
+    z_i = exp(i theta_i), theta_i drawn independently and uniformly from
+    [0, 2*pi). The same seed always produces the same state.
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    if amplitude <= 0:
-        raise ConfigurationError(f"amplitude must be positive, got {amplitude}")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
-    return amplitude * np.exp(1j * theta)
+    return np.exp(1j * theta)
 
 
 def _check_block(rows: int, cfg: OscillatorArrayConfig) -> None:
@@ -345,8 +343,8 @@ def integrate(
     dt, stride = cfg.dt, cfg.stride
     half, sixth = 0.5 * dt, dt / 6.0
     guard = DIVERGENCE_FACTOR * math.sqrt(cfg.n)
-    sums = np.empty((len(rows), cfg.num_samples), dtype=np.complex128)
-    states = np.empty((len(rows), cfg.num_samples - first, cfg.n), dtype=np.complex128)
+    sums = np.zeros((len(rows), cfg.num_samples), dtype=np.complex128)
+    states = np.zeros((len(rows), cfg.num_samples - first, cfg.n), dtype=np.complex128)
     sums[:, 0] = z.sum(axis=1)
     if first == 0:
         states[:, 0] = z
@@ -533,6 +531,7 @@ def sweep_locking(
         t_end=t_end,
         seed=seed,
     )
+    _check_block(detunings.size, cfg)  # before the grid's frequency block is built
     omega = np.column_stack([omega0 - 0.5 * detunings, omega0 + 0.5 * detunings])
     trace = integrate(omega, cfg)
     failure = next((f for f in trace.failures if f is not None), None)

@@ -103,24 +103,19 @@ def classify_lock(trace: SimulationTrace, spread_tol: float | None = None) -> bo
 def measure_lock_time(
     trace: SimulationTrace,
     dom_threshold_fraction: float = 0.8,
-    min_hold_fraction: float = 0.25,
 ) -> float | None | list[float | None]:
     """Earliest time after which the envelope stays above threshold.
 
     The threshold is dom_threshold_fraction times the final plateau
     (mean envelope over the last 10%). Returns None when the envelope
-    never settles: the above-threshold suffix must span at least
-    min_hold_fraction of the trace, which rejects beating envelopes
-    whose last upswing happens to end the run above threshold. A block
-    trace gives one lock time (or None) per row.
+    never settles: the above-threshold suffix must span at least a
+    quarter of the trace, which rejects beating envelopes whose last
+    upswing happens to end the run above threshold. A block trace gives
+    one lock time (or None) per row.
     """
     if not 0.0 < dom_threshold_fraction < 1.0:
         raise ConfigurationError(
             f"dom_threshold_fraction must be in (0, 1), got {dom_threshold_fraction}"
-        )
-    if not 0.0 <= min_hold_fraction < 1.0:
-        raise ConfigurationError(
-            f"min_hold_fraction must be in [0, 1), got {min_hold_fraction}"
         )
     env, times = trace.envelope, trace.times
     plateau = env[..., -max(1, trace.num_samples // 10):].mean(axis=-1, keepdims=True)
@@ -129,7 +124,7 @@ def measure_lock_time(
     k = np.where(below.any(axis=-1), trace.num_samples - np.argmax(below[..., ::-1], axis=-1), 0)
     start = times[np.minimum(k, trace.num_samples - 1)]
     span = times[-1] - times[0]
-    settled = (k < trace.num_samples) & ~(times[-1] - start < min_hold_fraction * span)
+    settled = (k < trace.num_samples) & ~(times[-1] - start < 0.25 * span)
     return np.where(settled, start - times[0], None).tolist()
 
 

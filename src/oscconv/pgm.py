@@ -7,43 +7,16 @@ maxval so the caller controls normalization.
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
-
-
-def _header_tokens(buf: bytes, count: int) -> tuple[list[bytes], int]:
-    """First `count` whitespace-separated tokens, skipping # comments.
-
-    Returns the tokens and the offset one byte past the final token's
-    single trailing whitespace byte (where P5 raster data begins).
-    """
-    tokens: list[bytes] = []
-    i = 0
-    while len(tokens) < count:
-        while i < len(buf):
-            if buf[i] in _WHITESPACE:
-                i += 1
-            elif buf[i] == ord("#"):
-                nl = buf.find(b"\n", i)
-                if nl < 0:
-                    raise InputError("unterminated comment in PGM header")
-                i = nl + 1
-            else:
-                break
-        if i >= len(buf):
-            raise InputError("truncated PGM header")
-        start = i
-        while i < len(buf) and buf[i] not in _WHITESPACE:
-            i += 1
-        tokens.append(buf[start:i])
-        if len(tokens) == count and i < len(buf):
-            i += 1
-    return tokens, i
+# grammar: P2|P5 (sep+ token){3} ws; sep: one whitespace byte or one '#' comment with its newline
+# tokens (width, height, maxval) exclude '#', or a run of '#' splits many ways: quadratic time
+_HEADER = re.compile(rb"P[25]" + rb"(?:\s|#[^\n]*\n)+([^\s#]+)" * 3 + rb"\s")
 
 
 def read_pgm(path: str | os.PathLike) -> tuple[np.ndarray, int]:
@@ -62,27 +35,29 @@ def read_pgm(path: str | os.PathLike) -> tuple[np.ndarray, int]:
         raise InputError(f"cannot read image file {path}: {exc}") from exc
     if buf[:2] not in (b"P2", b"P5"):
         raise InputError(f"{path}: not a PGM file (P2/P5), magic {buf[:2]!r}")
-    magic = buf[:2].decode()
-    tokens, offset = _header_tokens(buf, 4)
+    header = _HEADER.match(buf)
+    if header is None:
+        raise InputError(f"{path}: truncated or malformed PGM header")
     try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        width, height, maxval = (int(token) for token in header.groups())
     except ValueError as exc:
-        raise InputError(f"{path}: non-numeric PGM header fields {tokens[1:]}") from exc
+        raise InputError(f"{path}: non-numeric PGM header fields {list(header.groups())}") from exc
     if width < 1 or height < 1:
         raise InputError(f"{path}: invalid dimensions {width}x{height}")
     if not 1 <= maxval <= 255:
         raise InputError(f"{path}: only 8-bit PGM supported, maxval {maxval}")
     n = width * height
-    if magic == "P2":
-        fields = buf[offset:].split()
+    if buf[:2] == b"P2":
+        fields = buf[header.end():].split()
         if len(fields) != n:
             raise InputError(f"{path}: expected {n} pixels, found {len(fields)}")
         try:
-            flat = np.array([int(v) for v in fields], dtype=np.int64)
-        except ValueError as exc:
+            # object, not bytes: a bytes array pads every field to the longest one
+            flat = np.array(fields, dtype=object).astype(np.int64)
+        except (ValueError, OverflowError) as exc:  # not an integer, or beyond int64
             raise InputError(f"{path}: non-numeric pixel data") from exc
     else:
-        raster = buf[offset:offset + n]
+        raster = buf[header.end():header.end() + n]
         if len(raster) < n:
             raise InputError(f"{path}: expected {n} raster bytes, found {len(raster)}")
         flat = np.frombuffer(raster, dtype=np.uint8).astype(np.int64)

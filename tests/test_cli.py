@@ -311,6 +311,21 @@ class TestConfigHandling:
         rows = read_rows(out_dir / "report.csv")
         assert len(rows) == 2
 
+    def test_a_seed_range_stays_a_range(self):
+        # checked by its first seed, a range reaches the block cap unbuilt
+        seeds = oscconv.cli._parse_seeds("0:16000000")
+        assert seeds == range(16000000)
+        assert oscconv.cli._CONFIG_KEYS["seeds"](seeds, "seeds") is seeds
+
+    @pytest.mark.parametrize("seeds, message", [
+        ("0:16000000", "a block of 16000000 runs would record"),
+        ("0:100000000000000000000", "expects 'a,b,c' or 'start:stop'"),  # too long for len()
+    ])
+    def test_an_oversized_seed_range_is_one_line(self, capsys, white_image, seeds, message):
+        code, _, err = run_cli(capsys, "match", white_image, "--seeds", seeds)
+        assert_one_line_error(code, err)
+        assert message in err
+
 
 class TestMalformedValues:
     """Each malformed value exits 1 with one line on stderr, never a traceback."""

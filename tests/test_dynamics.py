@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oscconv.dynamics
 from oscconv import (
     ConfigurationError,
     DivergenceError,
@@ -340,6 +341,19 @@ class TestBatchedIntegrate:
         with pytest.raises(ConfigurationError, match="1400 runs.*2\\*\\*24"):
             integrate(np.ones((1400, 25)), cfg)
 
+    def test_a_block_whose_rows_all_fail_holds_zeros(self):
+        # the rows fail at steps 14-16 of 350 and the loop stops at the last;
+        # what it never reached must read zero, not what the allocator held
+        cfg = OscillatorArrayConfig(n=4, rho=1e-3, epsilon=0.5, t_end=40.0)
+        init = np.array([random_initial_state(4, seed) for seed in range(3)])
+        for _ in range(50):  # leave freed, non-zero memory for the block to reuse
+            np.full(10_000, 1e300 + 1e300j)
+        block = integrate(np.ones((3, 4)), cfg, init)
+        assert all(isinstance(failure, DivergenceError) for failure in block.failures)
+        for row, failure in enumerate(block.failures):
+            assert not block.averager[row, -(-failure.step // cfg.stride):].any()
+            assert not block.states[row].any()
+
     @pytest.mark.parametrize("omega, init", [
         (np.ones((2, 4)), np.ones(5)),
         (np.ones((2, 5)), np.ones((3, 5))),
@@ -413,8 +427,6 @@ class TestRandomInitialState:
     def test_rejects_bad_args(self):
         with pytest.raises(ConfigurationError):
             random_initial_state(0, 1)
-        with pytest.raises(ConfigurationError):
-            random_initial_state(3, 1, amplitude=0.0)
 
 
 class TestInstantaneousFrequency:
@@ -528,6 +540,18 @@ class TestSweepLocking:
         grid = np.array([0.0, 0.06, 0.1])
         explicit = sweep_locking(0.05, grid, t_end=60.0, dt=default_timestep(1.0 + 0.5 * 0.1))
         assert sweep_locking(0.05, grid, t_end=60.0) == explicit
+
+    def test_block_cap_is_checked_before_the_grid_is_integrated(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(oscconv.dynamics, "integrate", counting)
+        with pytest.raises(ConfigurationError, match="5000 runs"):
+            sweep_locking(0.05, np.linspace(0.0, 0.2, 5000))
+        assert calls == []
 
     def test_divergence_is_the_first_failing_detunings(self):
         # every detuning diverges, the later ones at earlier steps; the sweep

@@ -195,8 +195,6 @@ class TestMeasureLockTime:
     @pytest.mark.parametrize("kw", [
         dict(dom_threshold_fraction=0.0),
         dict(dom_threshold_fraction=1.0),
-        dict(min_hold_fraction=1.0),
-        dict(min_hold_fraction=-0.1),
     ])
     def test_rejects_bad_fractions(self, kw):
         trace = run_match_trace(MATCH_FRAG, FILTER, t_end=50.0)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,57 @@ def test_rejects_malformed(tmp_path, payload):
     path.write_bytes(payload)
     with pytest.raises(InputError):
         read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"P2\r\n1 1\r\n255\r\n9\r\n",  # CRLF line ends
+        b"P2#c\n1 1 255\n9\n",           # a comment right after the magic
+        b"P2 1#c\n1 255\n9\n",           # a comment right after a token
+    ],
+)
+def test_header_separators(tmp_path, payload):
+    path = tmp_path / "s.pgm"
+    path.write_bytes(payload)
+    raw, maxval = read_pgm(path)
+    assert np.array_equal(raw, [[9]])
+    assert maxval == 255
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"P2\n2 2",                  # truncated
+        b"P2 1 # no newline",        # unterminated comment
+        b"P21 1 1 255\n9\n",         # a magic token longer than two bytes
+    ],
+)
+def test_malformed_header_names_the_file(tmp_path, payload):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(payload)
+    with pytest.raises(InputError) as exc:
+        read_pgm(path)
+    assert str(exc.value) == f"{path}: truncated or malformed PGM header"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"P2" + b" " * 2_000_000,
+        b"P2 " + b"1" * 2_000_000,
+        b"P2 1" + b"#" * 1_000_000,  # quadratic if a token could take the '#'
+        b"P2 #" + b"c" * 2_000_000,
+    ],
+    ids=["whitespace", "token", "hashes", "comment"],
+)
+def test_pathological_header_is_rejected_quickly(tmp_path, payload):
+    path = tmp_path / "p.pgm"
+    path.write_bytes(payload)
+    start = time.perf_counter()
+    with pytest.raises(InputError):
+        read_pgm(path)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_missing_file(tmp_path):
