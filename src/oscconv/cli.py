@@ -56,17 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value) -> str:
-    """Locale-independent CSV cell: shortest round-trip float, empty for None."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 _ENG_PREFIXES = ((1e-15, "f"), (1e-12, "p"), (1e-9, "n"), (1e-6, "u"), (1e-3, "m"), (1.0, ""))
 
 
@@ -283,11 +272,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list | tuple) -> None:
+    """Write header and rows of Python float, int, str and None cells.
+
+    csv writes a float by repr, None as "" and any other object by str().
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([[_fmt(v) for v in row] for row in rows])
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _write_map_csv(path: Path, fmap: FeatureMap) -> None:
@@ -320,7 +311,8 @@ def cmd_match(args) -> int:
         out / "report.csv",
         ["filter_index", "theta_deg", "k", "dot", "dom_mean", "dom_std", "locked", "lock_time"],
         [
-            [r.filter_index, r.theta_deg, r.k, r.dot, r.dom_mean, r.dom_std, r.locked, r.lock_time]
+            [r.filter_index, r.theta_deg, r.k, r.dot, r.dom_mean, r.dom_std, int(r.locked),
+             r.lock_time]
             for r in report.results
         ],
     )
@@ -341,16 +333,15 @@ def cmd_match(args) -> int:
 
 
 def _print_match_summary(report: MatchReport) -> None:
-    if report.ranking:
-        top = winner_take_all(report, min(4, len(report.ranking)))
-        best = next(r for r in report.results if r.filter_index == top[0])
-        print(
-            f"winner: filter {best.filter_index} "
-            f"(theta={best.theta_deg:g} k={best.k:g}) "
-            f"dom={best.dom_mean:.4f} dot={best.dot:g}"
-        )
-        print(f"top-{len(top)} by dom: {', '.join(str(i) for i in top)}")
-        print(f"dynamic range: {report.dynamic_range:.4f}")
+    top = winner_take_all(report, min(4, len(report.ranking)))
+    best = next(r for r in report.results if r.filter_index == top[0])
+    print(
+        f"winner: filter {best.filter_index} "
+        f"(theta={best.theta_deg:g} k={best.k:g}) "
+        f"dom={best.dom_mean:.4f} dot={best.dot:g}"
+    )
+    print(f"top-{len(top)} by dom: {', '.join(str(i) for i in top)}")
+    print(f"dynamic range: {report.dynamic_range:.4f}")
     print(f"filters: {len(report.results)} ok, {len(report.errors)} failed")
 
 
@@ -364,7 +355,7 @@ def _dump_traces(out: Path, report: MatchReport, array_cfg: OscillatorArrayConfi
         _write_csv(
             out / f"trace_filter_{result.filter_index:02d}.csv",
             ["time", "averager_re", "averager_im", "envelope", "peak_detector"],
-            [[t, s.real, s.imag, e, p] for t, s, e, p in zip(times, averager, envelope, peak)],
+            np.column_stack([times, averager.real, averager.imag, envelope, peak]).tolist(),
         )
 
 
@@ -378,7 +369,7 @@ def cmd_sweep_locking(args) -> int:
     _write_csv(
         out / "sweep.csv",
         ["detuning", "locked", "final_freq_gap", "beat_amplitude"],
-        [[p.detuning, p.locked, p.final_freq_gap, p.beat_amplitude] for p in points],
+        [[p.detuning, int(p.locked), p.final_freq_gap, p.beat_amplitude] for p in points],
     )
     locked = [p.detuning for p in points if p.locked]
     if locked:
@@ -412,23 +403,17 @@ def cmd_featuremap(args) -> int:
     _write_map_csv(out / "onn_map.csv", onn)
     _write_map_csv(out / "oracle_map.csv", oracle_map)
     if onn.errors:
-        _write_csv(
-            out / "featuremap_errors.csv",
-            ["row", "col", "message"],
-            [list(e) for e in onn.errors],
-        )
+        _write_csv(out / "featuremap_errors.csv", ["row", "col", "message"], onn.errors)
     if not np.isfinite(onn.values).any():
         raise NumericError(
             f"all {len(onn.errors)} windows failed; see featuremap_errors.csv"
         )
     valid = np.isfinite(onn.values)
+    r = math.nan
     if valid.sum() >= 2 and np.std(onn.values[valid]) > 0 and np.std(oracle_map.values[valid]) > 0:
         r = float(np.corrcoef(onn.values[valid], oracle_map.values[valid])[0, 1])
-        pearson = repr(r)
-    else:
-        pearson = "nan"
     print(
-        f"pearson={pearson} rows={onn.height} cols={onn.width} "
+        f"pearson={r!r} rows={onn.height} cols={onn.width} "
         f"windows={onn.height * onn.width} errors={len(onn.errors)}"
     )
     return 0
