@@ -384,9 +384,11 @@ def cmd_featuremap(args) -> int:
     img = load_image(args.image)
     if cfg.side > min(img.width, img.height):
         raise ConfigurationError(f"filter side {cfg.side} exceeds image {img.height}x{img.width}")
-    if args.theta_deg is not None or args.k is not None:
+    if any(v is not None for v in (args.theta_deg, args.k, args.phase)) or args.raw_filter:
         if args.theta_deg is None or args.k is None:
-            raise _UsageError("--theta-deg and --k must be given together")
+            raise _UsageError(
+                "--theta-deg and --k must be given together; --phase and --raw-filter need both"
+            )
         filt = gabor_filter(
             cfg.side, args.theta_deg, args.k, args.phase or 0.0, not args.raw_filter
         )
@@ -423,9 +425,14 @@ def cmd_hw(args) -> int:
     hw = HardwareParams(
         i_drv=args.i_drv, vcc=args.vcc, f=args.freq, c_coup=args.c_coup, n=args.n
     )
+    # the estimates multiply these integers by floats, which fails beyond the largest float
+    if max(args.n, args.n_filters) > sys.float_info.max:
+        raise ConfigurationError("--n and --n-filters must not exceed the largest float")
     fraction = locking_range_fraction(hw)
     power = power_per_oscillator(hw)
     cost = inference_cost_estimate(hw, args.delay_per_conv, args.n_filters)
+    if not all(map(math.isfinite, (fraction, power, cost.delay, cost.energy))):
+        raise ConfigurationError("the hardware estimates overflow a float")
     print(f"locking_range_fraction = {fraction:.6g}")
     print(f"power_per_oscillator = {power:.6g} W ({_eng(power, 'W')})")
     print(

@@ -131,6 +131,8 @@ class OscillatorArrayConfig:
                 f"t_end={self.t_end:g}, dt={self.dt:g} and stride={self.stride} record more than "
                 f"2**24 values of the {self.n} oscillators; raise dt or stride, or lower t_end"
             )
+        if self.stride > self.n_steps:  # a longer stride records only the initial state
+            raise ConfigurationError(f"stride must be <= the run's {self.n_steps} steps")
         _check_accuracy(self.dt, self.omega_max)
 
     @property

@@ -15,8 +15,9 @@ import numpy as np
 from .errors import InputError
 
 # grammar: P2|P5 (sep+ token){3} ws; sep: one whitespace byte or one '#' comment with its newline
-# tokens (width, height, maxval) exclude '#', or a run of '#' splits many ways: quadratic time
-_HEADER = re.compile(rb"P[25]" + rb"(?:\s|#[^\n]*\n)+([^\s#]+)" * 3 + rb"\s")
+# tokens (width, height, maxval) are 1-9 digits, as a 10-digit dimension needs 10**9 pixels;
+# a token that could take '#' would split a run of '#' many ways (quadratic time)
+_HEADER = re.compile(rb"P[25]" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s")
 
 
 def read_pgm(path: str | os.PathLike) -> tuple[np.ndarray, int]:
@@ -38,10 +39,7 @@ def read_pgm(path: str | os.PathLike) -> tuple[np.ndarray, int]:
     header = _HEADER.match(buf)
     if header is None:
         raise InputError(f"{path}: truncated or malformed PGM header")
-    try:
-        width, height, maxval = (int(token) for token in header.groups())
-    except ValueError as exc:
-        raise InputError(f"{path}: non-numeric PGM header fields {list(header.groups())}") from exc
+    width, height, maxval = (int(token) for token in header.groups())
     if width < 1 or height < 1:
         raise InputError(f"{path}: invalid dimensions {width}x{height}")
     if not 1 <= maxval <= 255:
@@ -73,6 +71,8 @@ def write_pgm(path: str | os.PathLike, raw: np.ndarray, maxval: int = 255) -> No
         raise InputError(f"PGM data must be 2-D, got shape {raw.shape}")
     if not 1 <= maxval <= 255:
         raise InputError(f"only 8-bit PGM supported, maxval {maxval}")
+    if not np.isfinite(raw).all():  # before the int cast, which would warn on NaN
+        raise InputError("pixel values must be finite")
     pixels = np.rint(raw).astype(np.int64)
     if pixels.min() < 0 or pixels.max() > maxval:
         raise InputError(f"pixel values outside [0, {maxval}]")

@@ -414,12 +414,34 @@ class TestMalformedValues:
         pytest.param(["sweep-locking", "--grid", "1e308:1.7e308:1.2e308"],
                      id="sweep-grid-point-overflows"),
         pytest.param(["match", "IMAGE", "--seeds", "0:10000000000"], id="match-huge-seed-range"),
+        # a stride longer than the run records only the initial state
+        pytest.param(["match", "IMAGE", "--stride", "9" * 400, "--seeds", "0"],
+                     id="match-stride-400-digits"),
+        pytest.param(["featuremap", "IMAGE", "--stride", "100000", "--t-end", "20", "--seeds", "0"],
+                     id="featuremap-stride-beyond-run"),
+        # --phase and --raw-filter shape a single filter, never a bank filter
+        pytest.param(["featuremap", "IMAGE", "--phase", "1", "--seeds", "0"],
+                     id="featuremap-phase-without-filter"),
+        pytest.param(["featuremap", "IMAGE", "--raw-filter", "--seeds", "0"],
+                     id="featuremap-raw-filter-without-filter"),
     ])
     def test_rejected_input(self, capsys, tmp_path, white_image, argv):
         paths = {"IMAGE": white_image}
         code, _, err = run_cli(
             capsys, *(paths.get(a, a) for a in argv), "--out-dir", str(tmp_path / "o")
         )
+        assert_one_line_error(code, err)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args", [
+        pytest.param(["--n", "9" * 400], id="n-400-digits"),
+        pytest.param(["--n-filters", "9" * 400], id="n_filters-400-digits"),
+        pytest.param(["--i-drv", "1e-300", "--vcc", "1e300", "--freq", "1e300", "--c-coup", "1e300"],
+                     id="locking-range-overflows"),
+    ])
+    def test_hw_overflow(self, capsys, args):
+        base = ["--i-drv", "0.26e-3", "--vcc", "0.8", "--freq", "6e9", "--c-coup", "1e-15"]
+        code, _, err = run_cli(capsys, "hw", *base, *args)
         assert_one_line_error(code, err)
 
     def test_zero_delta_omega_names_spread_tol(self, capsys, tmp_path, white_image,
@@ -433,6 +455,17 @@ class TestMalformedValues:
         assert "delta_omega is 0: set spread_tol" in err
         code, _, err = run_cli(capsys, *argv, "--spread-tol", "0.01")
         assert code == 0 and err == ""
+
+
+# the text csv gives each kind of cell, locale-independent and round-trip exact
+@pytest.mark.parametrize("value, text", [
+    (None, ""), (0, "0"), ("a,b", '"a,b"'), (0.1, "0.1"), (-0.0, "-0.0"), (1e-05, "1e-05"),
+    (1e16, "1e+16"), (5e-324, "5e-324"), (math.nan, "nan"), (math.inf, "inf"),
+])
+def test_csv_cell_text(tmp_path, value, text):
+    path = tmp_path / "cells.csv"
+    oscconv.cli._write_csv(path, ["a", "b"], [[7, value]])
+    assert path.read_text() == f"a,b\n7,{text}\n"
 
 
 # Every config key, and values of the wrong JSON type, non-finite or negative

@@ -122,6 +122,23 @@ def test_pathological_header_is_rejected_quickly(tmp_path, payload):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"P2\n" + b"1" * 5_000 + b" 1\n255\n0\n",
+        b"P2\n1 1\n" + b"9" * 2_000_000 + b"\n0\n",
+        b"P2\n" + b"1" * 1_000 + b" 1\n255\n0\n",  # a whole number, of 10**999 pixels
+    ],
+    ids=["width-5000-digits", "maxval-2MB", "width-1000-digits"],
+)
+def test_oversized_header_token_gives_short_error(tmp_path, payload):
+    path = tmp_path / "t.pgm"
+    path.write_bytes(payload)
+    with pytest.raises(InputError) as exc:
+        read_pgm(path)
+    assert len(str(exc.value).encode()) <= 200
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(InputError):
         read_pgm(tmp_path / "nope.pgm")
@@ -135,6 +152,13 @@ def test_write_rejects_bad_data(tmp_path):
         write_pgm(path, np.zeros((2, 2)), maxval=300)
     with pytest.raises(InputError):
         write_pgm(path, np.full((2, 2), -1.0), maxval=255)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_write_rejects_non_finite(tmp_path, bad):
+    with pytest.raises(InputError):
+        write_pgm(tmp_path / "n.pgm", np.array([[0.0, bad]]))
 
 
 def test_written_file_is_ascii_readable(tmp_path):
