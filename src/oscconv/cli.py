@@ -389,12 +389,14 @@ def cmd_featuremap(args) -> int:
             raise _UsageError(
                 "--theta-deg and --k must be given together; --phase and --raw-filter need both"
             )
+        if args.filter_index is not None:
+            raise _UsageError("--filter-index picks a bank filter; --theta-deg and --k build one")
         filt = gabor_filter(
             cfg.side, args.theta_deg, args.k, args.phase or 0.0, not args.raw_filter
         )
     else:
         bank = cfg.resolve_bank()
-        index = args.filter_index
+        index = args.filter_index or 0
         if not 0 <= index < len(bank):
             raise ConfigurationError(f"--filter-index {index} outside bank of {len(bank)} filters")
         filt = bank[index]
@@ -507,7 +509,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("featuremap", help="analog feature map plus oracle map")
     p.add_argument("image", help="PGM image (P2 or P5)")
-    p.add_argument("--filter-index", type=int, default=0, help="index into the bank (default 0)")
+    p.add_argument("--filter-index", type=int, help="index into the bank (default 0)")
     p.add_argument("--theta-deg", type=float, help="build a single filter instead: direction")
     p.add_argument("--k", type=float, help="build a single filter instead: inverse period")
     p.add_argument("--phase", type=float, help="filter phase offset (default 0)")

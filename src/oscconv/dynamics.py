@@ -166,8 +166,9 @@ class SimulationTrace:
     at times[k]. One run has states of shape (samples, n), every sample,
     and averager of shape (samples,), which defaults to the mean of
     states. A block has a leading row axis: averager (rows, samples) and
-    states (rows, tail, n), only the final samples final_freq reads; its
-    failures[i] is the DivergenceError that stopped row i, or None.
+    states (rows, tail, n), only the final samples final_freq reads, or
+    none for a caller that reads the averager alone; its failures[i] is
+    the DivergenceError that stopped row i, or None.
     """
 
     times: np.ndarray
@@ -282,9 +283,15 @@ def random_initial_state(n: int, seed: int) -> np.ndarray:
     return np.exp(1j * theta)
 
 
-def _check_block(rows: int, cfg: OscillatorArrayConfig) -> None:
+def _row_values(cfg: OscillatorArrayConfig, tail: bool) -> int:
+    """Complex values one row of a block records: its averager at every
+    sample, and with tail its states at the samples final_freq reads."""
+    return cfg.num_samples + (_tail_samples(cfg) * cfg.n if tail else 0)
+
+
+def _check_block(rows: int, cfg: OscillatorArrayConfig, tail: bool = True) -> None:
     """Hold a block of rows to the 2**24 values OscillatorArrayConfig lets one run record."""
-    recorded = rows * (cfg.num_samples + _tail_samples(cfg) * cfg.n)
+    recorded = rows * _row_values(cfg, tail)
     if recorded > 2**24:
         raise ConfigurationError(
             f"a block of {rows} runs would record {recorded} values, more than 2**24; "
@@ -296,6 +303,8 @@ def integrate(
     omega: np.ndarray,
     cfg: OscillatorArrayConfig,
     init: np.ndarray | None = None,
+    *,
+    tail: bool = True,
 ) -> SimulationTrace:
     """Integrate the array with a classical 4th-order Runge-Kutta scheme.
 
@@ -309,6 +318,9 @@ def integrate(
     final_freq reads. A row's averager is bit-identical to its 1-D run's,
     whatever rows share its block, and a diverging row stops alone: from
     then on it holds zeros, and its error is in the trace's failures.
+    With tail false no states are recorded at all (states has 0 samples):
+    the trace serves the averager readouts (dom, measure_lock_time) but
+    not final_freq or classify_lock.
 
     Args:
         omega: natural frequencies (radian-time units), shape (n,) or
@@ -316,6 +328,8 @@ def integrate(
         cfg: array configuration.
         init: initial complex state, shape (n,) or omega's shape;
             defaults to random_initial_state(cfg.n, cfg.seed).
+        tail: record the states (a run's every one, a block's final
+            ones); false records none.
 
     Returns:
         The SimulationTrace of the run or the block, sampled at uniform
@@ -337,9 +351,12 @@ def integrate(
     rows = np.atleast_2d(omega)
     # per row: the state sums (n times the averager) at every sample and
     # the states from sample first on, every sample of a single run
-    first = 0 if omega.ndim == 1 else cfg.num_samples - _tail_samples(cfg)
+    if not tail:
+        first = cfg.num_samples
+    else:
+        first = 0 if omega.ndim == 1 else cfg.num_samples - _tail_samples(cfg)
     if omega.ndim == 2:
-        _check_block(len(rows), cfg)
+        _check_block(len(rows), cfg, tail)
     z = np.array(np.broadcast_to(init, rows.shape), order="C")
     rhs = _field(rows, cfg)
     dt, stride = cfg.dt, cfg.stride
@@ -421,12 +438,15 @@ def instantaneous_frequency(trace: SimulationTrace) -> np.ndarray:
     period (2*pi/omega0) worth of samples.
 
     Raises:
-        InsufficientDataError: for traces shorter than 3 samples.
+        InsufficientDataError: for traces shorter than 3 samples, or
+            that recorded no states.
     """
     if trace.num_samples < 3:
         raise InsufficientDataError(
             f"instantaneous frequency needs >= 3 samples, trace has {trace.num_samples}"
         )
+    if not trace.states.shape[-2]:
+        raise InsufficientDataError("instantaneous frequency needs states; the trace recorded none")
     times = trace.times[trace.num_samples - trace.states.shape[-2]:]
     freq = np.gradient(trace.phases, times, axis=-2)
     return _moving_average(freq, _smoothing_window(trace.config, trace.num_samples))

@@ -18,6 +18,7 @@ from .dynamics import (
     OscillatorArrayConfig,
     SimulationTrace,
     _check_block,
+    _row_values,
     integrate,
     random_initial_state,
 )
@@ -171,19 +172,48 @@ class MatchReport:
     dynamic_range: float
 
 
-def _seed_blocks(omegas: list[np.ndarray], cfg: OscillatorArrayConfig, seeds: tuple[int, ...]):
-    """Yield, per frequency vector, the trace of one block with a run per seed
-    and its first failed seed's error, or None. The seeds, cfg.n and the
-    block cap are checked, and the initial states built, before any run."""
+# Complex values one integrate call of _seed_blocks may record: 4 MiB, the
+# 2**24 one run may record / 64. At the defaults that lets 20 match rows or
+# 74 feature-map rows share the per-step cost of the RK4 loop.
+_CALL_VALUES = 2**18
+
+
+def _seed_blocks(
+    omegas: list[np.ndarray], cfg: OscillatorArrayConfig, seeds: tuple[int, ...], *, tail: bool
+):
+    """Yield, per frequency vector, the trace of its block with a run per
+    seed and its first failed seed's error, or None. The seeds, cfg.n and
+    the block cap are checked, and the initial states built, before any run.
+
+    One integrate call steps the blocks of as many vectors as record at
+    most _CALL_VALUES values together, and at least one; a block's rows
+    record no states unless tail is set.
+    """
     if not seeds:
         raise ConfigurationError("need at least one seed")
     if cfg.n != len(omegas[0]):
         raise ConfigurationError(f"cfg.n={cfg.n} but the runs need n={len(omegas[0])} oscillators")
-    _check_block(len(seeds), cfg)
+    runs = len(seeds)
+    _check_block(runs, cfg, tail)
     inits = np.array([random_initial_state(cfg.n, int(seed)) for seed in seeds])
-    for omega in omegas:
-        trace = integrate(np.tile(omega, (len(seeds), 1)), cfg, inits)
-        yield trace, next((f for f in trace.failures if f is not None), None)
+    per_call = max(1, _CALL_VALUES // (runs * _row_values(cfg, tail)))
+    for start in range(0, len(omegas), per_call):
+        count = min(per_call, len(omegas) - start)
+        chunk = integrate(
+            np.repeat(omegas[start:start + count], runs, axis=0), cfg, np.tile(inits, (count, 1)),
+            tail=tail,
+        )
+        times, failures = chunk.times, chunk.failures
+        for block in range(count):
+            rows = slice(block * runs, (block + 1) * runs)
+            states, averager = chunk.states[rows], chunk.averager[rows]
+            if block == count - 1:
+                # copied, and the chunk dropped: the caller still holds this
+                # block while the next chunk is integrated
+                states, averager = states.copy(), averager.copy()
+                del chunk
+            trace = SimulationTrace(times, states, cfg, averager, failures[rows])
+            yield trace, next((f for f in trace.failures if f is not None), None)
 
 
 def match_filters(
@@ -199,7 +229,8 @@ def match_filters(
     """Match a fragment against every filter in the bank.
 
     Each filter is FSK-encoded and integrated as one block, a run per
-    seed; DOMs are averaged across seeds, the lock flag is a
+    seed, that may share an integrate call with other filters' blocks;
+    DOMs are averaged across seeds, the lock flag is a
     strict-majority vote, and lock_time is the median of the finite
     per-seed lock times when the majority locked. Filters whose runs
     diverge become error entries, with the error of the first failed
@@ -229,7 +260,7 @@ def match_filters(
 
     results, errors = [], []
     # not zip(bank, ...): its reused result tuple keeps an older block alive into the next run
-    for index, (trace, failure) in enumerate(_seed_blocks(omegas, cfg, seeds)):
+    for index, (trace, failure) in enumerate(_seed_blocks(omegas, cfg, seeds, tail=True)):
         if failure is not None:
             errors.append(FilterError(filter_index=index, message=str(failure)))
             continue
@@ -298,7 +329,8 @@ def feature_map_onn(
         for cell in range(out_h * out_w)
     ]
     values, errors = [], []
-    for cell, (trace, failure) in enumerate(_seed_blocks(omegas, cfg, seeds)):
+    # DOM reads the averager alone: the blocks record no states
+    for cell, (trace, failure) in enumerate(_seed_blocks(omegas, cfg, seeds, tail=False)):
         if failure is not None:
             values.append(float("nan"))
             errors.append((*divmod(cell, out_w), str(failure)))

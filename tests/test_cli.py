@@ -150,8 +150,8 @@ class TestMatch:
             "--t-end", "100", *(["--reference-oscillator"] if reference else []),
         )
         assert code == 0
-        # one call per filter, one row per seed: nothing is integrated twice
-        assert rows == [2] * len(entries)
+        # one row per filter and seed: nothing is integrated twice
+        assert sum(rows) == 2 * len(entries)
 
         fragment = load_image(white_image).window(0, 0, 5)
         cfg = OscillatorArrayConfig(n=26 if reference else 25, t_end=100.0)
@@ -424,6 +424,9 @@ class TestMalformedValues:
                      id="featuremap-phase-without-filter"),
         pytest.param(["featuremap", "IMAGE", "--raw-filter", "--seeds", "0"],
                      id="featuremap-raw-filter-without-filter"),
+        # --filter-index picks a bank filter, which --theta-deg --k replace
+        pytest.param(["featuremap", "IMAGE", "--filter-index", "99", "--theta-deg", "0", "--k",
+                      "0.2", "--seeds", "0"], id="featuremap-filter-index-with-filter"),
     ])
     def test_rejected_input(self, capsys, tmp_path, white_image, argv):
         paths = {"IMAGE": white_image}

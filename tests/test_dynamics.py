@@ -340,6 +340,18 @@ class TestBatchedIntegrate:
         cfg = OscillatorArrayConfig(n=25)
         with pytest.raises(ConfigurationError, match="1400 runs.*2\\*\\*24"):
             integrate(np.ones((1400, 25)), cfg)
+        # without states a row records its 3,502 averager samples alone
+        with pytest.raises(ConfigurationError, match="4800 runs.*2\\*\\*24"):
+            integrate(np.ones((4800, 25)), cfg, tail=False)
+
+    @pytest.mark.parametrize("config", range(len(BATCH_CONFIGS)))
+    def test_a_block_without_tail_records_the_averager_alone(self, config):
+        block = integrate(BATCH_OMEGA[:3], BATCH_CONFIGS[config], BATCH_INIT[:3], tail=False)
+        assert block.states.shape == (3, 0, 5)
+        for row in range(3):
+            assert np.array_equal(block.averager[row], single_run(config, row).averager)
+        with pytest.raises(InsufficientDataError, match="recorded none"):
+            block.final_freq
 
     def test_a_block_whose_rows_all_fail_holds_zeros(self):
         # the rows fail at steps 14-16 of 350 and the loop stops at the last;

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +19,10 @@ from oscconv import (
     OscillatorArrayConfig,
     PolicyError,
     classify_lock,
+    default_bank,
     dom,
     dot,
+    edge_fragment,
     feature_map_onn,
     fsk_encode,
     gabor_filter,
@@ -28,7 +32,7 @@ from oscconv import (
     random_initial_state,
     winner_take_all,
 )
-from oscconv.dynamics import SimulationTrace
+from oscconv.dynamics import SimulationTrace, _row_values
 
 FILTER = gabor_filter(5, 30.0, 0.35)
 MATCH_FRAG = Fragment(side=5, values=FILTER.values.copy())
@@ -283,22 +287,27 @@ class TestMatchFilters:
 
 @pytest.fixture
 def integrate_calls(monkeypatch):
-    """The SimulationTraces alive at each integrate call the inference module
-    makes, not counting those alive before (which this list keeps alive)."""
-    live = []
+    """Per integrate call the inference module makes: its rows, and the rows
+    of earlier calls' recordings that live block traces still hold."""
+    calls = []
 
-    def traces():
+    def owners():
+        """The arrays that own the averager rows of every live block trace."""
         gc.collect()
-        return [obj for obj in gc.get_objects() if isinstance(obj, SimulationTrace)]
+        return {
+            id(obj.averager.base): obj.averager.base for obj in gc.get_objects()
+            if isinstance(obj, SimulationTrace) and obj.averager.ndim == 2
+        }
 
-    before = traces()
+    before = owners()  # kept alive here, so that no new owner reuses an id
 
-    def counting(*args, **kwargs):
-        live.append(len(traces()) - len(before))
-        return integrate(*args, **kwargs)
+    def counting(omega, *args, **kwargs):
+        held = sum(len(owner) for key, owner in owners().items() if key not in before)
+        calls.append((len(omega), held))
+        return integrate(omega, *args, **kwargs)
 
     monkeypatch.setattr(oscconv.inference, "integrate", counting)
-    return live
+    return calls
 
 
 class TestSeedBlocks:
@@ -333,12 +342,95 @@ class TestSeedBlocks:
         assert built == []
 
     def test_one_block_is_alive_at_a_time(self, integrate_calls):
-        bank = (FILTER, ANTI_FILTER, FILTER, ANTI_FILTER)
+        # 100 seeds at this t_end: 2 filters' blocks per call, or 14 windows'
+        seeds = tuple(range(100))
         cfg = OscillatorArrayConfig(n=25, t_end=20.0)
-        match_filters(MATCH_FRAG, bank, cfg, DomPolicy(), seeds=(0, 1))
-        # the previous filter's block, and no older one, outlives its readout
-        assert len(integrate_calls) == len(bank)
-        assert max(integrate_calls) <= 1
+        bank = (FILTER, ANTI_FILTER, FILTER, ANTI_FILTER, FILTER)
+        match_filters(MATCH_FRAG, bank, cfg, DomPolicy(), seeds)
+        img = Image(width=9, height=9, values=np.resize(FILTER.values, 81))
+        feature_map_onn(img, FILTER, cfg, DomPolicy(), seeds)
+        assert [rows for rows, _ in integrate_calls] == [200, 200, 100, 1400, 1100]
+        # while a chunk is integrated, the caller holds the last block it
+        # read, and nothing of an earlier chunk: at most one block's rows
+        assert max(held for _, held in integrate_calls) <= len(seeds)
+
+
+# at this coupling 10 of the 18 bank filters diverge on the edge fragment,
+# filter 0 among them, and most random maps hold some failed windows
+CHUNK_CFG = OscillatorArrayConfig(n=25, epsilon=0.64, delta_omega=0.3, t_end=30.0)
+CHUNK_SEEDS = (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def lone_filters():
+    """Each bank filter matched alone against the edge fragment."""
+    return [
+        match_filters(edge_fragment(), (filt,), CHUNK_CFG, DomPolicy(), CHUNK_SEEDS)
+        for filt in default_bank()
+    ]
+
+
+class TestChunks:
+    """Blocks that share an integrate call give what each block gives alone."""
+
+    @staticmethod
+    def recording_calls():
+        """A patch of the inference module's integrate that lists, per call,
+        the values the trace records and its tail states."""
+        calls = []
+
+        def recording(*args, **kwargs):
+            trace = integrate(*args, **kwargs)
+            calls.append((trace.averager.size + trace.states.size, trace.states.shape[1]))
+            return trace
+
+        return calls, mock.patch.object(oscconv.inference, "integrate", recording)
+
+    @settings(max_examples=15, deadline=None)
+    @given(picks=st.lists(st.integers(0, 17), min_size=0, max_size=5),
+           at=st.integers(0, 5), blocks=st.floats(1.0, 4.0))
+    def test_a_bank_matches_as_its_filters_alone(self, lone_filters, picks, at, blocks):
+        picks.insert(min(at, len(picks)), 0)  # a diverging filter among them
+        budget = int(blocks * len(CHUNK_SEEDS) * _row_values(CHUNK_CFG, tail=True))
+        calls, patch = self.recording_calls()
+        bank = tuple(default_bank()[p] for p in picks)
+        with patch, mock.patch.object(oscconv.inference, "_CALL_VALUES", budget):
+            report = match_filters(edge_fragment(), bank, CHUNK_CFG, DomPolicy(), CHUNK_SEEDS)
+        assert len(calls) == -(-len(bank) // int(blocks))
+        assert max(values for values, _ in calls) <= budget
+        results = {r.filter_index: r for r in report.results}
+        errors = {e.filter_index: e for e in report.errors}
+        assert sorted([*results, *errors]) == list(range(len(bank)))
+        for index, pick in enumerate(picks):
+            alone = lone_filters[pick]
+            if alone.errors:
+                assert errors[index] == dataclasses.replace(alone.errors[0], filter_index=index)
+            else:
+                assert results[index] == dataclasses.replace(alone.results[0], filter_index=index)
+                assert np.array_equal(results[index].averager, alone.results[0].averager)
+        assert errors  # filter 0's at least
+
+    @settings(max_examples=10, deadline=None)
+    @given(width=st.integers(5, 7), height=st.integers(5, 7), seed=st.integers(0, 2**32 - 1),
+           blocks=st.floats(1.0, 4.0))
+    def test_a_map_matches_as_its_windows_alone(self, width, height, seed, blocks):
+        filt = default_bank()[2]
+        img = Image(width, height, np.random.default_rng(seed).uniform(-1.0, 1.0, width * height))
+        budget = int(blocks * len(CHUNK_SEEDS) * _row_values(CHUNK_CFG, tail=False))
+        calls, patch = self.recording_calls()
+        with patch, mock.patch.object(oscconv.inference, "_CALL_VALUES", budget):
+            fmap = feature_map_onn(img, filt, CHUNK_CFG, DomPolicy(), CHUNK_SEEDS)
+        assert max(values for values, _ in calls) <= budget
+        # a map reads DOM alone, and records no states
+        assert [tail for _, tail in calls] == [0] * len(calls)
+        errors = []
+        for cell in range(fmap.width * fmap.height):
+            row, col = divmod(cell, fmap.width)
+            alone = feature_map_onn(Image(5, 5, img.window(row, col, 5).values), filt,
+                                    CHUNK_CFG, DomPolicy(), CHUNK_SEEDS)
+            assert np.array_equal(fmap.values[cell], alone.values[0], equal_nan=True)
+            errors += [(row, col, message) for _, _, message in alone.errors]
+        assert fmap.errors == tuple(errors)
 
 
 class TestWinnerTakeAll:
