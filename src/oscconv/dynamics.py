@@ -368,26 +368,27 @@ def integrate(
     if first == 0:
         states[:, 0] = z
     failures = {}
-    for step in range(1, cfg.n_steps + 1):
-        k1 = rhs(z)
-        k2 = rhs(z + half * k1)
-        k3 = rhs(z + half * k2)
-        k4 = rhs(z + dt * k3)
-        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norm = np.sqrt((z.real * z.real + z.imag * z.imag).sum(axis=1))
-        if not norm.max() <= guard:
-            # a failed row restarts from zero, a fixed point that never
-            # trips the guard again
-            for row in np.flatnonzero(~(norm <= guard)):
-                failures[int(row)] = DivergenceError(step, float(norm[row]))
-                z[row] = 0.0
-            if len(failures) == len(rows):
-                break
-        if step % stride == 0:
-            sample = step // stride
-            sums[:, sample] = z.sum(axis=1)
-            if sample >= first:
-                states[:, sample - first] = z
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a diverging row
+        for step in range(1, cfg.n_steps + 1):
+            k1 = rhs(z)
+            k2 = rhs(z + half * k1)
+            k3 = rhs(z + half * k2)
+            k4 = rhs(z + dt * k3)
+            z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            norm = np.sqrt((z.real * z.real + z.imag * z.imag).sum(axis=1))
+            if not norm.max() <= guard:
+                # a failed row restarts from zero, a fixed point that never
+                # trips the guard again
+                for row in np.flatnonzero(~(norm <= guard)):
+                    failures[int(row)] = DivergenceError(step, float(norm[row]))
+                    z[row] = 0.0
+                if len(failures) == len(rows):
+                    break
+            if step % stride == 0:
+                sample = step // stride
+                sums[:, sample] = z.sum(axis=1)
+                if sample >= first:
+                    states[:, sample - first] = z
     sums /= cfg.n
     times = sample_times(cfg, cfg.num_samples)
     if omega.ndim == 1:

@@ -18,6 +18,7 @@ from .dynamics import (
     OscillatorArrayConfig,
     SimulationTrace,
     _check_block,
+    _read_only,
     _row_values,
     integrate,
     random_initial_state,
@@ -178,16 +179,35 @@ class MatchReport:
 _CALL_VALUES = 2**18
 
 
+def _read_call(omegas, inits: np.ndarray, cfg: OscillatorArrayConfig, read, tail: bool) -> list:
+    """Integrate, in one call, a block per frequency vector with a run per
+    initial state; return per block (read(its trace), None), or (None, its
+    first failed seed's error). The call's trace dies on return."""
+    runs = len(inits)
+    call = integrate(np.repeat(omegas, runs, axis=0), cfg, np.tile(inits, (len(omegas), 1)),
+                     tail=tail)
+    outcomes = []
+    for block in range(len(omegas)):
+        rows = slice(block * runs, (block + 1) * runs)
+        failure = next((f for f in call.failures[rows] if f is not None), None)
+        trace = SimulationTrace(call.times, call.states[rows], cfg, call.averager[rows])
+        outcomes.append((None, failure) if failure is not None else (read(trace), None))
+    return outcomes
+
+
 def _seed_blocks(
-    omegas: list[np.ndarray], cfg: OscillatorArrayConfig, seeds: tuple[int, ...], *, tail: bool
+    omegas: list[np.ndarray], cfg: OscillatorArrayConfig, seeds: tuple[int, ...], read, *,
+    tail: bool,
 ):
-    """Yield, per frequency vector, the trace of its block with a run per
-    seed and its first failed seed's error, or None. The seeds, cfg.n and
-    the block cap are checked, and the initial states built, before any run.
+    """Yield, per frequency vector, (read(trace), None) for the trace of its
+    block with a run per seed, or (None, its first failed seed's error).
+    The seeds, cfg.n and the block cap are checked, and the initial states
+    built, before any run.
 
     One integrate call steps the blocks of as many vectors as record at
     most _CALL_VALUES values together, and at least one; a block's rows
-    record no states unless tail is set.
+    record no states unless tail is set. Every block of a call is read
+    before the next call starts, so no trace outlives its call.
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
@@ -198,22 +218,7 @@ def _seed_blocks(
     inits = np.array([random_initial_state(cfg.n, int(seed)) for seed in seeds])
     per_call = max(1, _CALL_VALUES // (runs * _row_values(cfg, tail)))
     for start in range(0, len(omegas), per_call):
-        count = min(per_call, len(omegas) - start)
-        chunk = integrate(
-            np.repeat(omegas[start:start + count], runs, axis=0), cfg, np.tile(inits, (count, 1)),
-            tail=tail,
-        )
-        times, failures = chunk.times, chunk.failures
-        for block in range(count):
-            rows = slice(block * runs, (block + 1) * runs)
-            states, averager = chunk.states[rows], chunk.averager[rows]
-            if block == count - 1:
-                # copied, and the chunk dropped: the caller still holds this
-                # block while the next chunk is integrated
-                states, averager = states.copy(), averager.copy()
-                del chunk
-            trace = SimulationTrace(times, states, cfg, averager, failures[rows])
-            yield trace, next((f for f in trace.failures if f is not None), None)
+        yield from _read_call(omegas[start:start + per_call], inits, cfg, read, tail)
 
 
 def match_filters(
@@ -258,32 +263,24 @@ def match_filters(
     if reference_oscillator:
         omegas = [np.append(omega, cfg.omega0) for omega in omegas]
 
-    results, errors = [], []
-    # not zip(bank, ...): its reused result tuple keeps an older block alive into the next run
-    for index, (trace, failure) in enumerate(_seed_blocks(omegas, cfg, seeds, tail=True)):
-        if failure is not None:
-            errors.append(FilterError(filter_index=index, message=str(failure)))
-            continue
-        filt = bank[index]
+    def read(trace: SimulationTrace) -> dict:
         doms = dom(trace, policy)
         locked = sum(classify_lock(trace, spread_tol)) * 2 > len(seeds)
         finite = [t for t in measure_lock_time(trace, dom_threshold_fraction) if t is not None]
         lock_time = float(np.median(finite)) if locked and finite else None
-        # a copy: a view would keep every seed's averager alive
-        averager = trace.averager[0].copy()
-        averager.setflags(write=False)
-        results.append(FilterResult(
-            filter_index=index,
-            theta_deg=filt.theta_deg,
-            k=filt.k,
-            dot=dot(fragment, filt),
-            dom_mean=float(np.mean(doms)),
-            dom_std=float(np.std(doms)),
-            doms=tuple(doms),
-            locked=locked,
-            lock_time=lock_time,
-            averager=averager,
-        ))
+        return dict(dom_mean=float(np.mean(doms)), dom_std=float(np.std(doms)), doms=tuple(doms),
+                    locked=locked, lock_time=lock_time,
+                    # a copy: a view would keep every seed's averager alive
+                    averager=_read_only(trace.averager[0].copy()))
+
+    results, errors = [], []
+    blocks = _seed_blocks(omegas, cfg, seeds, read, tail=True)
+    for index, (filt, (fields, failure)) in enumerate(zip(bank, blocks)):
+        if failure is not None:
+            errors.append(FilterError(filter_index=index, message=str(failure)))
+        else:
+            results.append(FilterResult(filter_index=index, theta_deg=filt.theta_deg, k=filt.k,
+                                        dot=dot(fragment, filt), **fields))
 
     by_index = {r.filter_index: r for r in results}
     ranking = tuple(sorted(by_index, key=lambda i: (-by_index[i].dom_mean, i)))
@@ -330,10 +327,11 @@ def feature_map_onn(
     ]
     values, errors = [], []
     # DOM reads the averager alone: the blocks record no states
-    for cell, (trace, failure) in enumerate(_seed_blocks(omegas, cfg, seeds, tail=False)):
+    blocks = _seed_blocks(omegas, cfg, seeds, lambda trace: float(np.mean(dom(trace, policy))),
+                          tail=False)
+    for cell, (value, failure) in enumerate(blocks):
         if failure is not None:
-            values.append(float("nan"))
+            value = math.nan
             errors.append((*divmod(cell, out_w), str(failure)))
-            continue
-        values.append(float(np.mean(dom(trace, policy))))
+        values.append(value)
     return FeatureMap(width=out_w, height=out_h, values=np.array(values), errors=tuple(errors))

@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -458,6 +459,20 @@ class TestMalformedValues:
         assert "delta_omega is 0: set spread_tol" in err
         code, _, err = run_cli(capsys, *argv, "--spread-tol", "0.01")
         assert code == 0 and err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["match", "FRAGMENT", "--seeds", "0", "--rho", "1e308"], id="match-rho"),
+        pytest.param(["match", "FRAGMENT", "--seeds", "0", "--epsilon", "1e10"], id="match-epsilon"),
+        pytest.param(["sweep-locking", "--grid", "0:0.1:0.05", "--epsilon", "1e300"],
+                     id="sweep-epsilon"),
+    ])
+    def test_an_overflowing_step_is_one_numeric_line(self, capsys, tmp_path, argv):
+        fragment = str(Path(__file__).parent / "golden" / "inputs" / "fragment.pgm")
+        code, _, err = run_cli(capsys, *(fragment if a == "FRAGMENT" else a for a in argv),
+                               "--t-end", "20", "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("numeric error:") and err.count("\n") == 1
 
 
 # the text csv gives each kind of cell, locale-independent and round-trip exact

@@ -350,9 +350,9 @@ class TestSeedBlocks:
         img = Image(width=9, height=9, values=np.resize(FILTER.values, 81))
         feature_map_onn(img, FILTER, cfg, DomPolicy(), seeds)
         assert [rows for rows, _ in integrate_calls] == [200, 200, 100, 1400, 1100]
-        # while a chunk is integrated, the caller holds the last block it
-        # read, and nothing of an earlier chunk: at most one block's rows
-        assert max(held for _, held in integrate_calls) <= len(seeds)
+        # every block of a call is read before the next call starts: no
+        # trace of an earlier call is alive
+        assert [held for _, held in integrate_calls] == [0] * 5
 
 
 # at this coupling 10 of the 18 bank filters diverge on the edge fragment,
