@@ -165,10 +165,10 @@ class SimulationTrace:
     one run or a block. times and averager cover every sample, sample k
     at times[k]. One run has states of shape (samples, n), every sample,
     and averager of shape (samples,), which defaults to the mean of
-    states. A block has a leading row axis: averager (rows, samples) and
-    states (rows, tail, n), only the final samples final_freq reads, or
-    none for a caller that reads the averager alone; its failures[i] is
-    the DivergenceError that stopped row i, or None.
+    states. A block has a leading row axis: averager (rows, samples), no
+    states (rows, 0, n) and block_freq (rows, n), the final_freq its rows
+    summed as they ran; its failures[i] is the DivergenceError that
+    stopped row i, or None.
     """
 
     times: np.ndarray
@@ -176,13 +176,20 @@ class SimulationTrace:
     config: OscillatorArrayConfig
     averager: np.ndarray | None = None
     failures: tuple[DivergenceError | None, ...] = ()
+    block_freq: np.ndarray | None = None
 
     def __post_init__(self):
         if self.averager is None:
             self.averager = self.states.sum(axis=-1) / self.config.n
         # read-only views: the caller's own arrays stay writeable
-        for name in ("times", "states", "averager"):
-            setattr(self, name, _read_only(getattr(self, name).view()))
+        for name in ("times", "states", "averager", "block_freq"):
+            if getattr(self, name) is not None:
+                setattr(self, name, _read_only(getattr(self, name).view()))
+
+    def rows(self, rows: slice) -> SimulationTrace:
+        """The trace of some rows of a block."""
+        return SimulationTrace(self.times, self.states[rows], self.config, self.averager[rows],
+                               self.failures[rows], self.block_freq[rows])
 
     @property
     def num_samples(self) -> int:
@@ -206,6 +213,8 @@ class SimulationTrace:
     @cached_property
     def final_freq(self) -> np.ndarray:
         """Per-oscillator inst_freq averaged over the final 10% of the trace."""
+        if self.block_freq is not None and self.num_samples >= 3:  # below 3, inst_freq raises
+            return self.block_freq
         return _read_only(self.inst_freq[..., -max(1, self.num_samples // 10):, :].mean(axis=-2))
 
     @cached_property
@@ -283,15 +292,9 @@ def random_initial_state(n: int, seed: int) -> np.ndarray:
     return np.exp(1j * theta)
 
 
-def _row_values(cfg: OscillatorArrayConfig, tail: bool) -> int:
-    """Complex values one row of a block records: its averager at every
-    sample, and with tail its states at the samples final_freq reads."""
-    return cfg.num_samples + (_tail_samples(cfg) * cfg.n if tail else 0)
-
-
-def _check_block(rows: int, cfg: OscillatorArrayConfig, tail: bool = True) -> None:
+def _check_block(rows: int, cfg: OscillatorArrayConfig) -> None:
     """Hold a block of rows to the 2**24 values OscillatorArrayConfig lets one run record."""
-    recorded = rows * _row_values(cfg, tail)
+    recorded = rows * cfg.num_samples
     if recorded > 2**24:
         raise ConfigurationError(
             f"a block of {rows} runs would record {recorded} values, more than 2**24; "
@@ -299,12 +302,30 @@ def _check_block(rows: int, cfg: OscillatorArrayConfig, tail: bool = True) -> No
         )
 
 
+def _final_freq_weights(cfg: OscillatorArrayConfig) -> tuple[int, np.ndarray]:
+    """(first, w): final_freq = sum over samples j >= first of w[j - first] * (phase_j - phase_j-1).
+
+    The final-10% mean of the moving average gives each gradient sample a
+    share, and np.gradient splits a sample's share between the phase steps
+    on its two sides, or gives all of it to the one step at either end.
+    """
+    num = cfg.num_samples
+    window = _smoothing_window(cfg, num)
+    final, lead = max(1, num // 10), window // 2
+    # final sample k averages the edge-padded gradient at k - lead + [0, window):
+    # count the uses of each padded index u, then fold u onto the run
+    u = np.arange(num - final - lead, num - lead + window - 1)
+    uses = np.minimum(u + lead, num - 1) - np.maximum(u + lead - window + 1, num - final) + 1
+    share = np.bincount(np.clip(u, 0, num - 1), weights=uses, minlength=num) / (final * window)
+    share[1:-1] /= 2.0
+    first = max(1, num - final - lead)
+    return first, (share[first - 1:-1] + share[first:]) / (cfg.stride * cfg.dt)
+
+
 def integrate(
     omega: np.ndarray,
     cfg: OscillatorArrayConfig,
     init: np.ndarray | None = None,
-    *,
-    tail: bool = True,
 ) -> SimulationTrace:
     """Integrate the array with a classical 4th-order Runge-Kutta scheme.
 
@@ -314,13 +335,12 @@ def integrate(
 
     A 1-D omega is one run, and its trace keeps every state. A 2-D omega
     is a block of runs, one per row, stepped together; the block's trace
-    keeps every row's averager at every sample but only the states
-    final_freq reads. A row's averager is bit-identical to its 1-D run's,
-    whatever rows share its block, and a diverging row stops alone: from
-    then on it holds zeros, and its error is in the trace's failures.
-    With tail false no states are recorded at all (states has 0 samples):
-    the trace serves the averager readouts (dom, measure_lock_time) but
-    not final_freq or classify_lock.
+    keeps every row's averager and no states: each row sums its final_freq
+    as it runs instead. A row's averager and final_freq are bit-identical
+    to the same row's in any other block, its averager to its 1-D run's,
+    and its final_freq agrees with its 1-D run's to rounding. A diverging
+    row stops alone: from then on it holds zeros, and its error is in the
+    trace's failures.
 
     Args:
         omega: natural frequencies (radian-time units), shape (n,) or
@@ -328,8 +348,6 @@ def integrate(
         cfg: array configuration.
         init: initial complex state, shape (n,) or omega's shape;
             defaults to random_initial_state(cfg.n, cfg.seed).
-        tail: record the states (a run's every one, a block's final
-            ones); false records none.
 
     Returns:
         The SimulationTrace of the run or the block, sampled at uniform
@@ -349,23 +367,22 @@ def integrate(
     _check_accuracy(cfg.dt, max(np.abs(omega).max(), cfg.omega_max))
 
     rows = np.atleast_2d(omega)
-    # per row: the state sums (n times the averager) at every sample and
-    # the states from sample first on, every sample of a single run
-    if not tail:
-        first = cfg.num_samples
-    else:
-        first = 0 if omega.ndim == 1 else cfg.num_samples - _tail_samples(cfg)
-    if omega.ndim == 2:
-        _check_block(len(rows), cfg, tail)
-    z = np.array(np.broadcast_to(init, rows.shape), order="C")
+    # per row: the state sums (n times the averager) at every sample, and a
+    # run's every state or a block's weighted phase steps from sample first on
+    run = omega.ndim == 1
+    if not run:
+        _check_block(len(rows), cfg)
+    first, weights = (cfg.num_samples, None) if run else _final_freq_weights(cfg)
+    z = last = np.array(np.broadcast_to(init, rows.shape), order="C")
     rhs = _field(rows, cfg)
     dt, stride = cfg.dt, cfg.stride
     half, sixth = 0.5 * dt, dt / 6.0
     guard = DIVERGENCE_FACTOR * math.sqrt(cfg.n)
     sums = np.zeros((len(rows), cfg.num_samples), dtype=np.complex128)
-    states = np.zeros((len(rows), cfg.num_samples - first, cfg.n), dtype=np.complex128)
+    states = np.zeros((len(rows), cfg.num_samples if run else 0, cfg.n), dtype=np.complex128)
+    freq = np.zeros(rows.shape)
     sums[:, 0] = z.sum(axis=1)
-    if first == 0:
+    if run:
         states[:, 0] = z
     failures = {}
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a diverging row
@@ -387,18 +404,19 @@ def integrate(
             if step % stride == 0:
                 sample = step // stride
                 sums[:, sample] = z.sum(axis=1)
-                if sample >= first:
-                    states[:, sample - first] = z
+                if run:
+                    states[:, sample] = z
+                elif sample >= first:
+                    freq += weights[sample - first] * np.angle(z * last.conj())
+                last = z
     sums /= cfg.n
     times = sample_times(cfg, cfg.num_samples)
-    if omega.ndim == 1:
+    if run:
         if failures:
             raise failures[0]
         return SimulationTrace(times=times, states=states[0], config=cfg, averager=sums[0])
-    return SimulationTrace(
-        times=times, states=states, config=cfg, averager=sums,
-        failures=tuple(failures.get(row) for row in range(len(rows))),
-    )
+    failed = tuple(failures.get(row) for row in range(len(rows)))
+    return SimulationTrace(times, states, cfg, sums, failed, freq)
 
 
 def sample_times(cfg: OscillatorArrayConfig, num_samples: int) -> np.ndarray:
@@ -421,16 +439,6 @@ def _smoothing_window(cfg: OscillatorArrayConfig, num_samples: int) -> int:
     return min(max(1, int(round(period / (cfg.stride * cfg.dt)))), num_samples)
 
 
-def _tail_samples(cfg: OscillatorArrayConfig) -> int:
-    """Final samples whose states final_freq reads.
-
-    The final 10%, plus the half window that smooths their frequencies,
-    plus one sample for the central difference at its start.
-    """
-    num = cfg.num_samples
-    return min(num, max(1, num // 10) + _smoothing_window(cfg, num) // 2 + 1)
-
-
 def instantaneous_frequency(trace: SimulationTrace) -> np.ndarray:
     """Per-oscillator instantaneous frequency at each recorded state, states' shape.
 
@@ -448,8 +456,7 @@ def instantaneous_frequency(trace: SimulationTrace) -> np.ndarray:
         )
     if not trace.states.shape[-2]:
         raise InsufficientDataError("instantaneous frequency needs states; the trace recorded none")
-    times = trace.times[trace.num_samples - trace.states.shape[-2]:]
-    freq = np.gradient(trace.phases, times, axis=-2)
+    freq = np.gradient(trace.phases, trace.times, axis=-2)
     return _moving_average(freq, _smoothing_window(trace.config, trace.num_samples))
 
 

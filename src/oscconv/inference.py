@@ -19,7 +19,6 @@ from .dynamics import (
     SimulationTrace,
     _check_block,
     _read_only,
-    _row_values,
     integrate,
     random_initial_state,
 )
@@ -174,51 +173,46 @@ class MatchReport:
 
 
 # Complex values one integrate call of _seed_blocks may record: 4 MiB, the
-# 2**24 one run may record / 64. At the defaults that lets 20 match rows or
-# 74 feature-map rows share the per-step cost of the RK4 loop.
+# 2**24 one run may record / 64. At the defaults that lets 74 match or
+# feature-map rows share the per-step cost of the RK4 loop.
 _CALL_VALUES = 2**18
 
 
-def _read_call(omegas, inits: np.ndarray, cfg: OscillatorArrayConfig, read, tail: bool) -> list:
+def _read_call(omegas, inits: np.ndarray, cfg: OscillatorArrayConfig, read) -> list:
     """Integrate, in one call, a block per frequency vector with a run per
     initial state; return per block (read(its trace), None), or (None, its
     first failed seed's error). The call's trace dies on return."""
     runs = len(inits)
-    call = integrate(np.repeat(omegas, runs, axis=0), cfg, np.tile(inits, (len(omegas), 1)),
-                     tail=tail)
+    call = integrate(np.repeat(omegas, runs, axis=0), cfg, np.tile(inits, (len(omegas), 1)))
     outcomes = []
-    for block in range(len(omegas)):
-        rows = slice(block * runs, (block + 1) * runs)
-        failure = next((f for f in call.failures[rows] if f is not None), None)
-        trace = SimulationTrace(call.times, call.states[rows], cfg, call.averager[rows])
+    for start in range(0, len(call.failures), runs):
+        trace = call.rows(slice(start, start + runs))
+        failure = next((f for f in trace.failures if f is not None), None)
         outcomes.append((None, failure) if failure is not None else (read(trace), None))
     return outcomes
 
 
-def _seed_blocks(
-    omegas: list[np.ndarray], cfg: OscillatorArrayConfig, seeds: tuple[int, ...], read, *,
-    tail: bool,
-):
+def _seed_blocks(omegas, cfg: OscillatorArrayConfig, seeds: tuple[int, ...], read):
     """Yield, per frequency vector, (read(trace), None) for the trace of its
     block with a run per seed, or (None, its first failed seed's error).
     The seeds, cfg.n and the block cap are checked, and the initial states
     built, before any run.
 
     One integrate call steps the blocks of as many vectors as record at
-    most _CALL_VALUES values together, and at least one; a block's rows
-    record no states unless tail is set. Every block of a call is read
-    before the next call starts, so no trace outlives its call.
+    most _CALL_VALUES values together, and at least one. Every block of a
+    call is read before the next call starts, so no trace outlives its
+    call.
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
     if cfg.n != len(omegas[0]):
         raise ConfigurationError(f"cfg.n={cfg.n} but the runs need n={len(omegas[0])} oscillators")
     runs = len(seeds)
-    _check_block(runs, cfg, tail)
+    _check_block(runs, cfg)
     inits = np.array([random_initial_state(cfg.n, int(seed)) for seed in seeds])
-    per_call = max(1, _CALL_VALUES // (runs * _row_values(cfg, tail)))
+    per_call = max(1, _CALL_VALUES // (runs * cfg.num_samples))
     for start in range(0, len(omegas), per_call):
-        yield from _read_call(omegas[start:start + per_call], inits, cfg, read, tail)
+        yield from _read_call(omegas[start:start + per_call], inits, cfg, read)
 
 
 def match_filters(
@@ -274,7 +268,7 @@ def match_filters(
                     averager=_read_only(trace.averager[0].copy()))
 
     results, errors = [], []
-    blocks = _seed_blocks(omegas, cfg, seeds, read, tail=True)
+    blocks = _seed_blocks(omegas, cfg, seeds, read)
     for index, (filt, (fields, failure)) in enumerate(zip(bank, blocks)):
         if failure is not None:
             errors.append(FilterError(filter_index=index, message=str(failure)))
@@ -326,9 +320,7 @@ def feature_map_onn(
         for cell in range(out_h * out_w)
     ]
     values, errors = [], []
-    # DOM reads the averager alone: the blocks record no states
-    blocks = _seed_blocks(omegas, cfg, seeds, lambda trace: float(np.mean(dom(trace, policy))),
-                          tail=False)
+    blocks = _seed_blocks(omegas, cfg, seeds, lambda trace: float(np.mean(dom(trace, policy))))
     for cell, (value, failure) in enumerate(blocks):
         if failure is not None:
             value = math.nan

@@ -460,6 +460,17 @@ class TestMalformedValues:
         code, _, err = run_cli(capsys, *argv, "--spread-tol", "0.01")
         assert code == 0 and err == ""
 
+    # the lock readouts need 3 samples; a block of 2 has no final frequencies either
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["match", "FRAGMENT", "--seeds", "0,1"], id="match"),
+        pytest.param(["sweep-locking"], id="sweep"),
+    ])
+    def test_two_samples_are_too_few_to_read_a_lock(self, capsys, tmp_path, argv):
+        fragment = str(Path(__file__).parent / "golden" / "inputs" / "fragment.pgm")
+        code, _, err = run_cli(capsys, *(fragment if a == "FRAGMENT" else a for a in argv),
+                               "--t-end", "0.1", "--dt", "0.1", "--out-dir", str(tmp_path / "o"))
+        assert (code, err) == (1, "error: instantaneous frequency needs >= 3 samples, trace has 2\n")
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [
         pytest.param(["match", "FRAGMENT", "--seeds", "0", "--rho", "1e308"], id="match-rho"),

@@ -280,6 +280,12 @@ def single_run(config: int, row: int) -> SimulationTrace:
     return integrate(BATCH_OMEGA[row], BATCH_CONFIGS[config], BATCH_INIT[row])
 
 
+@lru_cache(maxsize=None)
+def reversed_block(config: int) -> SimulationTrace:
+    """Every batch row in one block, last row first."""
+    return integrate(BATCH_OMEGA[::-1], BATCH_CONFIGS[config], BATCH_INIT[::-1])
+
+
 class TestBatchedIntegrate:
     @settings(max_examples=25, deadline=None)
     @given(config=st.sampled_from(range(len(BATCH_CONFIGS))),
@@ -295,18 +301,33 @@ class TestBatchedIntegrate:
                     measure_lock_time(trace))
 
         block_values = list(zip(*readouts(block)))
+        # a block records no states: its rows sum their final frequencies as they run
+        assert block.states.shape == (len(rows), 0, cfg.n)
         for i, row in enumerate(rows):
             single = single_run(config, row)
             assert block.failures[i] is None
             assert np.array_equal(block.times, single.times)
             assert np.array_equal(block.averager[i], single.averager)
             assert np.abs(block.final_freq[i] - single.final_freq).max() <= 1e-12
+            assert np.array_equal(block.final_freq[i], reversed_block(config).final_freq[5 - row])
             assert classify_lock(block)[i] == classify_lock(single)
             # the block's readouts give each row its lone run's values
             assert block_values[i] == readouts(single)
-            # a block keeps only the frequency tail of its states
-            assert block.states.shape[1] < block.num_samples
-            assert np.array_equal(block.states[i], single.states[-block.states.shape[1]:])
+
+    @pytest.mark.parametrize("kw", [
+        dict(stride=50),  # a smoothing window of one sample
+        dict(t_end=5.0),  # the window spans the run, and the edge padding folds onto its ends
+        dict(t_end=0.3, dt=0.1),  # 4 samples: the steps read span the whole run
+        dict(stride=3, include_self_in_sum=False),
+    ])
+    def test_a_block_sums_its_lone_runs_final_freq(self, kw):
+        cfg = OscillatorArrayConfig(**{"n": 5, "t_end": 60.0, **kw})
+        block = integrate(BATCH_OMEGA[:3], cfg, BATCH_INIT[:3])
+        for row in range(3):
+            single = integrate(BATCH_OMEGA[row], cfg, BATCH_INIT[row])
+            assert np.abs(block.final_freq[row] - single.final_freq).max() <= 1e-12
+        with pytest.raises(InsufficientDataError, match="recorded none"):
+            block.inst_freq
 
     @settings(max_examples=15, deadline=None)
     @given(size=st.integers(1, 6), data=st.data())
@@ -335,23 +356,12 @@ class TestBatchedIntegrate:
             assert np.array_equal(block.averager[row], single.averager)
 
     def test_caps_the_values_a_block_records(self):
-        # 1,400 rows of 25 oscillators at the default t_end record about
-        # 18e6 values; the block is rejected before any of it is allocated
+        # a row records its 3,502 averager samples at the default t_end, so
+        # 4,800 rows record about 17e6 values; the block is rejected before
+        # any of it is allocated
         cfg = OscillatorArrayConfig(n=25)
-        with pytest.raises(ConfigurationError, match="1400 runs.*2\\*\\*24"):
-            integrate(np.ones((1400, 25)), cfg)
-        # without states a row records its 3,502 averager samples alone
         with pytest.raises(ConfigurationError, match="4800 runs.*2\\*\\*24"):
-            integrate(np.ones((4800, 25)), cfg, tail=False)
-
-    @pytest.mark.parametrize("config", range(len(BATCH_CONFIGS)))
-    def test_a_block_without_tail_records_the_averager_alone(self, config):
-        block = integrate(BATCH_OMEGA[:3], BATCH_CONFIGS[config], BATCH_INIT[:3], tail=False)
-        assert block.states.shape == (3, 0, 5)
-        for row in range(3):
-            assert np.array_equal(block.averager[row], single_run(config, row).averager)
-        with pytest.raises(InsufficientDataError, match="recorded none"):
-            block.final_freq
+            integrate(np.ones((4800, 25)), cfg)
 
     def test_a_block_whose_rows_all_fail_holds_zeros(self):
         # the rows fail at steps 14-16 of 350 and the loop stops at the last;
@@ -364,7 +374,6 @@ class TestBatchedIntegrate:
         assert all(isinstance(failure, DivergenceError) for failure in block.failures)
         for row, failure in enumerate(block.failures):
             assert not block.averager[row, -(-failure.step // cfg.stride):].any()
-            assert not block.states[row].any()
 
     @pytest.mark.parametrize("omega, init", [
         (np.ones((2, 4)), np.ones(5)),

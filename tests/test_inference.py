@@ -32,7 +32,7 @@ from oscconv import (
     random_initial_state,
     winner_take_all,
 )
-from oscconv.dynamics import SimulationTrace, _row_values
+from oscconv.dynamics import SimulationTrace
 
 FILTER = gabor_filter(5, 30.0, 0.35)
 MATCH_FRAG = Fragment(side=5, values=FILTER.values.copy())
@@ -335,24 +335,24 @@ class TestSeedBlocks:
             return random_initial_state(*args, **kwargs)
 
         monkeypatch.setattr(oscconv.inference, "random_initial_state", counting)
-        # at this t_end a block holds at most 13 runs
+        # at this t_end a block holds at most 47 runs
         cfg = OscillatorArrayConfig(n=25, t_end=40000.0)
         with pytest.raises(ConfigurationError, match="2\\*\\*24"):
-            match_filters(MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=tuple(range(20)))
+            match_filters(MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=tuple(range(60)))
         assert built == []
 
     def test_one_block_is_alive_at_a_time(self, integrate_calls):
-        # 100 seeds at this t_end: 2 filters' blocks per call, or 14 windows'
+        # 100 seeds at this t_end: 14 filters' or windows' blocks per call
         seeds = tuple(range(100))
         cfg = OscillatorArrayConfig(n=25, t_end=20.0)
         bank = (FILTER, ANTI_FILTER, FILTER, ANTI_FILTER, FILTER)
         match_filters(MATCH_FRAG, bank, cfg, DomPolicy(), seeds)
         img = Image(width=9, height=9, values=np.resize(FILTER.values, 81))
         feature_map_onn(img, FILTER, cfg, DomPolicy(), seeds)
-        assert [rows for rows, _ in integrate_calls] == [200, 200, 100, 1400, 1100]
+        assert [rows for rows, _ in integrate_calls] == [500, 1400, 1100]
         # every block of a call is read before the next call starts: no
         # trace of an earlier call is alive
-        assert [held for _, held in integrate_calls] == [0] * 5
+        assert [held for _, held in integrate_calls] == [0] * 3
 
 
 # at this coupling 10 of the 18 bank filters diverge on the edge fragment,
@@ -376,7 +376,7 @@ class TestChunks:
     @staticmethod
     def recording_calls():
         """A patch of the inference module's integrate that lists, per call,
-        the values the trace records and its tail states."""
+        the values the trace records and its recorded state samples."""
         calls = []
 
         def recording(*args, **kwargs):
@@ -391,7 +391,7 @@ class TestChunks:
            at=st.integers(0, 5), blocks=st.floats(1.0, 4.0))
     def test_a_bank_matches_as_its_filters_alone(self, lone_filters, picks, at, blocks):
         picks.insert(min(at, len(picks)), 0)  # a diverging filter among them
-        budget = int(blocks * len(CHUNK_SEEDS) * _row_values(CHUNK_CFG, tail=True))
+        budget = int(blocks * len(CHUNK_SEEDS) * CHUNK_CFG.num_samples)
         calls, patch = self.recording_calls()
         bank = tuple(default_bank()[p] for p in picks)
         with patch, mock.patch.object(oscconv.inference, "_CALL_VALUES", budget):
@@ -416,13 +416,13 @@ class TestChunks:
     def test_a_map_matches_as_its_windows_alone(self, width, height, seed, blocks):
         filt = default_bank()[2]
         img = Image(width, height, np.random.default_rng(seed).uniform(-1.0, 1.0, width * height))
-        budget = int(blocks * len(CHUNK_SEEDS) * _row_values(CHUNK_CFG, tail=False))
+        budget = int(blocks * len(CHUNK_SEEDS) * CHUNK_CFG.num_samples)
         calls, patch = self.recording_calls()
         with patch, mock.patch.object(oscconv.inference, "_CALL_VALUES", budget):
             fmap = feature_map_onn(img, filt, CHUNK_CFG, DomPolicy(), CHUNK_SEEDS)
         assert max(values for values, _ in calls) <= budget
-        # a map reads DOM alone, and records no states
-        assert [tail for _, tail in calls] == [0] * len(calls)
+        # a block records no states
+        assert [states for _, states in calls] == [0] * len(calls)
         errors = []
         for cell in range(fmap.width * fmap.height):
             row, col = divmod(cell, fmap.width)
