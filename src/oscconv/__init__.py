@@ -8,7 +8,6 @@ averager envelope and validated against an exact digital oracle.
 from .dynamics import (
     OscillatorArrayConfig,
     SimulationTrace,
-    SweepPoint,
     default_coupling,
     default_timestep,
     derivative,
@@ -16,7 +15,6 @@ from .dynamics import (
     integrate,
     peak_detector,
     random_initial_state,
-    sweep_locking,
 )
 from .encoding import (
     Fragment,
@@ -48,11 +46,13 @@ from .inference import (
     FilterError,
     FilterResult,
     MatchReport,
+    SweepPoint,
     classify_lock,
     dom,
     feature_map_onn,
     match_filters,
     measure_lock_time,
+    sweep_locking,
     winner_take_all,
 )
 from .oracle import (
@@ -67,19 +67,19 @@ from .pgm import read_pgm, write_pgm
 __version__ = "0.1.0"
 
 __all__ = [
-    "OscillatorArrayConfig", "SimulationTrace", "SweepPoint",
+    "OscillatorArrayConfig", "SimulationTrace",
     "default_coupling", "default_timestep", "derivative",
     "instantaneous_frequency", "integrate", "peak_detector",
-    "random_initial_state", "sweep_locking",
+    "random_initial_state",
     "Fragment", "GaborFilter", "default_bank", "edge_fragment",
     "fsk_encode", "gabor_filter", "normalize_fragment",
     "OscconvError", "ConfigurationError", "PolicyError", "InputError",
     "InsufficientDataError", "NumericError", "DivergenceError",
     "CostEstimate", "HardwareParams", "inference_cost_estimate",
     "locking_range_fraction", "power_per_oscillator",
-    "DomPolicy", "FilterError", "FilterResult", "MatchReport",
+    "DomPolicy", "FilterError", "FilterResult", "MatchReport", "SweepPoint",
     "classify_lock", "dom", "feature_map_onn", "match_filters",
-    "measure_lock_time", "winner_take_all",
+    "measure_lock_time", "sweep_locking", "winner_take_all",
     "FeatureMap", "Image", "convolve_valid", "distance_identity_check", "dot",
     "read_pgm", "write_pgm",
 ]

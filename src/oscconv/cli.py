@@ -27,12 +27,10 @@ import numpy as np
 # integrate and fsk_encode are not called here: perfbench/tracing.py patches
 # them under these names to count the runs the CLI causes.
 from .dynamics import (  # noqa: F401
-    SWEEP_EPSILON,
     OscillatorArrayConfig,
     default_peak_detector,
     integrate,
     sample_times,
-    sweep_locking,
 )
 from .encoding import GaborFilter, default_bank, fsk_encode, gabor_filter  # noqa: F401
 from .errors import ConfigurationError, InputError, NumericError, OscconvError
@@ -42,7 +40,14 @@ from .hardware import (
     locking_range_fraction,
     power_per_oscillator,
 )
-from .inference import DomPolicy, MatchReport, feature_map_onn, match_filters, winner_take_all
+from .inference import (
+    DomPolicy,
+    MatchReport,
+    feature_map_onn,
+    match_filters,
+    sweep_locking,
+    winner_take_all,
+)
 from .oracle import FeatureMap, Image, convolve_valid
 from .pgm import read_pgm
 
@@ -357,6 +362,10 @@ def _dump_traces(out: Path, report: MatchReport, array_cfg: OscillatorArrayConfi
             ["time", "averager_re", "averager_im", "envelope", "peak_detector"],
             np.column_stack([times, averager.real, averager.imag, envelope, peak]).tolist(),
         )
+
+
+# Coupling of the two-oscillator locking sweep when none is configured.
+SWEEP_EPSILON = 0.05
 
 
 def cmd_sweep_locking(args) -> int:

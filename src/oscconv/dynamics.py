@@ -8,7 +8,7 @@ oscillators
 with a fixed-step classical Runge-Kutta integrator, plus the derived
 signals used by the readout: unwrapped phases, smoothed instantaneous
 frequencies, the averager output S(t), its envelope |S(t)|, and a
-behavioral peak-detector model.
+behavioral peak-detector model. The experiments are in oscconv.inference.
 
 Time is dimensionless radian-time: with the default center frequency
 omega0 = 1 one oscillation period is 2*pi time units. Physical time is
@@ -33,9 +33,6 @@ from .errors import (
 # Divergence guard: the normalized dynamics keep ||z|| of order sqrt(n),
 # so 10*sqrt(n) is only reachable through integrator blow-up.
 DIVERGENCE_FACTOR = 10.0
-
-# Coupling of the two-oscillator locking sweep when none is configured.
-SWEEP_EPSILON = 0.05
 
 
 def default_coupling(n: int, delta_omega: float) -> float:
@@ -493,87 +490,3 @@ def default_peak_detector(envelope: np.ndarray, cfg: OscillatorArrayConfig) -> n
     """Peak detector on a trace envelope, decaying over ten carrier periods."""
     tau = 10.0 * 2.0 * math.pi / cfg.omega0
     return peak_detector(envelope, tau, cfg.stride * cfg.dt)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One detuning point of a two-oscillator locking sweep."""
-
-    detuning: float
-    locked: bool
-    final_freq_gap: float
-    beat_amplitude: float
-
-
-def sweep_locking(
-    epsilon: float,
-    detunings: np.ndarray,
-    omega0: float = 1.0,
-    rho: float = 1.0,
-    t_end: float = 1200.0,
-    dt: float | None = None,
-    seed: int = 0,
-    gap_tol: float | None = None,
-) -> tuple[SweepPoint, ...]:
-    """Two-oscillator locking sweep over a detuning grid.
-
-    For each detuning d the oscillators run at omega0 -/+ d/2 under
-    coupling epsilon. A point is locked when the gap between the two
-    final instantaneous frequencies (averaged over the last 10% of the
-    trace) is below gap_tol.
-
-    Args:
-        epsilon: coupling coefficient.
-        detunings: grid of detuning values, each >= 0.
-        omega0: center frequency.
-        rho: nonlinear gain.
-        t_end: span per run; long runs sharpen the boundary.
-        dt: integration step; None picks the default for the fastest
-            frequency on the grid.
-        seed: initial-phase seed shared by all points.
-        gap_tol: locked threshold on the final frequency gap;
-            None selects 0.1 * epsilon.
-
-    Returns:
-        One SweepPoint per detuning, in grid order.
-
-    Raises:
-        DivergenceError: of the first diverging detuning in grid order.
-    """
-    detunings = np.asarray(detunings, dtype=np.float64)
-    if detunings.size == 0:
-        raise ConfigurationError("detuning grid must be nonempty")
-    if (detunings < 0).any():
-        raise ConfigurationError("detunings must be >= 0")
-    if gap_tol is None:
-        gap_tol = 0.1 * epsilon
-    if not 0 < gap_tol < math.inf:
-        raise ConfigurationError(f"gap_tol must be positive and finite, got {gap_tol}")
-    # delta_omega sized so omega_max, and with it the default dt and the
-    # accuracy guard, covers the fastest frequency on the grid
-    cfg = OscillatorArrayConfig(
-        n=2,
-        rho=rho,
-        omega0=omega0,
-        delta_omega=0.25 * float(detunings.max()),
-        epsilon=epsilon,
-        dt=dt,
-        t_end=t_end,
-        seed=seed,
-    )
-    _check_block(detunings.size, cfg)  # before the grid's frequency block is built
-    omega = np.column_stack([omega0 - 0.5 * detunings, omega0 + 0.5 * detunings])
-    trace = integrate(omega, cfg)
-    failure = next((f for f in trace.failures if f is not None), None)
-    if failure is not None:
-        raise failure
-    gaps = np.abs(trace.final_freq[:, 1] - trace.final_freq[:, 0])
-    # the final fifth's envelope only: caching the whole envelope of every
-    # row would hold it until the sweep ends
-    window = np.abs(trace.averager[:, -max(1, trace.num_samples // 5):])
-    beats = (window.max(axis=1) - window.min(axis=1)) / 2.0
-    return tuple(
-        SweepPoint(detuning=float(d), locked=bool(gap < gap_tol),
-                   final_freq_gap=float(gap), beat_amplitude=float(beat))
-        for d, gap, beat in zip(detunings, gaps, beats)
-    )

@@ -1,11 +1,12 @@
-"""Match orchestration: DOM readout, lock classification, rankings, maps.
+"""Experiments on the array: DOM readout, lock classification, rankings, maps, sweeps.
 
 A match run encodes (fragment, filter) detunings onto the array,
 integrates it from seeded random phases, and reads the Degree of Match
 (DOM) off the averager envelope: a synchronized array holds a high
 steady envelope, a mismatched one beats at the surviving difference
 frequencies and stays low. The exact dot product from the oracle module
-rides along in every report as ground truth.
+rides along in every report as ground truth. A locking sweep finds the
+detuning at which two coupled oscillators stop locking.
 """
 from __future__ import annotations
 
@@ -327,3 +328,78 @@ def feature_map_onn(
             errors.append((*divmod(cell, out_w), str(failure)))
         values.append(value)
     return FeatureMap(width=out_w, height=out_h, values=np.array(values), errors=tuple(errors))
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One detuning point of a two-oscillator locking sweep."""
+
+    detuning: float
+    locked: bool
+    final_freq_gap: float
+    beat_amplitude: float
+
+
+def sweep_locking(
+    epsilon: float,
+    detunings: np.ndarray,
+    omega0: float = 1.0,
+    rho: float = 1.0,
+    t_end: float = 1200.0,
+    dt: float | None = None,
+    seed: int = 0,
+    gap_tol: float | None = None,
+) -> tuple[SweepPoint, ...]:
+    """Two-oscillator locking sweep over a detuning grid.
+
+    For each detuning d the oscillators run at omega0 -/+ d/2 under
+    coupling epsilon, all detunings in one integrate call. A point is
+    locked when the gap between the two final instantaneous frequencies
+    (averaged over the last 10% of the trace) is below gap_tol.
+
+    Args:
+        epsilon: coupling coefficient.
+        detunings: grid of detuning values, each >= 0.
+        omega0: center frequency.
+        rho: nonlinear gain.
+        t_end: span per run; long runs sharpen the boundary.
+        dt: integration step; None picks the default for the fastest
+            frequency on the grid.
+        seed: initial-phase seed shared by all points.
+        gap_tol: locked threshold on the final frequency gap;
+            None selects 0.1 * epsilon.
+
+    Returns:
+        One SweepPoint per detuning, in grid order.
+
+    Raises:
+        DivergenceError: of the first diverging detuning in grid order.
+    """
+    detunings = np.asarray(detunings, dtype=np.float64)
+    if detunings.size == 0:
+        raise ConfigurationError("detuning grid must be nonempty")
+    if (detunings < 0).any():
+        raise ConfigurationError("detunings must be >= 0")
+    if gap_tol is None:
+        gap_tol = 0.1 * epsilon
+    if not 0 < gap_tol < math.inf:
+        raise ConfigurationError(f"gap_tol must be positive and finite, got {gap_tol}")
+    # delta_omega sized so omega_max, and with it the default dt and the
+    # accuracy guard, covers the fastest frequency on the grid
+    cfg = OscillatorArrayConfig(
+        n=2, rho=rho, omega0=omega0, delta_omega=0.25 * float(detunings.max()),
+        epsilon=epsilon, dt=dt, t_end=t_end,
+    )
+    _check_block(detunings.size, cfg)  # before the grid's frequency block is built
+    omega = np.column_stack([omega0 - 0.5 * detunings, omega0 + 0.5 * detunings])
+
+    def read(trace: SimulationTrace) -> tuple[bool, float, float]:
+        gap = abs(trace.final_freq[0, 1] - trace.final_freq[0, 0])
+        window = trace.envelope[0, -max(1, trace.num_samples // 5):]
+        return bool(gap < gap_tol), float(gap), float((window.max() - window.min()) / 2.0)
+
+    outcomes = _read_call(omega, random_initial_state(cfg.n, seed)[None], cfg, read)
+    failure = next((f for _, f in outcomes if f is not None), None)
+    if failure is not None:
+        raise failure
+    return tuple(SweepPoint(float(d), *fields) for d, (fields, _) in zip(detunings, outcomes))

@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oscconv.cli
-import oscconv.dynamics
 import oscconv.inference
 from oscconv import (
     OscillatorArrayConfig,
@@ -198,8 +197,17 @@ class TestMatch:
         assert code == 1
         assert "error:" in err
 
+    def test_origin_needs_two_coordinates(self, capsys, white_image):
+        code, _, err = run_cli(capsys, "match", white_image, "--origin", "1,2,3")
+        assert (code, err) == (1, "error: --origin expects 'row,col', got '1,2,3'\n")
+
 
 class TestConfigHandling:
+    def test_missing_config_file(self, capsys, tmp_path, white_image):
+        code, _, err = run_cli(capsys, "match", white_image, "--config", str(tmp_path / "nope.json"))
+        assert_one_line_error(code, err)
+        assert err.startswith("error: cannot read config file")
+
     def test_flags_override_config_file(self, capsys, tmp_path, white_image):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"t_end": 50.0, "seeds": [0]}))
@@ -586,7 +594,7 @@ class TestSweep:
         received = []
 
         def recorder(*args, **kwargs):
-            bound = inspect.signature(oscconv.dynamics.sweep_locking).bind(*args, **kwargs)
+            bound = inspect.signature(oscconv.inference.sweep_locking).bind(*args, **kwargs)
             bound.apply_defaults()
             received.append((bound.arguments["epsilon"], bound.arguments["t_end"]))
             return ()
@@ -684,6 +692,11 @@ class TestHw:
         )
         assert code == 1
         assert "error:" in err
+
+    # zero has no prefix, and a value of 1000 units or more keeps the bare unit
+    @pytest.mark.parametrize("value, unit, text", [(0.0, "W", "0 W"), (2.6e7, "J", "2.6e+07 J")])
+    def test_eng_outside_the_prefixes(self, value, unit, text):
+        assert oscconv.cli._eng(value, unit) == text
 
 
 class TestParser:

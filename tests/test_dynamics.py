@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oscconv.dynamics
+import oscconv.inference
 from oscconv import (
     ConfigurationError,
     DivergenceError,
@@ -562,6 +562,18 @@ class TestSweepLocking:
         explicit = sweep_locking(0.05, grid, t_end=60.0, dt=default_timestep(1.0 + 0.5 * 0.1))
         assert sweep_locking(0.05, grid, t_end=60.0) == explicit
 
+    def test_points_do_not_depend_on_how_the_grid_is_batched(self):
+        def sweep(detunings):
+            # a fixed dt: the default follows the grid's largest detuning
+            return sweep_locking(0.05, detunings, t_end=60.0, dt=0.1)
+
+        grid = np.linspace(0.0, 0.15, 7)
+        points = sweep(grid)
+        assert 0 < sum(p.locked for p in points) < grid.size
+        for split in range(1, grid.size):
+            assert sweep(grid[:split]) + sweep(grid[split:]) == points
+        assert sweep(grid[::-1])[::-1] == points
+
     def test_block_cap_is_checked_before_the_grid_is_integrated(self, monkeypatch):
         calls = []
 
@@ -569,7 +581,7 @@ class TestSweepLocking:
             calls.append(args)
             return integrate(*args, **kwargs)
 
-        monkeypatch.setattr(oscconv.dynamics, "integrate", counting)
+        monkeypatch.setattr(oscconv.inference, "integrate", counting)
         with pytest.raises(ConfigurationError, match="5000 runs"):
             sweep_locking(0.05, np.linspace(0.0, 0.2, 5000))
         assert calls == []
