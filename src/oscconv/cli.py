@@ -185,6 +185,7 @@ class RunConfig:
     """
 
     array: dict = field(default_factory=dict)
+    seed: int = 0  # sweep-locking's initial phases; match and featuremap use seeds
     side: int = 5
     seeds: tuple | range = range(8)
     dom_policy: DomPolicy = DomPolicy()
@@ -355,7 +356,7 @@ def _dump_traces(out: Path, report: MatchReport, array_cfg: OscillatorArrayConfi
     averagers = np.array([result.averager for result in report.results])
     envelopes = np.abs(averagers)
     peaks = default_peak_detector(envelopes, array_cfg)
-    times = sample_times(array_cfg, averagers.shape[-1])
+    times = sample_times(array_cfg)
     for result, averager, envelope, peak in zip(report.results, averagers, envelopes, peaks):
         _write_csv(
             out / f"trace_filter_{result.filter_index:02d}.csv",
@@ -372,8 +373,8 @@ def cmd_sweep_locking(args) -> int:
     cfg = _config_from(args)
     grid = _parse_grid(args.grid)
     epsilon = cfg.array.get("epsilon", SWEEP_EPSILON)
-    run = {k: v for k, v in cfg.array.items() if k in ("rho", "omega0", "dt", "t_end", "seed")}
-    points = sweep_locking(epsilon, grid, gap_tol=cfg.spread_tol, **run)
+    run = {k: v for k, v in cfg.array.items() if k in ("rho", "omega0", "dt", "t_end")}
+    points = sweep_locking(epsilon, grid, seed=cfg.seed, gap_tol=cfg.spread_tol, **run)
     out = _out_dir(args)
     _write_csv(
         out / "sweep.csv",

@@ -85,7 +85,6 @@ class OscillatorArrayConfig:
             default_timestep(omega0 + 2*delta_omega).
         t_end: total integration span in radian-time.
         stride: sampling stride; the trace records every stride-th step.
-        seed: seed for the default random-phase initial state.
     """
 
     n: int
@@ -97,7 +96,6 @@ class OscillatorArrayConfig:
     dt: float | None = None
     t_end: float = 400.0
     stride: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         # the negated comparisons also reject NaN and +inf
@@ -161,23 +159,21 @@ class SimulationTrace:
     lazily and cached, along the sample axis, so that the same code reads
     one run or a block. times and averager cover every sample, sample k
     at times[k]. One run has states of shape (samples, n), every sample,
-    and averager of shape (samples,), which defaults to the mean of
-    states. A block has a leading row axis: averager (rows, samples), no
-    states (rows, 0, n) and block_freq (rows, n), the final_freq its rows
-    summed as they ran; its failures[i] is the DivergenceError that
-    stopped row i, or None.
+    and averager of shape (samples,), the mean of states. A block has a
+    leading row axis: averager (rows, samples), no states (rows, 0, n)
+    and block_freq (rows, n), the final_freq its rows summed as they
+    ran; its failures[i] is the DivergenceError that stopped row i, or
+    None.
     """
 
     times: np.ndarray
     states: np.ndarray
     config: OscillatorArrayConfig
-    averager: np.ndarray | None = None
+    averager: np.ndarray
     failures: tuple[DivergenceError | None, ...] = ()
     block_freq: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.averager is None:
-            self.averager = self.states.sum(axis=-1) / self.config.n
         # read-only views: the caller's own arrays stay writeable
         for name in ("times", "states", "averager", "block_freq"):
             if getattr(self, name) is not None:
@@ -191,11 +187,6 @@ class SimulationTrace:
     @property
     def num_samples(self) -> int:
         return self.times.size
-
-    @property
-    def dt_sample(self) -> float:
-        """Spacing between consecutive samples (stride * dt)."""
-        return self.config.stride * self.config.dt
 
     @cached_property
     def phases(self) -> np.ndarray:
@@ -322,7 +313,7 @@ def _final_freq_weights(cfg: OscillatorArrayConfig) -> tuple[int, np.ndarray]:
 def integrate(
     omega: np.ndarray,
     cfg: OscillatorArrayConfig,
-    init: np.ndarray | None = None,
+    init: np.ndarray,
 ) -> SimulationTrace:
     """Integrate the array with a classical 4th-order Runge-Kutta scheme.
 
@@ -343,8 +334,7 @@ def integrate(
         omega: natural frequencies (radian-time units), shape (n,) or
             (rows, n).
         cfg: array configuration.
-        init: initial complex state, shape (n,) or omega's shape;
-            defaults to random_initial_state(cfg.n, cfg.seed).
+        init: initial complex state, shape (n,) or omega's shape.
 
     Returns:
         The SimulationTrace of the run or the block, sampled at uniform
@@ -358,8 +348,6 @@ def integrate(
         DivergenceError: for a 1-D omega, if the state norm exceeds
             10*sqrt(n) at any step.
     """
-    if init is None:
-        init = random_initial_state(cfg.n, cfg.seed)
     omega, init = _checked(omega, init, cfg, "init")
     _check_accuracy(cfg.dt, max(np.abs(omega).max(), cfg.omega_max))
 
@@ -407,7 +395,7 @@ def integrate(
                     freq += weights[sample - first] * np.angle(z * last.conj())
                 last = z
     sums /= cfg.n
-    times = sample_times(cfg, cfg.num_samples)
+    times = sample_times(cfg)
     if run:
         if failures:
             raise failures[0]
@@ -416,9 +404,9 @@ def integrate(
     return SimulationTrace(times, states, cfg, sums, failed, freq)
 
 
-def sample_times(cfg: OscillatorArrayConfig, num_samples: int) -> np.ndarray:
-    """Times of the first num_samples trace samples, spaced stride * dt."""
-    return np.arange(num_samples) * (cfg.stride * cfg.dt)
+def sample_times(cfg: OscillatorArrayConfig) -> np.ndarray:
+    """Times of a run's cfg.num_samples trace samples, spaced stride * dt."""
+    return np.arange(cfg.num_samples) * (cfg.stride * cfg.dt)
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:

@@ -28,7 +28,8 @@ def _frozen_values(values, dims: tuple[int, int], what: str, bounded: bool = Tru
         raise ConfigurationError(
             f"{what} values must be a flat length-{length} vector, got shape {values.shape}"
         )
-    if bounded and (values.min() < -1.0 - _TOL or values.max() > 1.0 + _TOL):
+    # the negated comparison also rejects NaN
+    if bounded and not (values.min() >= -1.0 - _TOL and values.max() <= 1.0 + _TOL):
         raise ConfigurationError(
             f"{what} values must lie in [-1, +1], got range "
             f"[{values.min():.6g}, {values.max():.6g}]"
@@ -92,14 +93,14 @@ def normalize_fragment(raw: np.ndarray, g_max: float) -> Fragment:
 
     Raises:
         InputError: on out-of-range pixels or a non-square array.
-        ConfigurationError: on g_max <= 0.
+        ConfigurationError: on a g_max that is not positive and finite.
     """
-    if g_max <= 0:
-        raise ConfigurationError(f"g_max must be positive, got {g_max}")
+    if not 0 < g_max < math.inf:  # negated, so NaN fails too
+        raise ConfigurationError(f"g_max must be positive and finite, got {g_max}")
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise InputError(f"fragment must be a square 2-D array, got shape {raw.shape}")
-    if raw.min() < 0 or raw.max() > g_max:
+    if not (raw.min() >= 0 and raw.max() <= g_max):
         raise InputError(
             f"pixel values must lie in [0, {g_max}], got range [{raw.min()}, {raw.max()}]"
         )
@@ -119,7 +120,8 @@ def gabor_filter(
     With centered coordinates x, y in {-(side-1)/2, ..., +(side-1)/2},
     raw(i, j) = cos(2*pi*k*(x*cos(theta) + y*sin(theta)) + phase).
     Binarized output maps raw >= 0 to +1 and raw < 0 to -1 (ties at
-    exactly 0 break to +1); otherwise the raw cosine values are kept.
+    exactly 0 break to +1); otherwise the raw cosine values are kept. A k
+    and phase whose angle overflows a float raise ConfigurationError.
     """
     # checked before the grid is built: math.cos rejects an infinite angle
     _check_parameters(side, theta_deg, k, phase)
@@ -127,7 +129,11 @@ def gabor_filter(
     coords = np.arange(side) - half
     x, y = np.meshgrid(coords, coords, indexing="xy")
     theta = math.radians(theta_deg)
-    raw = np.cos(2.0 * math.pi * k * (x * math.cos(theta) + y * math.sin(theta)) + phase)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed angle is rejected below
+        angle = 2.0 * math.pi * k * (x * math.cos(theta) + y * math.sin(theta)) + phase
+    if not np.isfinite(angle).all():  # np.cos would make it NaN, which binarizes to -1
+        raise ConfigurationError(f"k={k:g} and phase={phase:g} overflow the grating phase")
+    raw = np.cos(angle)
     values = np.where(raw >= 0, 1.0, -1.0).ravel() if binarized else raw.ravel()
     return GaborFilter(
         side=side, values=values, theta_deg=theta_deg, k=k, phase=phase, binarized=binarized

@@ -237,6 +237,22 @@ class TestConfigHandling:
         times = [float(r[0]) for r in read_rows(out_dir / "trace_filter_00.csv")[1:]]
         assert 49.9 < times[-1] < 50.1
 
+    def test_seed_key_is_ignored_by_match(self, capsys, tmp_path, white_image, one_filter_bank):
+        # seed sets the sweep's initial phases; a match run's come from its seeds
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        runs = []
+        for name, config in (("plain", ()), ("seeded", ("--config", str(cfg)))):
+            out_dir = tmp_path / name
+            code, out, err = run_cli(
+                capsys, "match", white_image, *config, "--bank", one_filter_bank,
+                "--dump-traces", "--seeds", "0,1", "--t-end", "50", "--out-dir", str(out_dir),
+            )
+            files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+            runs.append((code, out, err, files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and len(runs[0][3]) == 2
+
     def test_unknown_config_field(self, capsys, tmp_path, white_image):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -436,9 +452,22 @@ class TestMalformedValues:
         # --filter-index picks a bank filter, which --theta-deg --k replace
         pytest.param(["featuremap", "IMAGE", "--filter-index", "99", "--theta-deg", "0", "--k",
                       "0.2", "--seeds", "0"], id="featuremap-filter-index-with-filter"),
+        # a grating phase that overflows a float is rejected before np.cos
+        # turns it into NaN, which binarizes to -1 or makes omega non-finite
+        pytest.param(["featuremap", "IMAGE", "--theta-deg", "0", "--k", "1e308", "--seeds", "0",
+                      "--t-end", "20"], id="featuremap-k-overflows-the-phase"),
+        pytest.param(["featuremap", "IMAGE", "--theta-deg", "0", "--k", "1e308", "--raw-filter",
+                      "--seeds", "0", "--t-end", "20"], id="featuremap-raw-filter-k-overflows"),
+        pytest.param(["featuremap", "IMAGE", "--theta-deg", "0", "--k", "1e307", "--phase",
+                      "1.7e308", "--seeds", "0", "--t-end", "20"],
+                     id="featuremap-phase-overflows-the-phase"),
+        pytest.param(["match", "IMAGE", "--bank", "HUGE_K_BANK", "--seeds", "0", "--t-end", "20"],
+                     id="match-bank-k-overflows-the-phase"),
     ])
     def test_rejected_input(self, capsys, tmp_path, white_image, argv):
-        paths = {"IMAGE": white_image}
+        huge_k_bank = tmp_path / "huge_k_bank.json"
+        huge_k_bank.write_text(json.dumps([{"theta_deg": 0, "k": 1e308}]))
+        paths = {"IMAGE": white_image, "HUGE_K_BANK": str(huge_k_bank)}
         code, _, err = run_cli(
             capsys, *(paths.get(a, a) for a in argv), "--out-dir", str(tmp_path / "o")
         )
@@ -583,10 +612,11 @@ class TestSweep:
             tmp_path / "flags" / "sweep.csv").read_bytes()
 
     @pytest.mark.parametrize("config, argv, expected", [
-        pytest.param({}, [], (0.05, 1200.0), id="defaults"),
-        pytest.param({"epsilon": 0.01, "t_end": 50}, [], (0.01, 50.0), id="file"),
-        pytest.param({"epsilon": 0.01, "t_end": 50}, ["--t-end", "40"], (0.01, 40.0),
+        pytest.param({}, [], (0.05, 1200.0, 0), id="defaults"),
+        pytest.param({"epsilon": 0.01, "t_end": 50}, [], (0.01, 50.0, 0), id="file"),
+        pytest.param({"epsilon": 0.01, "t_end": 50}, ["--t-end", "40"], (0.01, 40.0, 0),
                      id="flag-beats-file"),
+        pytest.param({"seed": 3}, [], (0.05, 1200.0, 3), id="seed"),
     ])
     def test_epsilon_and_t_end_layering(
         self, capsys, tmp_path, monkeypatch, config, argv, expected
@@ -596,7 +626,7 @@ class TestSweep:
         def recorder(*args, **kwargs):
             bound = inspect.signature(oscconv.inference.sweep_locking).bind(*args, **kwargs)
             bound.apply_defaults()
-            received.append((bound.arguments["epsilon"], bound.arguments["t_end"]))
+            received.append(tuple(bound.arguments[k] for k in ("epsilon", "t_end", "seed")))
             return ()
 
         monkeypatch.setattr(oscconv.cli, "sweep_locking", recorder)

@@ -35,6 +35,14 @@ class TestFragment:
         with pytest.raises(ConfigurationError):
             normalize_fragment(np.zeros((2, 2)), 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_normalize_rejects_nan_pixels_and_scales(self):
+        with pytest.raises(InputError, match="pixel values"):
+            normalize_fragment(np.array([[math.nan]]), 1.0)
+        for g_max in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="g_max"):
+                normalize_fragment(np.ones((1, 1)), g_max)
+
     def test_fragment_validation(self):
         with pytest.raises(ConfigurationError):
             Fragment(side=2, values=np.zeros(3))
@@ -42,6 +50,10 @@ class TestFragment:
             Fragment(side=2, values=np.array([0.0, 0.0, 0.0, 1.5]))
         with pytest.raises(ConfigurationError):
             Fragment(side=0, values=np.zeros(0))
+
+    def test_fragment_rejects_nan(self):
+        with pytest.raises(ConfigurationError, match="fragment values"):
+            Fragment(side=1, values=[math.nan])
 
     def test_copies_callers_values(self):
         values = np.zeros(4)
@@ -115,6 +127,27 @@ class TestGaborFilter:
             gabor_filter(5, **params)
         with pytest.raises(ConfigurationError, match=name):
             GaborFilter(side=1, values=np.ones(1), **params)
+
+    def test_unbinarized_filter_rejects_nan(self):
+        with pytest.raises(ConfigurationError, match="filter values"):
+            GaborFilter(side=1, values=[math.nan], theta_deg=0.0, k=0.2, binarized=False)
+
+    # the angle 2*pi*k*(x*cos(theta) + y*sin(theta)) + phase must stay a finite
+    # float, or np.cos makes it NaN; a huge finite angle is only a grating
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side, k, phase, overflows", [
+        (5, 1e308, 0.0, True),  # 2*pi*k alone overflows
+        (1, 1e308, 0.0, True),  # inf * 0 at the one pixel
+        (5, 1e307, 1.7e308, True),  # the sum overflows
+        (5, 1e307, 0.0, False),
+        (5, 0.2, 1.7e308, False),
+    ])
+    def test_grating_phase_must_stay_finite(self, side, k, phase, overflows):
+        if overflows:
+            with pytest.raises(ConfigurationError, match="overflow the grating phase"):
+                gabor_filter(side, 0.0, k, phase)
+        else:
+            assert np.isin(gabor_filter(side, 0.0, k, phase).values, (-1.0, 1.0)).all()
 
     def test_copies_callers_values(self):
         values = np.array([1.0, -1.0, -1.0, 1.0])

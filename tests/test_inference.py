@@ -41,9 +41,9 @@ ANTI_FILTER = gabor_filter(5, 30.0, 0.35, phase=math.pi)
 
 
 def run_match_trace(fragment, filt, seed=0, t_end=400.0, init=None):
-    cfg = OscillatorArrayConfig(n=25, t_end=t_end, seed=seed)
+    cfg = OscillatorArrayConfig(n=25, t_end=t_end)
     omega = fsk_encode(fragment, filt, cfg.omega0, cfg.delta_omega)
-    return integrate(omega, cfg, init)
+    return integrate(omega, cfg, random_initial_state(25, seed) if init is None else init)
 
 
 class TestDomPolicy:
@@ -172,7 +172,7 @@ class TestClassifyLock:
 
     def test_zero_delta_omega_needs_a_tolerance(self):
         cfg = OscillatorArrayConfig(n=2, delta_omega=0.0, epsilon=0.05, t_end=20.0)
-        trace = integrate(np.ones(2), cfg)
+        trace = integrate(np.ones(2), cfg, random_initial_state(2, 0))
         with pytest.raises(ConfigurationError, match="delta_omega is 0: set spread_tol"):
             classify_lock(trace)
         assert classify_lock(trace, spread_tol=0.01) in (True, False)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,10 @@ class TestImage:
         with pytest.raises(ConfigurationError):
             Image(width=0, height=2, values=np.zeros(0))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ConfigurationError, match="image values"):
+            Image(width=1, height=1, values=[math.nan])
+
 
 class TestFeatureMap:
     def test_copies_callers_values(self):
@@ -186,6 +192,11 @@ class TestFeatureMap:
         fmap = FeatureMap(width=3, height=2, values=values)
         values[0] = 2.0
         assert fmap.values[0] == 0.0
+
+    def test_keeps_nan_cells(self):
+        # a failed window's cell holds NaN; a map is not bounded to [-1, +1]
+        fmap = FeatureMap(width=2, height=1, values=[math.nan, 3.0])
+        assert math.isnan(fmap.values[0]) and fmap.values[1] == 3.0
 
 
 class TestDistanceIdentity:
