@@ -217,18 +217,33 @@ class SimulationTrace:
 
 
 def _field(omega: np.ndarray, cfg: OscillatorArrayConfig):
-    """The right-hand side z -> dz/dt of the array with natural frequencies omega.
+    """The right-hand side (z, |z|**2) -> dz/dt of the array with natural frequencies omega.
 
     omega and z have shape (n,) or (rows, n); each row is an array of its own.
+    rhs evaluates z * (gain - rho*|z|**2) + eps*sum_j z_j, overwriting its |z|**2 argument;
+    without self-coupling, gain holds the -eps that takes z_i out of its own sum.
     """
-    gain = cfg.rho + 1j * omega
-    rho, eps, include_self = cfg.rho, cfg.epsilon, cfg.include_self_in_sum
+    eps = cfg.epsilon
+    gain = (cfg.rho if cfg.include_self_in_sum else cfg.rho - eps) + 1j * omega
+    neg_rho = -cfg.rho
 
-    def rhs(z: np.ndarray) -> np.ndarray:
-        s = z.sum(axis=-1, keepdims=True)
-        return gain * z - rho * z * np.abs(z) ** 2 + eps * (s if include_self else s - z)
+    def rhs(z: np.ndarray, a2: np.ndarray) -> np.ndarray:
+        a2 *= neg_rho
+        k = a2 + gain
+        k *= z
+        s = np.add.reduce(z, axis=-1, keepdims=True)
+        s *= eps
+        k += s
+        return k
 
     return rhs
+
+
+def _abs2(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|z|**2, element-wise, into out or a new float array."""
+    a2 = np.abs(z, out=out)
+    a2 *= a2
+    return a2
 
 
 def _checked(omega, z, cfg: OscillatorArrayConfig, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -251,6 +266,9 @@ def _checked(omega, z, cfg: OscillatorArrayConfig, name: str) -> tuple[np.ndarra
 def derivative(state: np.ndarray, omega: np.ndarray, cfg: OscillatorArrayConfig) -> np.ndarray:
     """Time derivative dz/dt of the array at one state.
 
+    Evaluates the field integrate steps, on the state and its |state|**2,
+    so one integrate step is bit for bit the RK4 step over derivative.
+
     Args:
         state: length-n complex amplitudes.
         omega: length-n natural frequencies.
@@ -264,7 +282,7 @@ def derivative(state: np.ndarray, omega: np.ndarray, cfg: OscillatorArrayConfig)
         NumericError: if state or omega contain non-finite values.
     """
     omega, state = _checked(omega, state, cfg, "state")
-    return _field(omega, cfg)(state)
+    return _field(omega, cfg)(state, _abs2(state))
 
 
 def random_initial_state(n: int, seed: int) -> np.ndarray:
@@ -328,7 +346,9 @@ def integrate(
     to the same row's in any other block, its averager to its 1-D run's,
     and its final_freq agrees with its 1-D run's to rounding. A diverging
     row stops alone: from then on it holds zeros, and its error is in the
-    trace's failures.
+    trace's failures. Each step computes |z|**2 of its new state once: the
+    next step's field reads it, and the divergence guard compares its row
+    sums, the squared norms, with 100*n.
 
     Args:
         omega: natural frequencies (radian-time units), shape (n,) or
@@ -362,33 +382,48 @@ def integrate(
     rhs = _field(rows, cfg)
     dt, stride = cfg.dt, cfg.stride
     half, sixth = 0.5 * dt, dt / 6.0
-    guard = DIVERGENCE_FACTOR * math.sqrt(cfg.n)
+    guard2 = DIVERGENCE_FACTOR**2 * cfg.n
     sums = np.zeros((len(rows), cfg.num_samples), dtype=np.complex128)
     states = np.zeros((len(rows), cfg.num_samples if run else 0, cfg.n), dtype=np.complex128)
     freq = np.zeros(rows.shape)
     sums[:, 0] = z.sum(axis=1)
     if run:
         states[:, 0] = z
+    a2, tmp = _abs2(z), np.empty_like(z)
     failures = {}
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a diverging row
         for step in range(1, cfg.n_steps + 1):
-            k1 = rhs(z)
-            k2 = rhs(z + half * k1)
-            k3 = rhs(z + half * k2)
-            k4 = rhs(z + dt * k3)
-            z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            norm = np.sqrt((z.real * z.real + z.imag * z.imag).sum(axis=1))
-            if not norm.max() <= guard:
+            k1 = rhs(z, a2)
+            np.multiply(half, k1, out=tmp)
+            tmp += z
+            k2 = rhs(tmp, _abs2(tmp, a2))
+            np.multiply(half, k2, out=tmp)
+            tmp += z
+            k3 = rhs(tmp, _abs2(tmp, a2))
+            np.multiply(dt, k3, out=tmp)
+            tmp += z
+            k4 = rhs(tmp, _abs2(tmp, a2))
+            # k1 + 2*k2 + 2*k3 + k4, summed left to right
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= sixth
+            z = z + k1  # a new array: last holds the previous one
+            _abs2(z, a2)  # the next step's k1 input, and the guard's squared norms
+            norm2 = np.add.reduce(a2, axis=1)
+            if not norm2.max() <= guard2:
                 # a failed row restarts from zero, a fixed point that never
                 # trips the guard again
-                for row in np.flatnonzero(~(norm <= guard)):
-                    failures[int(row)] = DivergenceError(step, float(norm[row]))
-                    z[row] = 0.0
+                for row in np.flatnonzero(~(norm2 <= guard2)):
+                    failures[int(row)] = DivergenceError(step, math.sqrt(norm2[row]))
+                    z[row] = a2[row] = 0.0
                 if len(failures) == len(rows):
                     break
             if step % stride == 0:
                 sample = step // stride
-                sums[:, sample] = z.sum(axis=1)
+                np.add.reduce(z, axis=1, out=sums[:, sample])
                 if run:
                     states[:, sample] = z
                 elif sample >= first:

@@ -380,16 +380,21 @@ def sweep_locking(
         raise ConfigurationError("detuning grid must be nonempty")
     if (detunings < 0).any():
         raise ConfigurationError("detunings must be >= 0")
-    if gap_tol is None:
-        gap_tol = 0.1 * epsilon
-    if not 0 < gap_tol < math.inf:
-        raise ConfigurationError(f"gap_tol must be positive and finite, got {gap_tol}")
     # delta_omega sized so omega_max, and with it the default dt and the
-    # accuracy guard, covers the fastest frequency on the grid
+    # accuracy guard, covers the fastest frequency on the grid; the config
+    # checks epsilon before the default gap_tol is derived from it
     cfg = OscillatorArrayConfig(
         n=2, rho=rho, omega0=omega0, delta_omega=0.25 * float(detunings.max()),
         epsilon=epsilon, dt=dt, t_end=t_end,
     )
+    if gap_tol is None:
+        if epsilon == 0:
+            raise ConfigurationError(
+                "epsilon is 0: set gap_tol, spread_tol on the command line (default 0.1*epsilon)"
+            )
+        gap_tol = 0.1 * epsilon
+    if not 0 < gap_tol < math.inf:
+        raise ConfigurationError(f"gap_tol must be positive and finite, got {gap_tol}")
     _check_block(detunings.size, cfg)  # before the grid's frequency block is built
     omega = np.column_stack([omega0 - 0.5 * detunings, omega0 + 0.5 * detunings])
 

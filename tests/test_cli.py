@@ -352,6 +352,13 @@ class TestConfigHandling:
         assert message in err
 
 
+# rejected inputs whose error line must name what to change, by test id
+BLAMED = {
+    "sweep-negative-epsilon": "epsilon must be >= 0 and finite, got -1",
+    "sweep-zero-epsilon": "epsilon is 0: set gap_tol, spread_tol",
+}
+
+
 class TestMalformedValues:
     """Each malformed value exits 1 with one line on stderr, never a traceback."""
 
@@ -463,8 +470,13 @@ class TestMalformedValues:
                      id="featuremap-phase-overflows-the-phase"),
         pytest.param(["match", "IMAGE", "--bank", "HUGE_K_BANK", "--seeds", "0", "--t-end", "20"],
                      id="match-bank-k-overflows-the-phase"),
+        # the sweep's coupling is checked before its default gap tolerance is derived from it
+        pytest.param(["sweep-locking", "--epsilon", "-1", "--grid", "0:0.2:0.1", "--t-end", "20"],
+                     id="sweep-negative-epsilon"),
+        pytest.param(["sweep-locking", "--epsilon", "0", "--grid", "0:0.2:0.1", "--t-end", "20"],
+                     id="sweep-zero-epsilon"),
     ])
-    def test_rejected_input(self, capsys, tmp_path, white_image, argv):
+    def test_rejected_input(self, request, capsys, tmp_path, white_image, argv):
         huge_k_bank = tmp_path / "huge_k_bank.json"
         huge_k_bank.write_text(json.dumps([{"theta_deg": 0, "k": 1e308}]))
         paths = {"IMAGE": white_image, "HUGE_K_BANK": str(huge_k_bank)}
@@ -472,6 +484,7 @@ class TestMalformedValues:
             capsys, *(paths.get(a, a) for a in argv), "--out-dir", str(tmp_path / "o")
         )
         assert_one_line_error(code, err)
+        assert BLAMED.get(request.node.callspec.id, "") in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("args", [

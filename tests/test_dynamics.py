@@ -106,16 +106,20 @@ class TestDerivative:
         rate = derivative(np.array([0.0 + 0j]), np.array([2.0]), cfg)
         assert rate[0] == 0.0
 
-    def test_matches_scalar_expansion(self):
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_matches_scalar_expansion(self, include_self):
         # independent element-wise evaluation of the same formula
-        cfg = OscillatorArrayConfig(n=2, delta_omega=0.05, epsilon=0.1)
+        cfg = OscillatorArrayConfig(
+            n=2, delta_omega=0.05, epsilon=0.1, include_self_in_sum=include_self
+        )
         z = np.array([1.0 + 0.0j, 1.0 + 0.0j])
         omega = np.array([1.0, 1.05])
         rate = derivative(z, omega, cfg)
         total = z[0] + z[1]
         for i in range(2):
             mag2 = z[i].real ** 2 + z[i].imag ** 2
-            expected = (1.0 + 1j * omega[i]) * z[i] - 1.0 * z[i] * mag2 + 0.1 * total
+            coupled = total if include_self else total - z[i]
+            expected = (1.0 + 1j * omega[i]) * z[i] - 1.0 * z[i] * mag2 + 0.1 * coupled
             assert rate[i] == pytest.approx(expected, rel=1e-15)
 
     def test_self_sum_flag(self):
@@ -191,6 +195,42 @@ class TestIntegrate:
         with pytest.raises(DivergenceError) as err:
             integrate(np.ones(5), cfg, random_initial_state(5, 1))
         assert err.value.step >= 1
+
+    def test_divergence_guard_matches_a_textbook_rk4(self):
+        # the guard compares squared norms; a textbook RK4 of the explicit field,
+        # stopped where sqrt(sum |z|^2) first exceeds 10*sqrt(n), gives the same
+        # step and norm, alone and as one row of a block whose other rows,
+        # started near zero, stay inside the guard for the whole run
+        cfg = OscillatorArrayConfig(n=4, rho=1e-3, epsilon=0.5, dt=0.1, t_end=4.0)
+        omega = np.array([0.95, 1.0, 1.02, 1.08])
+        z = random_initial_state(4, 1)
+        guard = 10.0 * math.sqrt(cfg.n)
+
+        def field(x):
+            return (cfg.rho + 1j * omega) * x - cfg.rho * x * np.abs(x) ** 2 + cfg.epsilon * x.sum()
+
+        dt, init = cfg.dt, z
+        for step in range(1, cfg.n_steps + 1):
+            k1 = field(z)
+            k2 = field(z + dt / 2 * k1)
+            k3 = field(z + dt / 2 * k2)
+            k4 = field(z + dt * k3)
+            z = z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            norm = math.sqrt(np.sum(np.abs(z) ** 2))
+            assert abs(norm / guard - 1.0) > 1e-9  # rounding cannot move the step
+            if norm > guard:
+                break
+        assert 1 < step < cfg.n_steps
+        with pytest.raises(DivergenceError) as alone:
+            integrate(omega, cfg, init)
+        block = integrate(
+            np.array([omega[::-1], omega, omega]), cfg,
+            np.array([1e-3 * random_initial_state(4, 2), init, 1e-3 * random_initial_state(4, 3)]),
+        )
+        assert block.failures[0] is None and block.failures[2] is None
+        for failure in (alone.value, block.failures[1]):
+            assert failure.step == step
+            assert failure.norm == pytest.approx(norm, rel=1e-12)
 
     def test_deterministic_and_immutable(self):
         cfg = two_osc_cfg(t_end=50.0)
@@ -549,7 +589,8 @@ class TestSweepLocking:
     def test_rejects_non_finite_gap_tol(self, gap_tol):
         with pytest.raises(ConfigurationError, match="gap_tol"):
             sweep_locking(0.05, np.array([0.1]), gap_tol=gap_tol)
-        with pytest.raises(ConfigurationError, match="gap_tol"):
+        # a non-finite coupling is blamed on epsilon, not on the gap_tol derived from it
+        with pytest.raises(ConfigurationError, match="epsilon"):
             sweep_locking(gap_tol, np.array([0.1]))
 
     def test_default_dt_covers_the_fastest_grid_frequency(self):
