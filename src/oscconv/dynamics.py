@@ -5,10 +5,10 @@ oscillators
 
     dz_i/dt = (rho + i w_i) z_i - rho z_i |z_i|^2 + eps * sum_j z_j
 
-with a fixed-step classical Runge-Kutta integrator, plus the derived
-signals used by the readout: unwrapped phases, smoothed instantaneous
-frequencies, the averager output S(t), its envelope |S(t)|, and a
-behavioral peak-detector model. The experiments are in oscconv.inference.
+with a fixed-step classical Runge-Kutta integrator, plus the signals
+used by the readout: the final frequency of each oscillator, the
+averager output S(t), its envelope |S(t)|, and a behavioral
+peak-detector model. The experiments are in oscconv.inference.
 
 Time is dimensionless radian-time: with the default center frequency
 omega0 = 1 one oscillation period is 2*pi time units. Physical time is
@@ -159,11 +159,11 @@ class SimulationTrace:
     lazily and cached, along the sample axis, so that the same code reads
     one run or a block. times and averager cover every sample, sample k
     at times[k]. One run has states of shape (samples, n), every sample,
-    and averager of shape (samples,), the mean of states. A block has a
-    leading row axis: averager (rows, samples), no states (rows, 0, n)
-    and block_freq (rows, n), the final_freq its rows summed as they
-    ran; its failures[i] is the DivergenceError that stopped row i, or
-    None.
+    averager of shape (samples,), the mean of states, and freq (n,), the
+    final_freq it summed as it ran. A block has a leading row axis:
+    averager (rows, samples), no states (rows, 0, n) and freq (rows, n);
+    its failures[i] is the DivergenceError that stopped row i, or None.
+    A trace built without a freq reads its final_freq as None.
     """
 
     times: np.ndarray
@@ -171,39 +171,36 @@ class SimulationTrace:
     config: OscillatorArrayConfig
     averager: np.ndarray
     failures: tuple[DivergenceError | None, ...] = ()
-    block_freq: np.ndarray | None = None
+    freq: np.ndarray | None = None
 
     def __post_init__(self):
         # read-only views: the caller's own arrays stay writeable
-        for name in ("times", "states", "averager", "block_freq"):
+        for name in ("times", "states", "averager", "freq"):
             if getattr(self, name) is not None:
                 setattr(self, name, _read_only(getattr(self, name).view()))
 
     def rows(self, rows: slice) -> SimulationTrace:
         """The trace of some rows of a block."""
         return SimulationTrace(self.times, self.states[rows], self.config, self.averager[rows],
-                               self.failures[rows], self.block_freq[rows])
+                               self.failures[rows], self.freq[rows])
 
     @property
     def num_samples(self) -> int:
         return self.times.size
 
-    @cached_property
-    def phases(self) -> np.ndarray:
-        """Per-oscillator unwrapped phase arg(z_i) of the recorded states."""
-        return _read_only(np.unwrap(np.angle(self.states), axis=-2))
-
-    @cached_property
-    def inst_freq(self) -> np.ndarray:
-        """Smoothed instantaneous frequency at the default window (one period)."""
-        return instantaneous_frequency(self)
-
-    @cached_property
+    @property
     def final_freq(self) -> np.ndarray:
-        """Per-oscillator inst_freq averaged over the final 10% of the trace."""
-        if self.block_freq is not None and self.num_samples >= 3:  # below 3, inst_freq raises
-            return self.block_freq
-        return _read_only(self.inst_freq[..., -max(1, self.num_samples // 10):, :].mean(axis=-2))
+        """Per-oscillator instantaneous frequency averaged over the final 10% of the trace.
+
+        integrate sums it from the run's phase steps. A step wraps, and the value
+        aliases as instantaneous_frequency's does, once stride*dt*|omega| > pi:
+        stride 26 and above at omega 1.1 and the default dt.
+        """
+        if self.num_samples < 3:  # as in instantaneous_frequency
+            raise InsufficientDataError(
+                f"instantaneous frequency needs >= 3 samples, trace has {self.num_samples}"
+            )
+        return self.freq
 
     @cached_property
     def envelope(self) -> np.ndarray:
@@ -341,14 +338,13 @@ def integrate(
 
     A 1-D omega is one run, and its trace keeps every state. A 2-D omega
     is a block of runs, one per row, stepped together; the block's trace
-    keeps every row's averager and no states: each row sums its final_freq
-    as it runs instead. A row's averager and final_freq are bit-identical
-    to the same row's in any other block, its averager to its 1-D run's,
-    and its final_freq agrees with its 1-D run's to rounding. A diverging
-    row stops alone: from then on it holds zeros, and its error is in the
-    trace's failures. Each step computes |z|**2 of its new state once: the
-    next step's field reads it, and the divergence guard compares its row
-    sums, the squared norms, with 100*n.
+    keeps every row's averager and no states. Every run sums its
+    final_freq from its phase steps as it runs. A row's averager and
+    final_freq are bit-identical to the same row's in any other block and
+    to its 1-D run's. A diverging row stops alone: from then on it holds
+    zeros, and its error is in the trace's failures. Each step computes
+    |z|**2 of its new state once: the next step's field reads it, and the
+    divergence guard compares its row sums, the squared norms, with 100*n.
 
     Args:
         omega: natural frequencies (radian-time units), shape (n,) or
@@ -372,12 +368,11 @@ def integrate(
     _check_accuracy(cfg.dt, max(np.abs(omega).max(), cfg.omega_max))
 
     rows = np.atleast_2d(omega)
-    # per row: the state sums (n times the averager) at every sample, and a
-    # run's every state or a block's weighted phase steps from sample first on
+    # per row: the state sums (n times the averager) at every sample, the
+    # weighted phase steps from sample first on, and a run's every state
     run = omega.ndim == 1
-    if not run:
-        _check_block(len(rows), cfg)
-    first, weights = (cfg.num_samples, None) if run else _final_freq_weights(cfg)
+    _check_block(len(rows), cfg)
+    first, weights = _final_freq_weights(cfg)
     z = last = np.array(np.broadcast_to(init, rows.shape), order="C")
     rhs = _field(rows, cfg)
     dt, stride = cfg.dt, cfg.stride
@@ -426,7 +421,7 @@ def integrate(
                 np.add.reduce(z, axis=1, out=sums[:, sample])
                 if run:
                     states[:, sample] = z
-                elif sample >= first:
+                if sample >= first:
                     freq += weights[sample - first] * np.angle(z * last.conj())
                 last = z
     sums /= cfg.n
@@ -434,7 +429,7 @@ def integrate(
     if run:
         if failures:
             raise failures[0]
-        return SimulationTrace(times=times, states=states[0], config=cfg, averager=sums[0])
+        return SimulationTrace(times, states[0], cfg, sums[0], freq=freq[0])
     failed = tuple(failures.get(row) for row in range(len(rows)))
     return SimulationTrace(times, states, cfg, sums, failed, freq)
 
@@ -476,7 +471,8 @@ def instantaneous_frequency(trace: SimulationTrace) -> np.ndarray:
         )
     if not trace.states.shape[-2]:
         raise InsufficientDataError("instantaneous frequency needs states; the trace recorded none")
-    freq = np.gradient(trace.phases, trace.times, axis=-2)
+    phases = np.unwrap(np.angle(trace.states), axis=-2)
+    freq = np.gradient(phases, trace.times, axis=-2)
     return _moving_average(freq, _smoothing_window(trace.config, trace.num_samples))
 
 

@@ -394,7 +394,9 @@ def sweep_locking(
             )
         gap_tol = 0.1 * epsilon
     if not 0 < gap_tol < math.inf:
-        raise ConfigurationError(f"gap_tol must be positive and finite, got {gap_tol}")
+        raise ConfigurationError(
+            f"gap_tol (spread_tol on the command line) must be positive and finite, got {gap_tol}"
+        )
     _check_block(detunings.size, cfg)  # before the grid's frequency block is built
     omega = np.column_stack([omega0 - 0.5 * detunings, omega0 + 0.5 * detunings])
 

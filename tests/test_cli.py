@@ -356,6 +356,7 @@ class TestConfigHandling:
 BLAMED = {
     "sweep-negative-epsilon": "epsilon must be >= 0 and finite, got -1",
     "sweep-zero-epsilon": "epsilon is 0: set gap_tol, spread_tol",
+    "sweep-negative-spread-tol": "spread_tol on the command line) must be positive",
 }
 
 
@@ -475,6 +476,8 @@ class TestMalformedValues:
                      id="sweep-negative-epsilon"),
         pytest.param(["sweep-locking", "--epsilon", "0", "--grid", "0:0.2:0.1", "--t-end", "20"],
                      id="sweep-zero-epsilon"),
+        pytest.param(["sweep-locking", "--spread-tol", "-1", "--grid", "0:0.2:0.1", "--t-end",
+                      "20"], id="sweep-negative-spread-tol"),
     ])
     def test_rejected_input(self, request, capsys, tmp_path, white_image, argv):
         huge_k_bank = tmp_path / "huge_k_bank.json"

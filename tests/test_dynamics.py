@@ -35,6 +35,11 @@ def two_osc_cfg(**kw):
     return OscillatorArrayConfig(**base)
 
 
+def unwrapped_phases(trace):
+    """Per-oscillator unwrapped phase arg(z_i) of a run's recorded states."""
+    return np.unwrap(np.angle(trace.states), axis=0)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = OscillatorArrayConfig(n=25)
@@ -158,9 +163,9 @@ class TestIntegrate:
         cfg = two_osc_cfg()
         trace = integrate(np.array([1.0, 1.0]), cfg, random_initial_state(2, 3))
         tail = trace.num_samples // 10
-        gap = np.diff(trace.phases[-tail:], axis=1).ravel()
+        gap = np.diff(unwrapped_phases(trace)[-tail:], axis=1).ravel()
         assert gap.std() < 1e-9
-        freq = trace.inst_freq[-tail:].mean(axis=0)
+        freq = instantaneous_frequency(trace)[-tail:].mean(axis=0)
         assert abs(freq[1] - freq[0]) < 1e-9
 
     def test_locking_inside_and_outside(self):
@@ -173,16 +178,18 @@ class TestIntegrate:
             np.array([1.0 - 1.5 * eps, 1.0 + 1.5 * eps]), cfg, random_initial_state(2, 0)
         )
         tail = inside.num_samples // 10
-        gap_in = np.abs(np.diff(inside.inst_freq[-tail:].mean(axis=0)))[0]
-        gap_out = np.abs(np.diff(outside.inst_freq[-tail:].mean(axis=0)))[0]
+        gap_in = np.abs(np.diff(instantaneous_frequency(inside)[-tail:].mean(axis=0)))[0]
+        gap_out = np.abs(np.diff(instantaneous_frequency(outside)[-tail:].mean(axis=0)))[0]
         assert gap_in < 0.1 * eps
         assert gap_out > eps
         # locked: the phase difference stops growing; unlocked: it keeps
         # accumulating at roughly the pulled beat frequency
         half = inside.num_samples // 2
-        gap_growth = lambda tr: abs(
-            (tr.phases[-1, 1] - tr.phases[-1, 0]) - (tr.phases[half, 1] - tr.phases[half, 0])
-        )
+
+        def gap_growth(tr):
+            phases = unwrapped_phases(tr)
+            return abs((phases[-1, 1] - phases[-1, 0]) - (phases[half, 1] - phases[half, 0]))
+
         assert gap_growth(inside) < 0.1
         assert gap_growth(outside) > 4 * math.pi
 
@@ -342,7 +349,7 @@ class TestBatchedIntegrate:
             assert block.failures[i] is None
             assert np.array_equal(block.times, single.times)
             assert np.array_equal(block.averager[i], single.averager)
-            assert np.abs(block.final_freq[i] - single.final_freq).max() <= 1e-12
+            assert np.array_equal(block.final_freq[i], single.final_freq)
             assert np.array_equal(block.final_freq[i], reversed_block(config).final_freq[5 - row])
             assert classify_lock(block)[i] == classify_lock(single)
             # the block's readouts give each row its lone run's values
@@ -357,11 +364,14 @@ class TestBatchedIntegrate:
     def test_a_block_sums_its_lone_runs_final_freq(self, kw):
         cfg = OscillatorArrayConfig(**{"n": 5, "t_end": 60.0, **kw})
         block = integrate(BATCH_OMEGA[:3], cfg, BATCH_INIT[:3])
+        tail = max(1, block.num_samples // 10)
         for row in range(3):
             single = integrate(BATCH_OMEGA[row], cfg, BATCH_INIT[row])
-            assert np.abs(block.final_freq[row] - single.final_freq).max() <= 1e-12
+            assert np.array_equal(block.final_freq[row], single.final_freq)
+            reference = instantaneous_frequency(single)[-tail:].mean(axis=0)
+            assert np.abs(single.final_freq - reference).max() <= 1e-12
         with pytest.raises(InsufficientDataError, match="recorded none"):
-            block.inst_freq
+            instantaneous_frequency(block)
 
     @settings(max_examples=15, deadline=None)
     @given(size=st.integers(1, 6), data=st.data())
@@ -431,7 +441,7 @@ class TestSymmetries:
         scale = np.abs(b.states).max()
         assert np.abs(b.states - a.states * np.exp(1j * phi)).max() / scale < 1e-9
         assert np.abs(b.envelope - a.envelope).max() < 1e-9
-        assert np.abs(b.inst_freq - a.inst_freq).max() < 1e-9
+        assert np.abs(instantaneous_frequency(b) - instantaneous_frequency(a)).max() < 1e-9
 
     def test_frequency_shift_equivariance(self):
         delta = 0.3
@@ -446,8 +456,9 @@ class TestSymmetries:
         scale = np.abs(b.states).max()
         assert np.abs(b.states - predicted).max() / scale < 1e-9
         assert np.abs(b.envelope - a.envelope).max() / b.envelope.max() < 1e-9
-        diff_a = a.phases[:, 1:] - a.phases[:, :1]
-        diff_b = b.phases[:, 1:] - b.phases[:, :1]
+        phases_a, phases_b = unwrapped_phases(a), unwrapped_phases(b)
+        diff_a = phases_a[:, 1:] - phases_a[:, :1]
+        diff_b = phases_b[:, 1:] - phases_b[:, :1]
         assert np.abs(diff_a - diff_b).max() < 1e-6
 
     def test_integrator_is_fourth_order(self):
@@ -508,21 +519,24 @@ class TestInstantaneousFrequency:
         cfg = two_osc_cfg(stride=50)
         trace = integrate(np.array([0.98, 1.03]), cfg, random_initial_state(2, 2))
         assert round(2.0 * math.pi / (cfg.stride * cfg.dt)) == 1
-        raw = np.gradient(trace.phases, trace.times, axis=0)
+        raw = np.gradient(unwrapped_phases(trace), trace.times, axis=0)
         assert np.array_equal(instantaneous_frequency(trace), raw)
 
     def test_two_locked_share_final_frequency(self):
         cfg = two_osc_cfg()
         trace = integrate(np.array([0.98, 1.02]), cfg, random_initial_state(2, 1))
         tail = max(1, trace.num_samples // 10)
-        final = trace.inst_freq[-tail:].mean(axis=0)
+        final = instantaneous_frequency(trace)[-tail:].mean(axis=0)
         assert abs(final[1] - final[0]) < 0.1 * cfg.epsilon
 
     def test_final_freq_is_the_mean_over_the_final_tenth(self):
         cfg = two_osc_cfg(t_end=100.0)
         trace = integrate(np.array([0.98, 1.02]), cfg, random_initial_state(2, 1))
         tail = trace.num_samples // 10
-        assert np.array_equal(trace.final_freq, trace.inst_freq[-tail:].mean(axis=0))
+        # integrate sums the phase steps that the reference unwraps, differentiates
+        # and smooths: the two agree to rounding
+        reference = instantaneous_frequency(trace)[-tail:].mean(axis=0)
+        assert np.abs(trace.final_freq - reference).max() <= 1e-12
 
     def test_needs_three_samples(self):
         cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, epsilon=0.0, dt=0.1, t_end=0.1)
@@ -530,6 +544,8 @@ class TestInstantaneousFrequency:
         assert trace.num_samples == 2
         with pytest.raises(InsufficientDataError):
             instantaneous_frequency(trace)
+        with pytest.raises(InsufficientDataError, match="needs >= 3 samples, trace has 2"):
+            trace.final_freq
 
 
 class TestPeakDetector:
