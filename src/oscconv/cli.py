@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from .hardware import (
 from .inference import (
     DomPolicy,
     MatchReport,
+    _sweep_config,
     feature_map_onn,
     match_filters,
     sweep_locking,
@@ -231,11 +233,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(array=array, dom_policy=DomPolicy(**policy), **values)
 
 
-# No block of more than 2**24 rows passes the cap on the values a block
-# records, so a longer grid is rejected before it is built.
-_MAX_ROWS = 2**24
-
-
 def _parse_seeds(text: str) -> tuple | range:
     """Seed list '0,3,5', or half-open range 'start:stop' left unbuilt for the block cap."""
     try:
@@ -257,7 +254,8 @@ def _parse_origin(text: str) -> tuple[int, int]:
         raise _UsageError(f"--origin expects 'row,col', got {text!r}") from None
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str) -> tuple[float, float, int]:
+    """start, step and point count of 'start:stop:step', left unbuilt for the block cap."""
     try:
         start, stop, step = (float(p) for p in text.split(":"))
         # the sum is finite only if every grid point is; NaN fails every comparison
@@ -265,11 +263,10 @@ def _parse_grid(text: str) -> np.ndarray:
             raise ValueError
     except ValueError:
         raise _UsageError(f"--grid expects 'start:stop:step', got {text!r}") from None
-    # compared as a float first: floor() fails on a quotient that overflows to inf
-    if not (stop - start) / step + 0.5 < _MAX_ROWS:
-        raise _UsageError(f"--grid {text!r} holds more than 2**24 points")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
-    return start + step * np.arange(count)
+    points = (stop - start) / step + 0.5
+    if points == math.inf:  # floor() fails on it; no such grid passes the block cap
+        raise _UsageError(f"--grid {text!r} holds more points than a float counts")
+    return start, step, int(math.floor(points)) + 1
 
 
 def _out_dir(args) -> Path:
@@ -282,13 +279,33 @@ def _write_csv(path: Path, header: list[str], rows: list | tuple) -> None:
     """Write header and rows of Python float, int, str and None cells.
 
     csv writes a float by repr, None as "" and any other object by str().
+    It serves the tables with None, int or str cells, which need its
+    quoting: report.csv, report_errors.csv, sweep.csv and
+    featuremap_errors.csv. The all-float tables, the trace and map CSVs,
+    go through _write_float_csv.
     """
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
+def _cells(values: np.ndarray) -> Iterator[str]:
+    """The csv text of each float, made as it is read: repr, as csv writes a float."""
+    return map(repr, values.tolist())
+
+
+def _write_float_csv(path: Path, header: list[str], columns: list[Iterable[str]]) -> None:
+    """Write header and columns of _cells text in one write, the bytes _write_csv writes.
+
+    A float's text holds no comma, quote or newline, so no cell needs csv's quoting.
+    """
+    # the empty last line ends the text with a newline
+    lines = [",".join(header), *map(",".join, zip(*columns)), ""]
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines))
+
+
 def _write_map_csv(path: Path, fmap: FeatureMap) -> None:
-    _write_csv(path, [f"c{j}" for j in range(fmap.width)], fmap.grid().tolist())
+    _write_float_csv(path, [f"c{j}" for j in range(fmap.width)], list(map(_cells, fmap.grid().T)))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -356,12 +373,12 @@ def _dump_traces(out: Path, report: MatchReport, array_cfg: OscillatorArrayConfi
     averagers = np.array([result.averager for result in report.results])
     envelopes = np.abs(averagers)
     peaks = default_peak_detector(envelopes, array_cfg)
-    times = sample_times(array_cfg)
+    times = list(_cells(sample_times(array_cfg)))  # every file has the same sample times
     for result, averager, envelope, peak in zip(report.results, averagers, envelopes, peaks):
-        _write_csv(
+        _write_float_csv(
             out / f"trace_filter_{result.filter_index:02d}.csv",
             ["time", "averager_re", "averager_im", "envelope", "peak_detector"],
-            np.column_stack([times, averager.real, averager.imag, envelope, peak]).tolist(),
+            [times, *map(_cells, (averager.real, averager.imag, envelope, peak))],
         )
 
 
@@ -371,9 +388,12 @@ SWEEP_EPSILON = 0.05
 
 def cmd_sweep_locking(args) -> int:
     cfg = _config_from(args)
-    grid = _parse_grid(args.grid)
+    start, step, count = _parse_grid(args.grid)
     epsilon = cfg.array.get("epsilon", SWEEP_EPSILON)
     run = {k: v for k, v in cfg.array.items() if k in ("rho", "omega0", "dt", "t_end")}
+    # the grid's last point is its largest; the block cap is checked before the grid is built
+    _sweep_config(epsilon, count, start, start + step * (count - 1), **run)
+    grid = start + step * np.arange(count)
     points = sweep_locking(epsilon, grid, seed=cfg.seed, gap_tol=cfg.spread_tol, **run)
     out = _out_dir(args)
     _write_csv(

@@ -340,6 +340,33 @@ class SweepPoint:
     beat_amplitude: float
 
 
+def _sweep_config(
+    epsilon: float,
+    rows: int,
+    lowest: float,
+    highest: float,
+    omega0: float = 1.0,
+    rho: float = 1.0,
+    t_end: float = 1200.0,
+    dt: float | None = None,
+) -> OscillatorArrayConfig:
+    """Array config of a locking sweep over rows detunings from lowest to highest.
+
+    The grid is held to the block cap here, so a caller can check a grid
+    by its size and ends before it builds it.
+    """
+    if lowest < 0:
+        raise ConfigurationError("detunings must be >= 0")
+    # delta_omega sized so omega_max, and with it the default dt and the
+    # accuracy guard, covers the fastest frequency on the grid
+    cfg = OscillatorArrayConfig(
+        n=2, rho=rho, omega0=omega0, delta_omega=0.25 * highest, epsilon=epsilon, dt=dt,
+        t_end=t_end,
+    )
+    _check_block(rows, cfg)
+    return cfg
+
+
 def sweep_locking(
     epsilon: float,
     detunings: np.ndarray,
@@ -378,15 +405,9 @@ def sweep_locking(
     detunings = np.asarray(detunings, dtype=np.float64)
     if detunings.size == 0:
         raise ConfigurationError("detuning grid must be nonempty")
-    if (detunings < 0).any():
-        raise ConfigurationError("detunings must be >= 0")
-    # delta_omega sized so omega_max, and with it the default dt and the
-    # accuracy guard, covers the fastest frequency on the grid; the config
-    # checks epsilon before the default gap_tol is derived from it
-    cfg = OscillatorArrayConfig(
-        n=2, rho=rho, omega0=omega0, delta_omega=0.25 * float(detunings.max()),
-        epsilon=epsilon, dt=dt, t_end=t_end,
-    )
+    # the config checks epsilon before the default gap_tol is derived from it
+    cfg = _sweep_config(epsilon, detunings.size, float(detunings.min()), float(detunings.max()),
+                        omega0, rho, t_end, dt)
     if gap_tol is None:
         if epsilon == 0:
             raise ConfigurationError(
@@ -397,7 +418,6 @@ def sweep_locking(
         raise ConfigurationError(
             f"gap_tol (spread_tol on the command line) must be positive and finite, got {gap_tol}"
         )
-    _check_block(detunings.size, cfg)  # before the grid's frequency block is built
     omega = np.column_stack([omega0 - 0.5 * detunings, omega0 + 0.5 * detunings])
 
     def read(trace: SimulationTrace) -> tuple[bool, float, float]:

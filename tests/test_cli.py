@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,31 @@ class TestMatch:
                 trace.envelope, trace.peak_detector_output,
             ])
             assert np.array_equal(dumped, expected)
+
+    def test_dump_traces_write_the_bytes_of_csv(self, capsys, tmp_path):
+        # the golden match_dump case, against csv's row-wise writing of each run's trace
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        out_dir = tmp_path / "t"
+        code, _, _ = run_cli(
+            capsys, "match", str(inputs / "fragment.pgm"), "--bank", str(inputs / "bank3.json"),
+            "--dump-traces", "--t-end", "40", "--seeds", "0,1", "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        fragment = load_image(str(inputs / "fragment.pgm")).window(0, 0, 5)
+        cfg = OscillatorArrayConfig(n=25, t_end=40.0)
+        entries = json.loads((inputs / "bank3.json").read_text())
+        for index, entry in enumerate(entries):
+            omega = fsk_encode(fragment, gabor_filter(5, entry["theta_deg"], entry["k"]),
+                               cfg.omega0, cfg.delta_omega)
+            trace = integrate(omega, cfg, random_initial_state(cfg.n, 0))
+            name = f"trace_filter_{index:02d}.csv"
+            oscconv.cli._write_csv(
+                tmp_path / name,
+                ["time", "averager_re", "averager_im", "envelope", "peak_detector"],
+                np.column_stack([trace.times, trace.averager.real, trace.averager.imag,
+                                 trace.envelope, trace.peak_detector_output]).tolist(),
+            )
+            assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_all_filters_failing_exits_2(self, capsys, tmp_path, white_image):
         out_dir = tmp_path / "f"
@@ -540,14 +566,44 @@ class TestMalformedValues:
 
 
 # the text csv gives each kind of cell, locale-independent and round-trip exact
-@pytest.mark.parametrize("value, text", [
+CELL_TEXT = [
     (None, ""), (0, "0"), ("a,b", '"a,b"'), (0.1, "0.1"), (-0.0, "-0.0"), (1e-05, "1e-05"),
     (1e16, "1e+16"), (5e-324, "5e-324"), (math.nan, "nan"), (math.inf, "inf"),
-])
+]
+
+
+@pytest.mark.parametrize("value, text", CELL_TEXT)
 def test_csv_cell_text(tmp_path, value, text):
     path = tmp_path / "cells.csv"
     oscconv.cli._write_csv(path, ["a", "b"], [[7, value]])
     assert path.read_text() == f"a,b\n7,{text}\n"
+
+
+@pytest.mark.parametrize("value, text", [(v, t) for v, t in CELL_TEXT if isinstance(v, float)])
+def test_float_csv_cell_text(tmp_path, value, text):
+    path = tmp_path / "cells.csv"
+    columns = [oscconv.cli._cells(np.array([x])) for x in (7.0, value)]
+    oscconv.cli._write_float_csv(path, ["a", "b"], columns)
+    assert path.read_text() == f"a,b\n7.0,{text}\n"
+
+
+# every float, with the ones whose text differs in kind drawn often
+FLOAT_CELLS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-05]), st.floats()
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(columns=st.integers(0, 6).flatmap(lambda rows: st.lists(
+    st.lists(FLOAT_CELLS, min_size=rows, max_size=rows), min_size=1, max_size=5
+)))
+def test_float_csv_writes_the_bytes_of_csv(tmp_path, columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    cells = [oscconv.cli._cells(np.array(col, dtype=np.float64)) for col in columns]
+    oscconv.cli._write_float_csv(tmp_path / "float.csv", header, cells)
+    oscconv.cli._write_csv(tmp_path / "csv.csv", header, list(zip(*columns)))
+    assert (tmp_path / "float.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
 
 
 # Every config key, and values of the wrong JSON type, non-finite or negative
@@ -605,6 +661,19 @@ class TestSweep:
         )
         assert code == 0
         assert "no locked point" in out
+
+    def test_an_oversized_grid_is_rejected_before_it_is_built(self, capsys, tmp_path):
+        # 10,000,001 points: the grid alone would take 80 MB
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "sweep-locking", "--grid", "0:0.2:0.00000002",
+                                   "--out-dir", str(tmp_path / "s"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_one_line_error(code, err)
+        assert "a block of 10000001 runs" in err
+        assert peak < 16e6
 
     def test_bad_grid(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep-locking", "--grid", "0.2:0.1:0.05")

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oscconv.inference
@@ -537,6 +537,23 @@ class TestInstantaneousFrequency:
         # and smooths: the two agree to rounding
         reference = instantaneous_frequency(trace)[-tail:].mean(axis=0)
         assert np.abs(trace.final_freq - reference).max() <= 1e-12
+
+    # a free oscillator on its limit cycle turns stride*dt*omega per sample; a
+    # step beyond pi wraps, and final_freq reads the alias omega - 2*pi/(stride*dt)
+    @settings(max_examples=15, deadline=None)
+    @given(omega=st.floats(0.1, 2.0), stride=st.integers(1, 80))
+    @example(omega=1.1, stride=45)  # 0.99*pi per sample
+    @example(omega=1.1, stride=46)  # 1.01*pi per sample
+    def test_final_freq_aliases_beyond_half_a_turn_per_sample(self, omega, stride):
+        dt = default_timestep(2.0)
+        turn = stride * dt * omega
+        assume(abs(turn - math.pi) > 0.01 and turn < 2.0 * math.pi)
+        cfg = OscillatorArrayConfig(n=1, delta_omega=0.5, epsilon=0.0, stride=stride,
+                                    t_end=12 * stride * dt)
+        trace = integrate(np.array([omega]), cfg, np.array([1.0 + 0j]))
+        expected = omega if turn < math.pi else omega - 2.0 * math.pi / (stride * dt)
+        # RK4's phase error at 50 steps per period of omega 2 is about 4e-6
+        assert trace.final_freq[0] == pytest.approx(expected, abs=1e-5)
 
     def test_needs_three_samples(self):
         cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, epsilon=0.0, dt=0.1, t_end=0.1)
