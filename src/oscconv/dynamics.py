@@ -214,39 +214,53 @@ class SimulationTrace:
 
 
 def _field(omega: np.ndarray, cfg: OscillatorArrayConfig):
-    """The right-hand side (z, |z|**2) -> dz/dt of the array with natural frequencies omega.
+    """The right-hand side z -> dz/dt of the arrays with natural frequencies omega.
 
-    omega and z have shape (n,) or (rows, n); each row is an array of its own.
-    rhs evaluates z * (gain - rho*|z|**2) + eps*sum_j z_j, overwriting its |z|**2 argument;
-    without self-coupling, gain holds the -eps that takes z_i out of its own sum.
+    omega and z have shape (n, cols), oscillator-major: each column is an
+    array of its own. Its oscillator sum, shape (cols,), is an axis-0 reduce,
+    which numpy runs as element-wise adds, one oscillator after the next.
+    rhs(z) evaluates z * (gain - rho*|z|**2) + eps*sum_j z_j. It takes |z|**2
+    as conj(z)*z, a complex array whose imaginary part is exactly 0, so the
+    field never casts to float and back. rhs(z, k, s) reuses k = conj(z)*z,
+    which it overwrites, and s, z's column sums. Without self-coupling, gain
+    holds the -eps that takes z_i out of its own sum.
     """
     eps = cfg.epsilon
     gain = (cfg.rho if cfg.include_self_in_sum else cfg.rho - eps) + 1j * omega
     neg_rho = -cfg.rho
+    coupled = np.empty(omega.shape[1:], dtype=np.complex128)
 
-    def rhs(z: np.ndarray, a2: np.ndarray) -> np.ndarray:
-        a2 *= neg_rho
-        k = a2 + gain
+    def rhs(z: np.ndarray, k: np.ndarray | None = None, s: np.ndarray | None = None) -> np.ndarray:
+        if k is None:
+            k = np.conjugate(z)
+            k *= z
+            s = np.add.reduce(z, axis=0, out=coupled)
+        k *= neg_rho
+        k += gain
         k *= z
-        s = np.add.reduce(z, axis=-1, keepdims=True)
-        s *= eps
-        k += s
+        k += np.multiply(s, eps, out=coupled)
         return k
 
     return rhs
 
 
-def _abs2(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|z|**2, element-wise, into out or a new float array."""
-    a2 = np.abs(z, out=out)
-    a2 *= a2
-    return a2
+def _columns(x: np.ndarray, rows: int) -> np.ndarray:
+    """x, one row of shape (n,) for all rows or shape (rows, n), as the
+    columns of a C-ordered (n, max(rows, 2)) array.
+
+    A lone row gets a zero partner column, a fixed point of the field: over
+    a size-1 axis numpy would sum the row's oscillators as one 1-D reduce,
+    pairwise and not one after the next as in any wider block, and the
+    row's last bits would differ.
+    """
+    cols = np.zeros((x.shape[-1], max(rows, 2)), dtype=x.dtype)
+    cols[:, :rows] = np.atleast_2d(x).T
+    return cols
 
 
 def _checked(omega, z, cfg: OscillatorArrayConfig, name: str) -> tuple[np.ndarray, np.ndarray]:
     """omega, shape (n,) or (rows, n), and the complex state z (called name
     in errors), shape (n,) or omega's, as finite C-ordered arrays."""
-    # C order keeps each row's sums in the same order, whatever the caller's layout
     omega = np.ascontiguousarray(omega, dtype=np.float64)
     z = np.ascontiguousarray(z, dtype=np.complex128)
     if omega.ndim > 2 or omega.shape[-1:] != (cfg.n,) or not omega.size or z.shape not in (
@@ -263,8 +277,8 @@ def _checked(omega, z, cfg: OscillatorArrayConfig, name: str) -> tuple[np.ndarra
 def derivative(state: np.ndarray, omega: np.ndarray, cfg: OscillatorArrayConfig) -> np.ndarray:
     """Time derivative dz/dt of the array at one state.
 
-    Evaluates the field integrate steps, on the state and its |state|**2,
-    so one integrate step is bit for bit the RK4 step over derivative.
+    Evaluates the field integrate steps, in the same padded columns, so one
+    integrate step is bit for bit the RK4 step over derivative.
 
     Args:
         state: length-n complex amplitudes.
@@ -279,7 +293,9 @@ def derivative(state: np.ndarray, omega: np.ndarray, cfg: OscillatorArrayConfig)
         NumericError: if state or omega contain non-finite values.
     """
     omega, state = _checked(omega, state, cfg, "state")
-    return _field(omega, cfg)(state, _abs2(state))
+    rows = len(np.atleast_2d(omega))
+    rate = _field(_columns(omega, rows), cfg)(_columns(state, rows))
+    return rate[:, :rows].T.reshape(omega.shape)
 
 
 def random_initial_state(n: int, seed: int) -> np.ndarray:
@@ -342,9 +358,16 @@ def integrate(
     final_freq from its phase steps as it runs. A row's averager and
     final_freq are bit-identical to the same row's in any other block and
     to its 1-D run's. A diverging row stops alone: from then on it holds
-    zeros, and its error is in the trace's failures. Each step computes
-    |z|**2 of its new state once: the next step's field reads it, and the
-    divergence guard compares its row sums, the squared norms, with 100*n.
+    zeros, and its error is in the trace's failures.
+
+    The loop steps the rows oscillator-major, as the columns of an (n, rows)
+    array, so a row's oscillators add up one after the next, in the same
+    order in any block; a lone row gets a zero partner column (_columns).
+    Each step computes conj(z)*z of its new state once: the next step's
+    field reads it, and the divergence guard compares the column sums of
+    its real part, the squared norms, with 100*n. The step's sum of z goes
+    into the sample's column of the recorded sums, or into a scratch row
+    between samples, and the next step's field reads it.
 
     Args:
         omega: natural frequencies (radian-time units), shape (n,) or
@@ -367,37 +390,37 @@ def integrate(
     omega, init = _checked(omega, init, cfg, "init")
     _check_accuracy(cfg.dt, max(np.abs(omega).max(), cfg.omega_max))
 
-    rows = np.atleast_2d(omega)
-    # per row: the state sums (n times the averager) at every sample, the
-    # weighted phase steps from sample first on, and a run's every state
     run = omega.ndim == 1
-    _check_block(len(rows), cfg)
+    rows = len(np.atleast_2d(omega))
+    _check_block(rows, cfg)
     first, weights = _final_freq_weights(cfg)
-    z = last = np.array(np.broadcast_to(init, rows.shape), order="C")
-    rhs = _field(rows, cfg)
+    z = last = _columns(init, rows)
+    rhs = _field(_columns(omega, rows), cfg)
     dt, stride = cfg.dt, cfg.stride
     half, sixth = 0.5 * dt, dt / 6.0
     guard2 = DIVERGENCE_FACTOR**2 * cfg.n
-    sums = np.zeros((len(rows), cfg.num_samples), dtype=np.complex128)
-    states = np.zeros((len(rows), cfg.num_samples if run else 0, cfg.n), dtype=np.complex128)
-    freq = np.zeros(rows.shape)
-    sums[:, 0] = z.sum(axis=1)
+    # per column: the state sums (n times the averager) at every sample, the
+    # weighted phase steps from sample first on, and a run's every state
+    sums = np.zeros((z.shape[1], cfg.num_samples), dtype=np.complex128)
+    states = np.zeros((rows, cfg.num_samples if run else 0, cfg.n), dtype=np.complex128)
+    freq = np.zeros(z.shape)
+    s = np.add.reduce(z, axis=0, out=sums[:, 0])
     if run:
-        states[:, 0] = z
-    a2, tmp = _abs2(z), np.empty_like(z)
+        states[0, 0] = z[:, 0]
+    a2, tmp, between = np.conjugate(z) * z, np.empty_like(z), np.empty_like(s)
     failures = {}
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a diverging row
         for step in range(1, cfg.n_steps + 1):
-            k1 = rhs(z, a2)
+            k1 = rhs(z, a2, s)
             np.multiply(half, k1, out=tmp)
             tmp += z
-            k2 = rhs(tmp, _abs2(tmp, a2))
+            k2 = rhs(tmp)
             np.multiply(half, k2, out=tmp)
             tmp += z
-            k3 = rhs(tmp, _abs2(tmp, a2))
+            k3 = rhs(tmp)
             np.multiply(dt, k3, out=tmp)
             tmp += z
-            k4 = rhs(tmp, _abs2(tmp, a2))
+            k4 = rhs(tmp)
             # k1 + 2*k2 + 2*k3 + k4, summed left to right
             k2 *= 2.0
             k1 += k2
@@ -406,32 +429,36 @@ def integrate(
             k1 += k4
             k1 *= sixth
             z = z + k1  # a new array: last holds the previous one
-            _abs2(z, a2)  # the next step's k1 input, and the guard's squared norms
-            norm2 = np.add.reduce(a2, axis=1)
-            if not norm2.max() <= guard2:
+            a2 = np.conjugate(z)
+            a2 *= z  # the next step's k1 input, and the guard's squared norms
+            norm2 = np.add.reduce(a2.real, axis=0)
+            if not np.maximum.reduce(norm2) <= guard2:
                 # a failed row restarts from zero, a fixed point that never
                 # trips the guard again
                 for row in np.flatnonzero(~(norm2 <= guard2)):
                     failures[int(row)] = DivergenceError(step, math.sqrt(norm2[row]))
-                    z[row] = a2[row] = 0.0
-                if len(failures) == len(rows):
+                    z[:, row] = a2[:, row] = 0.0
+                if len(failures) == rows:
                     break
-            if step % stride == 0:
-                sample = step // stride
-                np.add.reduce(z, axis=1, out=sums[:, sample])
-                if run:
-                    states[:, sample] = z
-                if sample >= first:
-                    freq += weights[sample - first] * np.angle(z * last.conj())
-                last = z
+            if step % stride:
+                s = np.add.reduce(z, axis=0, out=between)
+                continue
+            sample = step // stride
+            s = np.add.reduce(z, axis=0, out=sums[:, sample])
+            if run:
+                states[0, sample] = z[:, 0]
+            if sample >= first:
+                freq += weights[sample - first] * np.angle(z * last.conj())
+            last = z
     sums /= cfg.n
     times = sample_times(cfg)
+    freq = np.ascontiguousarray(freq[:, :rows].T)
     if run:
         if failures:
             raise failures[0]
         return SimulationTrace(times, states[0], cfg, sums[0], freq=freq[0])
-    failed = tuple(failures.get(row) for row in range(len(rows)))
-    return SimulationTrace(times, states, cfg, sums, failed, freq)
+    failed = tuple(failures.get(row) for row in range(rows))
+    return SimulationTrace(times, states, cfg, sums[:rows], failed, freq)
 
 
 def sample_times(cfg: OscillatorArrayConfig) -> np.ndarray:

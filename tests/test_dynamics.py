@@ -250,15 +250,18 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             a.states[0, 0] = 0
 
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_one_step_is_rk4_over_derivative(self, include_self):
-        # integrate and derivative evaluate one vector field
+    # n=25: past the 8 values at which numpy sums pairwise
+    @pytest.mark.parametrize("include_self, n", [(True, 3), (False, 3), (True, 25), (False, 25)],
+                             ids=["True", "False", "True-n25", "False-n25"])
+    def test_one_step_is_rk4_over_derivative(self, include_self, n):
+        # integrate and derivative evaluate one vector field, and the row's
+        # step is the same in a block
         dt = 0.1
         cfg = OscillatorArrayConfig(
-            n=3, epsilon=0.02, include_self_in_sum=include_self, dt=dt, t_end=dt
+            n=n, epsilon=0.02, include_self_in_sum=include_self, dt=dt, t_end=dt
         )
-        omega = np.array([0.95, 1.0, 1.08])
-        z = random_initial_state(3, 4)
+        omega = np.resize([0.95, 1.0, 1.08], n)
+        z = random_initial_state(n, 4)
         k1 = derivative(z, omega, cfg)
         k2 = derivative(z + 0.5 * dt * k1, omega, cfg)
         k3 = derivative(z + 0.5 * dt * k2, omega, cfg)
@@ -267,6 +270,8 @@ class TestIntegrate:
         trace = integrate(omega, cfg, z)
         assert trace.num_samples == 2
         assert np.array_equal(trace.states[1], expected)
+        block = integrate(np.array([omega, omega[::-1]]), cfg, np.array([z, z[::-1]]))
+        assert np.array_equal(block.averager[0], trace.averager)
 
     def test_leaves_callers_arrays_writeable(self):
         omega = np.array([1.0, 1.02])
@@ -327,7 +332,44 @@ def reversed_block(config: int) -> SimulationTrace:
     return integrate(BATCH_OMEGA[::-1], BATCH_CONFIGS[config], BATCH_INIT[::-1])
 
 
+# Rows of 25 oscillators, past the 8 values at which numpy's pairwise
+# summation starts: a lone row must sum its oscillators in the order a row
+# of a wider block does. Per case: the config, the initial states and which
+# rows diverge.
+WIDE_OMEGA = 1.0 + 0.05 * np.random.default_rng(12).uniform(-2.0, 2.0, (4, 25))
+WIDE_INIT = np.array([random_initial_state(25, seed) for seed in range(4)])
+WIDE_CASES = (
+    (OscillatorArrayConfig(n=25, t_end=40.0), WIDE_INIT, [False] * 4),
+    # rows 1 and 3 diverge, at steps 42 and 47; rows 0 and 2, started near zero, do not
+    (OscillatorArrayConfig(n=25, rho=1e-3, epsilon=0.04, dt=0.1, t_end=8.0),
+     WIDE_INIT * [[1e-3], [1.0], [1e-3], [1.0]], [False, True, False, True]),
+)
+
+
 class TestBatchedIntegrate:
+    @pytest.mark.parametrize("case", range(len(WIDE_CASES)))
+    def test_a_row_of_25_is_the_same_alone_and_in_any_block(self, case):
+        cfg, init, failing = WIDE_CASES[case]
+        block = integrate(WIDE_OMEGA, cfg, init)
+        assert [failure is not None for failure in block.failures] == failing
+        for row in range(len(WIDE_OMEGA)):
+            one = integrate(WIDE_OMEGA[row:row + 1], cfg, init[row:row + 1])
+            traces = (one, block.rows(slice(row, row + 1)))
+            assert np.array_equal(one.averager[0], block.averager[row])
+            if failing[row]:
+                with pytest.raises(DivergenceError) as alone:
+                    integrate(WIDE_OMEGA[row], cfg, init[row])
+                for trace in traces:
+                    failure = trace.failures[0]
+                    assert (failure.step, failure.norm) == (alone.value.step, alone.value.norm)
+                continue
+            alone = integrate(WIDE_OMEGA[row], cfg, init[row])
+            for trace in traces:
+                assert trace.failures == (None,)
+                assert np.array_equal(trace.averager[0], alone.averager)
+                assert np.array_equal(trace.final_freq[0], alone.final_freq)
+                assert dom(trace, DomPolicy()) == [dom(alone, DomPolicy())]
+
     @settings(max_examples=25, deadline=None)
     @given(config=st.sampled_from(range(len(BATCH_CONFIGS))),
            rows=st.lists(st.integers(0, 5), min_size=1, max_size=6))

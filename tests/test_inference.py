@@ -355,10 +355,14 @@ class TestSeedBlocks:
         assert [held for _, held in integrate_calls] == [0] * 3
 
 
-# at this coupling 10 of the 18 bank filters diverge on the edge fragment,
-# filter 0 among them, and most random maps hold some failed windows
+# at this coupling many bank filters diverge on the edge fragment, and most
+# random maps hold some failed windows. Whether and when is mostly chaotic: a
+# 1e-15 relative change of an initial state can move a failure by a hundred
+# steps or remove it. Filter 9's run from seed 1 is the exception: it fails at
+# step 15 under any relative change of its initial state up to 1e-9, so with
+# seed 1 first, filter 9's error is the same whatever the rounding of the step
 CHUNK_CFG = OscillatorArrayConfig(n=25, epsilon=0.64, delta_omega=0.3, t_end=30.0)
-CHUNK_SEEDS = (0, 1, 2)
+CHUNK_SEEDS = (1, 0, 2)
 
 
 @pytest.fixture(scope="module")
@@ -390,7 +394,7 @@ class TestChunks:
     @given(picks=st.lists(st.integers(0, 17), min_size=0, max_size=5),
            at=st.integers(0, 5), blocks=st.floats(1.0, 4.0))
     def test_a_bank_matches_as_its_filters_alone(self, lone_filters, picks, at, blocks):
-        picks.insert(min(at, len(picks)), 0)  # a diverging filter among them
+        picks.insert(min(at, len(picks)), 9)  # a diverging filter among them
         budget = int(blocks * len(CHUNK_SEEDS) * CHUNK_CFG.num_samples)
         calls, patch = self.recording_calls()
         bank = tuple(default_bank()[p] for p in picks)
@@ -408,7 +412,7 @@ class TestChunks:
             else:
                 assert results[index] == dataclasses.replace(alone.results[0], filter_index=index)
                 assert np.array_equal(results[index].averager, alone.results[0].averager)
-        assert errors  # filter 0's at least
+        assert errors  # filter 9's at least
 
     @settings(max_examples=10, deadline=None)
     @given(width=st.integers(5, 7), height=st.integers(5, 7), seed=st.integers(0, 2**32 - 1),
