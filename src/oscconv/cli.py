@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
@@ -59,6 +60,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument that starts with a minus and a digit, such as --grid
+        # -0.2:-0.1:0.1, is a value and not a flag; argparse's own pattern
+        # takes only a bare negative number such as -0.2 for a value
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse would exit(2); usage errors are exit 1 here
         raise _UsageError(message)
 

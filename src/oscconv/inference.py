@@ -83,13 +83,31 @@ def dom(trace: SimulationTrace, policy: DomPolicy) -> float | list[float]:
     return trace.peak_detector_output[..., idx].tolist()
 
 
+def _median(values) -> np.ndarray:
+    """np.median(values, axis=-1, keepdims=True) of floats, bit for bit.
+
+    The same partition and the same mean of the middle one or two values;
+    NaN if the last axis holds one. np.median's own NaN check imports
+    numpy.ma on numpy 2, which costs a match 1.3 MB of RSS.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    size = values.shape[-1]
+    half = size // 2
+    part = np.partition(values, [half - 1, half, -1] if size % 2 == 0 else [half, -1], axis=-1)
+    median = part[..., half - 1 + size % 2:half + 1].mean(axis=-1, keepdims=True)
+    last = part[..., -1:]
+    return np.where(np.isnan(last), last, median)
+
+
 def classify_lock(trace: SimulationTrace, spread_tol: float | None = None) -> bool | list[bool]:
     """Whether the array has synchronized to a common frequency.
 
     True iff max_i |f_i - median(f)| < spread_tol, with f_i the
     per-oscillator instantaneous frequency averaged over the final 10%
-    of the trace. spread_tol defaults to 0.1 * delta_omega. A block
-    trace gives one flag per row.
+    of the trace and median(f) their median as np.median takes it (the
+    middle f_i, or the mean of the two middle ones; NaN if any f_i is).
+    spread_tol defaults to 0.1 * delta_omega. A block trace gives one
+    flag per row.
     """
     if spread_tol is None:
         if trace.config.delta_omega == 0:
@@ -98,7 +116,7 @@ def classify_lock(trace: SimulationTrace, spread_tol: float | None = None) -> bo
     if not 0 < spread_tol < math.inf:
         raise ConfigurationError(f"spread_tol must be positive and finite, got {spread_tol}")
     final = trace.final_freq
-    spread = np.abs(final - np.median(final, axis=-1, keepdims=True)).max(axis=-1)
+    spread = np.abs(final - _median(final)).max(axis=-1)
     return (spread < spread_tol).tolist()
 
 
@@ -173,10 +191,11 @@ class MatchReport:
     dynamic_range: float
 
 
-# Complex values one integrate call of _seed_blocks may record: 4 MiB, the
-# 2**24 one run may record / 64. At the defaults that lets 74 match or
-# feature-map rows share the per-step cost of the RK4 loop.
-_CALL_VALUES = 2**18
+# Complex values one integrate call of _seed_blocks may record: 8 MiB, the
+# 2**24 one run may record / 32. It is the CLI's default match recording,
+# 18 bank filters x 8 seeds x 3,502 samples = 504,288 values, rounded up to
+# a power of two, so that match steps all 144 of its runs in one call.
+_CALL_VALUES = 2**19
 
 
 def _read_call(omegas, inits: np.ndarray, cfg: OscillatorArrayConfig, read) -> list:
@@ -262,7 +281,7 @@ def match_filters(
         doms = dom(trace, policy)
         locked = sum(classify_lock(trace, spread_tol)) * 2 > len(seeds)
         finite = [t for t in measure_lock_time(trace, dom_threshold_fraction) if t is not None]
-        lock_time = float(np.median(finite)) if locked and finite else None
+        lock_time = _median(finite).item() if locked and finite else None
         return dict(dom_mean=float(np.mean(doms)), dom_std=float(np.std(doms)), doms=tuple(doms),
                     locked=locked, lock_time=lock_time,
                     # a copy: a view would keep every seed's averager alive

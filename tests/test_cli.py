@@ -2,6 +2,9 @@ import csv
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from oscconv import (
     integrate,
     random_initial_state,
 )
-from oscconv.cli import load_image, main
+from oscconv.cli import RunConfig, load_image, main
 from oscconv.pgm import write_pgm
 
 
@@ -196,6 +199,44 @@ class TestMatch:
                                  trace.envelope, trace.peak_detector_output]).tolist(),
             )
             assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_the_default_match_is_one_integrate_call(self, capsys, tmp_path, monkeypatch):
+        rows = []
+
+        def counting(omega, *args, **kwargs):
+            rows.append(len(omega))
+            return integrate(omega, *args, **kwargs)
+
+        monkeypatch.setattr(oscconv.inference, "integrate", counting)
+        fragment = Path(__file__).parent / "golden" / "inputs" / "fragment.pgm"
+        code, _, _ = run_cli(capsys, "match", str(fragment), "--out-dir", str(tmp_path / "m"))
+        assert code == 0
+        runs = len(default_bank()) * len(RunConfig().seeds)
+        assert rows == [runs] == [144]
+        # the budget holds the default match's recording, and no more than twice it
+        recorded = runs * OscillatorArrayConfig(n=25).num_samples
+        assert recorded <= oscconv.inference._CALL_VALUES < 2 * recorded
+
+    def test_a_match_leaves_numpy_ma_unimported(self, tmp_path):
+        # on numpy 2, np.median imports numpy.ma for its NaN check
+        fragment = str(Path(__file__).parent / "golden" / "inputs" / "fragment.pgm")
+        argv = ["match", fragment, "--seeds", "0:2", "--t-end", "20", "--out-dir",
+                str(tmp_path / "m")]
+        script = "\n".join([
+            "import sys, numpy",
+            "eager = 'numpy.ma' in sys.modules",
+            "from oscconv.cli import main",
+            f"code = main({argv!r})",
+            "print(eager, code, 'numpy.ma' in sys.modules)",
+        ])
+        src = str(Path(oscconv.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        eager, code, loaded = run.stdout.splitlines()[-1].split()
+        if eager == "True":
+            pytest.skip("import numpy loads numpy.ma on this numpy")
+        assert (code, loaded) == ("0", "False")
 
     def test_all_filters_failing_exits_2(self, capsys, tmp_path, white_image):
         out_dir = tmp_path / "f"
@@ -383,6 +424,7 @@ BLAMED = {
     "sweep-negative-epsilon": "epsilon must be >= 0 and finite, got -1",
     "sweep-zero-epsilon": "epsilon is 0: set gap_tol, spread_tol",
     "sweep-negative-spread-tol": "spread_tol on the command line) must be positive",
+    "sweep-grid-negative": "detunings must be >= 0",
 }
 
 
@@ -472,6 +514,8 @@ class TestMalformedValues:
         pytest.param(["sweep-locking", "--grid", "0:1:inf"], id="sweep-grid-inf-step"),
         pytest.param(["sweep-locking", "--grid", "1e308:1.7e308:1.2e308"],
                      id="sweep-grid-point-overflows"),
+        # a grid that starts with a minus sign is a value, not a flag
+        pytest.param(["sweep-locking", "--grid", "-0.2:-0.1:0.1"], id="sweep-grid-negative"),
         pytest.param(["match", "IMAGE", "--seeds", "0:10000000000"], id="match-huge-seed-range"),
         # a stride longer than the run records only the initial state
         pytest.param(["match", "IMAGE", "--stride", "9" * 400, "--seeds", "0"],

@@ -178,6 +178,30 @@ class TestClassifyLock:
         assert classify_lock(trace, spread_tol=0.01) in (True, False)
 
 
+# few distinct values, so that ties are common, among them both zeros, both
+# infinities and NaN, and any float besides
+MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]), st.floats()
+)
+
+
+class TestMedian:
+    """The lock readouts' median is np.median's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 3), size=st.integers(1, 30), data=st.data())
+    def test_equals_np_median(self, rows, size, data):
+        values = np.array(data.draw(st.lists(MEDIAN_VALUES, min_size=rows * size,
+                                             max_size=rows * size))).reshape(rows, size)
+        for block in (values, values[0]):
+            # the mean of two middle values may overflow, or add inf to -inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = oscconv.inference._median(block)
+                want = np.median(block, axis=-1, keepdims=True)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestMeasureLockTime:
     def test_match_settles_early(self):
         trace = run_match_trace(MATCH_FRAG, FILTER)
@@ -341,8 +365,10 @@ class TestSeedBlocks:
             match_filters(MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=tuple(range(60)))
         assert built == []
 
-    def test_one_block_is_alive_at_a_time(self, integrate_calls):
-        # 100 seeds at this t_end: 14 filters' or windows' blocks per call
+    def test_one_block_is_alive_at_a_time(self, integrate_calls, monkeypatch):
+        # 100 seeds at this t_end and this budget: 14 filters' or windows'
+        # blocks per call
+        monkeypatch.setattr(oscconv.inference, "_CALL_VALUES", 2**18)
         seeds = tuple(range(100))
         cfg = OscillatorArrayConfig(n=25, t_end=20.0)
         bank = (FILTER, ANTI_FILTER, FILTER, ANTI_FILTER, FILTER)
