@@ -33,6 +33,8 @@ from .errors import (
 # Divergence guard: the normalized dynamics keep ||z|| of order sqrt(n),
 # so 10*sqrt(n) is only reachable through integrator blow-up.
 DIVERGENCE_FACTOR = 10.0
+# Complex values one run, or one block of runs, may record: 256 MiB.
+VALUE_CAP = 2**24
 
 
 def default_coupling(n: int, delta_omega: float) -> float:
@@ -119,9 +121,8 @@ class OscillatorArrayConfig:
             raise ConfigurationError(f"t_end must be finite and >= dt={self.dt}, got {self.t_end}")
         if self.stride < 1:
             raise ConfigurationError(f"stride must be >= 1, got {self.stride}")
-        # a run records at most 2**24 complex values (256 MiB); the float test
-        # comes first, as round() fails on a t_end/dt that overflows to inf
-        if self.t_end / self.dt > 2**24 * self.stride or self.n * self.num_samples > 2**24:
+        # the float test comes first, as round() fails on a t_end/dt that overflows to inf
+        if self.t_end / self.dt > VALUE_CAP * self.stride or self.n * self.num_samples > VALUE_CAP:
             raise ConfigurationError(
                 f"t_end={self.t_end:g}, dt={self.dt:g} and stride={self.stride} record more than "
                 f"2**24 values of the {self.n} oscillators; raise dt or stride, or lower t_end"
@@ -312,9 +313,9 @@ def random_initial_state(n: int, seed: int) -> np.ndarray:
 
 
 def _check_block(rows: int, cfg: OscillatorArrayConfig) -> None:
-    """Hold a block of rows to the 2**24 values OscillatorArrayConfig lets one run record."""
+    """Hold a block of rows to the VALUE_CAP values OscillatorArrayConfig lets one run record."""
     recorded = rows * cfg.num_samples
-    if recorded > 2**24:
+    if recorded > VALUE_CAP:
         raise ConfigurationError(
             f"a block of {rows} runs would record {recorded} values, more than 2**24; "
             f"integrate fewer rows at a time, raise dt or stride, or lower t_end"

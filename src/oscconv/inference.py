@@ -16,12 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
+    VALUE_CAP,
     OscillatorArrayConfig,
     SimulationTrace,
     _check_block,
     _read_only,
+    default_peak_detector,
     integrate,
     random_initial_state,
+    sample_times,
 )
 from .encoding import Fragment, GaborFilter, fsk_encode
 from .errors import ConfigurationError, PolicyError
@@ -75,12 +78,20 @@ def dom(trace: SimulationTrace, policy: DomPolicy) -> float | list[float]:
     if policy.method == "trailing_mean_envelope":
         m = min(trace.num_samples, max(1, int(round(policy.trailing_fraction * trace.num_samples))))
         return trace.envelope[..., -m:].mean(axis=-1).tolist()
-    if policy.sample_time > trace.times[-1]:
-        raise PolicyError(
-            f"sample_time {policy.sample_time} beyond trace end {trace.times[-1]}"
-        )
-    idx = int(np.argmin(np.abs(trace.times - policy.sample_time)))
-    return trace.peak_detector_output[..., idx].tolist()
+    # the detector runs up to the sample it reads: it never looks ahead
+    idx = _sample_index(policy, trace.times)
+    return default_peak_detector(trace.envelope[..., :idx + 1], trace.config)[..., -1].tolist()
+
+
+def _sample_index(policy: DomPolicy, times: np.ndarray) -> int:
+    """Index of the sample nearest policy.sample_time on a trace sampled at times.
+
+    Raises:
+        PolicyError: if sample_time lies beyond the trace.
+    """
+    if policy.sample_time > times[-1]:
+        raise PolicyError(f"sample_time {policy.sample_time} beyond trace end {times[-1]}")
+    return int(np.argmin(np.abs(times - policy.sample_time)))
 
 
 def _median(values) -> np.ndarray:
@@ -109,15 +120,21 @@ def classify_lock(trace: SimulationTrace, spread_tol: float | None = None) -> bo
     spread_tol defaults to 0.1 * delta_omega. A block trace gives one
     flag per row.
     """
-    if spread_tol is None:
-        if trace.config.delta_omega == 0:
-            raise ConfigurationError("delta_omega is 0: set spread_tol (default 0.1*delta_omega)")
-        spread_tol = 0.1 * trace.config.delta_omega
-    if not 0 < spread_tol < math.inf:
-        raise ConfigurationError(f"spread_tol must be positive and finite, got {spread_tol}")
+    spread_tol = _spread_tol(trace.config, spread_tol)
     final = trace.final_freq
     spread = np.abs(final - _median(final)).max(axis=-1)
     return (spread < spread_tol).tolist()
+
+
+def _spread_tol(cfg: OscillatorArrayConfig, spread_tol: float | None) -> float:
+    """spread_tol, or its default 0.1 * cfg.delta_omega, checked."""
+    if spread_tol is None:
+        if cfg.delta_omega == 0:
+            raise ConfigurationError("delta_omega is 0: set spread_tol (default 0.1*delta_omega)")
+        spread_tol = 0.1 * cfg.delta_omega
+    if not 0 < spread_tol < math.inf:
+        raise ConfigurationError(f"spread_tol must be positive and finite, got {spread_tol}")
+    return spread_tol
 
 
 def measure_lock_time(
@@ -133,10 +150,7 @@ def measure_lock_time(
     upswing happens to end the run above threshold. A block trace gives
     one lock time (or None) per row.
     """
-    if not 0.0 < dom_threshold_fraction < 1.0:
-        raise ConfigurationError(
-            f"dom_threshold_fraction must be in (0, 1), got {dom_threshold_fraction}"
-        )
+    _check_threshold(dom_threshold_fraction)
     env, times = trace.envelope, trace.times
     plateau = env[..., -max(1, trace.num_samples // 10):].mean(axis=-1, keepdims=True)
     below = env < dom_threshold_fraction * plateau
@@ -146,6 +160,13 @@ def measure_lock_time(
     span = times[-1] - times[0]
     settled = (k < trace.num_samples) & ~(times[-1] - start < 0.25 * span)
     return np.where(settled, start - times[0], None).tolist()
+
+
+def _check_threshold(dom_threshold_fraction: float) -> None:
+    if not 0.0 < dom_threshold_fraction < 1.0:
+        raise ConfigurationError(
+            f"dom_threshold_fraction must be in (0, 1), got {dom_threshold_fraction}"
+        )
 
 
 @dataclass(frozen=True)
@@ -191,11 +212,10 @@ class MatchReport:
     dynamic_range: float
 
 
-# Complex values one integrate call of _seed_blocks may record: 8 MiB, the
-# 2**24 one run may record / 32. It is the CLI's default match recording,
-# 18 bank filters x 8 seeds x 3,502 samples = 504,288 values, rounded up to
-# a power of two, so that match steps all 144 of its runs in one call.
-_CALL_VALUES = 2**19
+# Oscillator states, rows x n, that one integrate call of _seed_blocks steps at
+# most. Past 2**12 a step's cost per state falls by a fifth at most, and the
+# default match's 18 filters x 8 seeds x 25 = 3,600 states take one call.
+_CALL_STATES = 2**12
 
 
 def _read_call(omegas, inits: np.ndarray, cfg: OscillatorArrayConfig, read) -> list:
@@ -218,10 +238,9 @@ def _seed_blocks(omegas, cfg: OscillatorArrayConfig, seeds: tuple[int, ...], rea
     The seeds, cfg.n and the block cap are checked, and the initial states
     built, before any run.
 
-    One integrate call steps the blocks of as many vectors as record at
-    most _CALL_VALUES values together, and at least one. Every block of a
-    call is read before the next call starts, so no trace outlives its
-    call.
+    One integrate call steps as many blocks as together step at most
+    _CALL_STATES oscillator states and record at most VALUE_CAP values,
+    and at least one. A call's blocks are all read before the next starts.
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
@@ -230,7 +249,7 @@ def _seed_blocks(omegas, cfg: OscillatorArrayConfig, seeds: tuple[int, ...], rea
     runs = len(seeds)
     _check_block(runs, cfg)
     inits = np.array([random_initial_state(cfg.n, int(seed)) for seed in seeds])
-    per_call = max(1, _CALL_VALUES // (runs * cfg.num_samples))
+    per_call = max(1, min(_CALL_STATES // (runs * cfg.n), VALUE_CAP // (runs * cfg.num_samples)))
     for start in range(0, len(omegas), per_call):
         yield from _read_call(omegas[start:start + per_call], inits, cfg, read)
 
@@ -272,6 +291,11 @@ def match_filters(
     """
     if not bank:
         raise ConfigurationError("filter bank must be nonempty")
+    # the readouts' settings are checked before the first filter is encoded
+    if policy.method == "sample_peak_detector":
+        _sample_index(policy, sample_times(cfg))
+    spread_tol = _spread_tol(cfg, spread_tol)
+    _check_threshold(dom_threshold_fraction)
     # every filter is encoded, and its side checked, before the first run
     omegas = [fsk_encode(fragment, filt, cfg.omega0, cfg.delta_omega) for filt in bank]
     if reference_oscillator:
@@ -333,6 +357,8 @@ def feature_map_onn(
         raise ConfigurationError(
             f"filter side {filt.side} exceeds image {img.height}x{img.width}"
         )
+    if policy.method == "sample_peak_detector":  # before the first window is encoded
+        _sample_index(policy, sample_times(cfg))
     out_h = img.height - filt.side + 1
     out_w = img.width - filt.side + 1
     omegas = [
@@ -398,9 +424,9 @@ def sweep_locking(
 ) -> tuple[SweepPoint, ...]:
     """Two-oscillator locking sweep over a detuning grid.
 
-    For each detuning d the oscillators run at omega0 -/+ d/2 under
-    coupling epsilon, all detunings in one integrate call. A point is
-    locked when the gap between the two final instantaneous frequencies
+    For each detuning d, a one-run block of _seed_blocks, the oscillators
+    run at omega0 -/+ d/2 under coupling epsilon. A point is locked
+    when the gap between the two final instantaneous frequencies
     (averaged over the last 10% of the trace) is below gap_tol.
 
     Args:
@@ -444,7 +470,7 @@ def sweep_locking(
         window = trace.envelope[0, -max(1, trace.num_samples // 5):]
         return bool(gap < gap_tol), float(gap), float((window.max() - window.min()) / 2.0)
 
-    outcomes = _read_call(omega, random_initial_state(cfg.n, seed)[None], cfg, read)
+    outcomes = list(_seed_blocks(omega, cfg, (seed,), read))
     failure = next((f for _, f in outcomes if f is not None), None)
     if failure is not None:
         raise failure

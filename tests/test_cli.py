@@ -213,9 +213,9 @@ class TestMatch:
         assert code == 0
         runs = len(default_bank()) * len(RunConfig().seeds)
         assert rows == [runs] == [144]
-        # the budget holds the default match's recording, and no more than twice it
-        recorded = runs * OscillatorArrayConfig(n=25).num_samples
-        assert recorded <= oscconv.inference._CALL_VALUES < 2 * recorded
+        # the call size holds the default match's states, and no more than twice them
+        states = runs * 25  # oscillators of a 5x5 filter's run
+        assert states <= oscconv.inference._CALL_STATES < 2 * states
 
     def test_a_match_leaves_numpy_ma_unimported(self, tmp_path):
         # on numpy 2, np.median imports numpy.ma for its NaN check
@@ -571,6 +571,28 @@ class TestMalformedValues:
         code, _, err = run_cli(capsys, "hw", *base, *args)
         assert_one_line_error(code, err)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["match", "FRAGMENT", "--spread-tol", "-1"], "spread_tol must be positive and finite"),
+        (["match", "FRAGMENT", "--dom-threshold", "1.5"], "dom_threshold_fraction must be in"),
+        (["match", "FRAGMENT", "--delta-omega", "0"], "delta_omega is 0: set spread_tol"),
+        (["match", "FRAGMENT", "--dom-method", "sample_peak_detector", "--sample-time", "500"],
+         "sample_time 500.0 beyond trace end"),
+        (["featuremap", "GRATING", "--dom-method", "sample_peak_detector", "--sample-time",
+          "500"], "sample_time 500.0 beyond trace end"),
+    ])
+    def test_a_readout_setting_is_rejected_before_the_first_run(self, capsys, tmp_path,
+                                                               monkeypatch, argv, message):
+        def never(*args, **kwargs):
+            raise AssertionError("integrate was called")
+
+        monkeypatch.setattr(oscconv.inference, "integrate", never)
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        paths = {"FRAGMENT": str(inputs / "fragment.pgm"), "GRATING": str(inputs / "grating7.pgm")}
+        code, _, err = run_cli(capsys, *(paths.get(a, a) for a in argv),
+                               "--out-dir", str(tmp_path / "o"))
+        assert_one_line_error(code, err)
+        assert message in err
+
     def test_zero_delta_omega_names_spread_tol(self, capsys, tmp_path, white_image,
                                                one_filter_bank):
         cfg = tmp_path / "cfg.json"
@@ -696,6 +718,24 @@ class TestSweep:
         assert len(rows) == 4
         assert [r[1] for r in rows[1:]] == ["1", "1", "0"]
         assert "locking boundary: 0.06" in out
+
+    def test_a_sweep_past_2048_points_takes_two_calls(self, capsys, tmp_path, monkeypatch):
+        rows = []
+
+        def counting(omega, *args, **kwargs):
+            rows.append(len(omega))
+            return integrate(omega, *args, **kwargs)
+
+        monkeypatch.setattr(oscconv.inference, "integrate", counting)
+        argv = ["sweep-locking", "--grid", "0:0.25:0.0001", "--t-end", "20", "--out-dir"]
+        assert run_cli(capsys, *argv, str(tmp_path / "split"))[0] == 0
+        assert rows == [2048, 453]
+        # the same 2,501 points in one call
+        monkeypatch.setattr(oscconv.inference, "_CALL_STATES", 2 * 2501)
+        assert run_cli(capsys, *argv, str(tmp_path / "one"))[0] == 0
+        assert rows[2:] == [2501]
+        assert (tmp_path / "split" / "sweep.csv").read_bytes() == (
+            tmp_path / "one" / "sweep.csv").read_bytes()
 
     def test_no_locked_points(self, capsys, tmp_path):
         code, out, _ = run_cli(

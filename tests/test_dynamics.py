@@ -708,6 +708,32 @@ class TestSweepLocking:
             integrate(np.array([1.0, 1.0]), cfg, random_initial_state(2, 0))
         assert (swept.value.step, swept.value.norm) == (first.value.step, first.value.norm)
 
+    def test_a_sweep_split_across_calls_reads_as_one_call(self, monkeypatch):
+        rows = []
+
+        def counting(omega, *args, **kwargs):
+            rows.append(len(omega))
+            return integrate(omega, *args, **kwargs)
+
+        monkeypatch.setattr(oscconv.inference, "integrate", counting)
+        grid = np.linspace(0.0, 0.2, 21)
+        # at rho 1e-3 and epsilon 0.07 the locked points diverge: here the last four
+        diverging = np.concatenate([np.linspace(0.42, 0.28, 17), np.linspace(0.021, 0.0, 4)])
+
+        def sweeps():
+            points = sweep_locking(0.05, grid, t_end=60.0)
+            with pytest.raises(DivergenceError) as failure:
+                sweep_locking(0.07, diverging, rho=1e-3, t_end=50.0)
+            return points, (failure.value.step, failure.value.norm)
+
+        whole = sweeps()
+        assert rows == [21, 21]
+        # 8 two-oscillator rows a call: 21 points take 3 calls, and the first
+        # failure is in the third
+        monkeypatch.setattr(oscconv.inference, "_CALL_STATES", 16)
+        assert sweeps() == whole
+        assert rows[2:] == [8, 8, 5] * 2
+
     # Adler (1946): two oscillators coupled at epsilon lock while their
     # detuning stays below 2*epsilon
     @settings(max_examples=6, deadline=None)

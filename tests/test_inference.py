@@ -33,6 +33,8 @@ from oscconv import (
     winner_take_all,
 )
 from oscconv.dynamics import SimulationTrace
+from oscconv.errors import DivergenceError
+from oscconv.inference import _seed_blocks
 
 FILTER = gabor_filter(5, 30.0, 0.35)
 MATCH_FRAG = Fragment(side=5, values=FILTER.values.copy())
@@ -108,6 +110,19 @@ class TestDom:
         assert dom(trace, policy) == pytest.approx(trace.peak_detector_output[-1])
         start = DomPolicy(method="sample_peak_detector", sample_time=0.0)
         assert dom(trace, start) == pytest.approx(trace.peak_detector_output[0])
+
+    def test_sample_peak_detector_reads_a_block_up_to_its_sample(self):
+        cfg = OscillatorArrayConfig(n=25, t_end=60.0)
+        omegas = [fsk_encode(MATCH_FRAG, filt, cfg.omega0, cfg.delta_omega)
+                  for filt in (FILTER, ANTI_FILTER)]
+        block = integrate(np.array(omegas), cfg, np.array([random_initial_state(25, 0)] * 2))
+        sample_times = (0.0, 0.05, 7.3, 30.0, block.times[-1])
+        doms = [dom(block, DomPolicy(method="sample_peak_detector", sample_time=sample_time))
+                for sample_time in sample_times]
+        assert "peak_detector_output" not in vars(block)  # dom ran no full-length detector
+        for sample_time, got in zip(sample_times, doms):
+            idx = int(np.argmin(np.abs(block.times - sample_time)))
+            assert got == block.peak_detector_output[:, idx].tolist()
 
     def test_sample_time_beyond_trace(self):
         trace = run_match_trace(MATCH_FRAG, FILTER, t_end=50.0)
@@ -366,9 +381,9 @@ class TestSeedBlocks:
         assert built == []
 
     def test_one_block_is_alive_at_a_time(self, integrate_calls, monkeypatch):
-        # 100 seeds at this t_end and this budget: 14 filters' or windows'
-        # blocks per call
-        monkeypatch.setattr(oscconv.inference, "_CALL_VALUES", 2**18)
+        # 100 seeds of 25 oscillators at this call size: 14 filters' or
+        # windows' blocks per call
+        monkeypatch.setattr(oscconv.inference, "_CALL_STATES", 14 * 100 * 25)
         seeds = tuple(range(100))
         cfg = OscillatorArrayConfig(n=25, t_end=20.0)
         bank = (FILTER, ANTI_FILTER, FILTER, ANTI_FILTER, FILTER)
@@ -379,6 +394,71 @@ class TestSeedBlocks:
         # every block of a call is read before the next call starts: no
         # trace of an earlier call is alive
         assert [held for _, held in integrate_calls] == [0] * 3
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(spread_tol=-1.0), "spread_tol must be positive and finite"),
+        (dict(dom_threshold_fraction=1.5), "dom_threshold_fraction must be in"),
+        (dict(cfg=OscillatorArrayConfig(n=25, delta_omega=0.0)), "delta_omega is 0"),
+        (dict(policy=DomPolicy(method="sample_peak_detector", sample_time=500.0)),
+         "sample_time 500.0 beyond trace end"),
+    ])
+    def test_readout_settings_are_checked_before_any_encoding(self, monkeypatch, kwargs, message):
+        def never(*args, **kwargs):
+            raise AssertionError("called before the readout settings were checked")
+
+        monkeypatch.setattr(oscconv.inference, "fsk_encode", never)
+        monkeypatch.setattr(oscconv.inference, "integrate", never)
+        args = dict(fragment=MATCH_FRAG, bank=(FILTER,), cfg=OscillatorArrayConfig(n=25),
+                    policy=DomPolicy(), seeds=(0,))
+        with pytest.raises(ConfigurationError, match=message):
+            match_filters(**{**args, **kwargs})
+        if "policy" in kwargs:
+            img = Image(width=6, height=6, values=np.zeros(36))
+            with pytest.raises(ConfigurationError, match=message):
+                feature_map_onn(img, FILTER, args["cfg"], kwargs["policy"], seeds=(0,))
+
+
+@pytest.fixture
+def stub_calls(monkeypatch):
+    """Rows per integrate call of the inference module, which a stub takes:
+    it steps nothing and fails every run, so no readout runs."""
+    calls = []
+
+    def stub(omega, cfg, init):
+        rows = len(omega)
+        calls.append(rows)
+        return SimulationTrace(np.zeros(1), np.zeros((rows, 0, cfg.n)), cfg, np.zeros((rows, 1)),
+                               (DivergenceError(1, math.inf),) * rows, np.zeros((rows, cfg.n)))
+
+    monkeypatch.setattr(oscconv.inference, "integrate", stub)
+    return calls
+
+
+class TestCallSize:
+    """A call takes whole blocks up to _CALL_STATES states and VALUE_CAP values, one at least."""
+
+    def test_the_default_bank_at_a_long_t_end_is_one_call(self, stub_calls):
+        # 18 filters x 8 seeds x 25 oscillators: 3,600 states, whatever t_end records
+        cfg = OscillatorArrayConfig(n=25, t_end=2000.0)
+        report = match_filters(edge_fragment(), default_bank(), cfg, DomPolicy(), tuple(range(8)))
+        assert len(report.errors) == 18
+        assert stub_calls == [144]
+
+    def test_a_call_records_at_most_the_value_cap(self, stub_calls):
+        # one oscillator, 2**20 samples: 16 one-run blocks record 2**24 values
+        cfg = OscillatorArrayConfig(n=1, dt=0.125, t_end=(2**20 - 1) * 0.125)
+        blocks = list(_seed_blocks([np.ones(1)] * 40, cfg, (0,), read=None))
+        assert len(blocks) == 40
+        assert stub_calls == [16, 16, 8]
+
+    @pytest.mark.parametrize("seeds", [7, 164])
+    def test_a_call_steps_at_most_the_call_states(self, stub_calls, seeds):
+        # 25 oscillators: 4096 // (25 x seeds) blocks a call, and one at least
+        blocks = list(_seed_blocks([np.ones(25)] * 30, OscillatorArrayConfig(n=25, t_end=20.0),
+                                   tuple(range(seeds)), read=None))
+        assert len(blocks) == 30
+        per_call = max(1, 4096 // (25 * seeds))
+        assert stub_calls == [seeds * min(per_call, 30 - start) for start in range(0, 30, per_call)]
 
 
 # at this coupling many bank filters diverge on the edge fragment, and most
@@ -406,12 +486,12 @@ class TestChunks:
     @staticmethod
     def recording_calls():
         """A patch of the inference module's integrate that lists, per call,
-        the values the trace records and its recorded state samples."""
+        the oscillator states it steps and its recorded state samples."""
         calls = []
 
-        def recording(*args, **kwargs):
-            trace = integrate(*args, **kwargs)
-            calls.append((trace.averager.size + trace.states.size, trace.states.shape[1]))
+        def recording(omega, *args, **kwargs):
+            trace = integrate(omega, *args, **kwargs)
+            calls.append((omega.size, trace.states.shape[1]))
             return trace
 
         return calls, mock.patch.object(oscconv.inference, "integrate", recording)
@@ -421,13 +501,13 @@ class TestChunks:
            at=st.integers(0, 5), blocks=st.floats(1.0, 4.0))
     def test_a_bank_matches_as_its_filters_alone(self, lone_filters, picks, at, blocks):
         picks.insert(min(at, len(picks)), 9)  # a diverging filter among them
-        budget = int(blocks * len(CHUNK_SEEDS) * CHUNK_CFG.num_samples)
+        budget = int(blocks * len(CHUNK_SEEDS) * CHUNK_CFG.n)
         calls, patch = self.recording_calls()
         bank = tuple(default_bank()[p] for p in picks)
-        with patch, mock.patch.object(oscconv.inference, "_CALL_VALUES", budget):
+        with patch, mock.patch.object(oscconv.inference, "_CALL_STATES", budget):
             report = match_filters(edge_fragment(), bank, CHUNK_CFG, DomPolicy(), CHUNK_SEEDS)
         assert len(calls) == -(-len(bank) // int(blocks))
-        assert max(values for values, _ in calls) <= budget
+        assert max(states for states, _ in calls) <= budget
         results = {r.filter_index: r for r in report.results}
         errors = {e.filter_index: e for e in report.errors}
         assert sorted([*results, *errors]) == list(range(len(bank)))
@@ -446,11 +526,11 @@ class TestChunks:
     def test_a_map_matches_as_its_windows_alone(self, width, height, seed, blocks):
         filt = default_bank()[2]
         img = Image(width, height, np.random.default_rng(seed).uniform(-1.0, 1.0, width * height))
-        budget = int(blocks * len(CHUNK_SEEDS) * CHUNK_CFG.num_samples)
+        budget = int(blocks * len(CHUNK_SEEDS) * CHUNK_CFG.n)
         calls, patch = self.recording_calls()
-        with patch, mock.patch.object(oscconv.inference, "_CALL_VALUES", budget):
+        with patch, mock.patch.object(oscconv.inference, "_CALL_STATES", budget):
             fmap = feature_map_onn(img, filt, CHUNK_CFG, DomPolicy(), CHUNK_SEEDS)
-        assert max(values for values, _ in calls) <= budget
+        assert max(states for states, _ in calls) <= budget
         # a block records no states
         assert [states for _, states in calls] == [0] * len(calls)
         errors = []
