@@ -43,6 +43,7 @@ from .hardware import (
     power_per_oscillator,
 )
 from .inference import (
+    DOM_METHODS,
     DomPolicy,
     MatchReport,
     _sweep_config,
@@ -162,28 +163,58 @@ _bank_entries = _list(_object(
     {"theta_deg": _number, "k": _number, "phase": _number, "binarized": _boolean},
     required=("theta_deg", "k"),
 ), "filter entries")
-_POLICY_FIELDS = {"method": _string, "sample_time": _number, "trailing_fraction": _number}
-_CONFIG_KEYS = {
-    "rho": _number,
-    "omega0": _number,
-    "delta_omega": _number,
-    "epsilon": _number,
-    "include_self_in_sum": _boolean,
-    "dt": _number,
-    "t_end": _number,
-    "stride": _natural,
-    "seed": _natural,
-    "side": _natural,
-    "seeds": _seeds,
-    "dom_policy": _object(_POLICY_FIELDS),
-    "spread_tol": _number,
-    "dom_threshold_fraction": _number,
-    "reference_oscillator": _boolean,
+
+
+def _parse_seeds(text: str) -> tuple | range:
+    """Seed list '0,3,5', or half-open range 'start:stop' left unbuilt for the block cap."""
+    try:
+        if ":" in text:
+            start, stop = (int(p) for p in text.split(":"))
+            if not 0 < stop - start <= sys.maxsize:  # len() of a longer range overflows
+                raise ValueError
+            return range(start, stop)
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects 'a,b,c' or 'start:stop', got {text!r}") from None
+
+
+# Every setting: its checker, and the flag that overrides it with that flag's
+# argparse options, or no flag. A flag's dest is its setting's key; the flags
+# are in --help order.
+_SETTINGS = {
+    "seeds": (_seeds, "--seeds", dict(
+        type=_parse_seeds, help="seed list 'a,b,c' or range 'start:stop'")),
+    "rho": (_number, "--rho", dict(type=float)),
+    "omega0": (_number, "--omega0", dict(type=float)),
+    "delta_omega": (_number, "--delta-omega", dict(type=float)),
+    "epsilon": (_number, "--epsilon", dict(type=float)),
+    "dt": (_number, "--dt", dict(type=float)),
+    "t_end": (_number, "--t-end", dict(type=float)),
+    "stride": (_natural, "--stride", dict(type=int)),
+    "side": (_natural, "--side", dict(type=int, help="fragment/filter side in pixels")),
+    "spread_tol": (_number, "--spread-tol", dict(type=float)),
+    "dom_threshold_fraction": (_number, "--dom-threshold", dict(
+        type=float, help="lock-time envelope threshold as a fraction of the plateau")),
+    "method": (_string, "--dom-method", dict(choices=DOM_METHODS)),
+    "sample_time": (_number, "--sample-time", dict(type=float)),
+    "trailing_fraction": (_number, "--trailing-fraction", dict(type=float)),
     # a bank file path or an inline list of entries
-    "bank": lambda v, name: v if isinstance(v, str) else _bank_entries(v, name),
+    "bank": (lambda v, name: v if isinstance(v, str) else _bank_entries(v, name), "--bank",
+             dict(help="JSON bank file: list of {theta_deg, k, phase, binarized}")),
+    "reference_oscillator": (_boolean, "--reference-oscillator", dict(
+        action="store_true", default=None,
+        help="add one extra oscillator at omega0 that encodes no pixel")),
+    "include_self_in_sum": (_boolean, None, None),
+    "seed": (_natural, None, None),
 }
-# config keys that are OscillatorArrayConfig fields
-_ARRAY_KEYS = {f.name for f in fields(OscillatorArrayConfig)} & _CONFIG_KEYS.keys()
+# settings that are DomPolicy fields, which a config file sets under
+# dom_policy, and settings that are OscillatorArrayConfig fields
+_POLICY_KEYS = {f.name for f in fields(DomPolicy)} & _SETTINGS.keys()
+_ARRAY_KEYS = {f.name for f in fields(OscillatorArrayConfig)} & _SETTINGS.keys()
+_config_file = _object({
+    **{key: check for key, (check, *_) in _SETTINGS.items() if key not in _POLICY_KEYS},
+    "dom_policy": _object({key: _SETTINGS[key][0] for key in _POLICY_KEYS}),
+})
 
 
 @dataclass
@@ -229,29 +260,13 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     """Defaults, then JSON file values, then flag overrides."""
     values = {}
     if args.config is not None:
-        values = _object(_CONFIG_KEYS)(_read_json(args.config, "config file"), "config")
+        values = _config_file(_read_json(args.config, "config file"), "config")
     policy = values.pop("dom_policy", {})
-    # a flag's dest is the config key or dom_policy field it overrides
     for key, value in vars(args).items():
-        if value is not None and key in _POLICY_FIELDS:
-            policy[key] = _POLICY_FIELDS[key](value, key)
-        elif value is not None and key in _CONFIG_KEYS:
-            values[key] = _CONFIG_KEYS[key](value, key)
+        if value is not None and key in _SETTINGS:
+            (policy if key in _POLICY_KEYS else values)[key] = _SETTINGS[key][0](value, key)
     array = {key: values.pop(key) for key in _ARRAY_KEYS & values.keys()}
     return RunConfig(array=array, dom_policy=DomPolicy(**policy), **values)
-
-
-def _parse_seeds(text: str) -> tuple | range:
-    """Seed list '0,3,5', or half-open range 'start:stop' left unbuilt for the block cap."""
-    try:
-        if ":" in text:
-            start, stop = (int(p) for p in text.split(":"))
-            if not 0 < stop - start <= sys.maxsize:  # len() of a longer range overflows
-                raise ValueError
-            return range(start, stop)
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects 'a,b,c' or 'start:stop', got {text!r}") from None
 
 
 def _parse_origin(text: str) -> tuple[int, int]:
@@ -422,6 +437,7 @@ def cmd_featuremap(args) -> int:
     img = load_image(args.image)
     if cfg.side > min(img.width, img.height):
         raise ConfigurationError(f"filter side {cfg.side} exceeds image {img.height}x{img.width}")
+    # the filter flags make a one-entry bank, in place of any other
     if any(v is not None for v in (args.theta_deg, args.k, args.phase)) or args.raw_filter:
         if args.theta_deg is None or args.k is None:
             raise _UsageError(
@@ -429,15 +445,13 @@ def cmd_featuremap(args) -> int:
             )
         if args.filter_index is not None:
             raise _UsageError("--filter-index picks a bank filter; --theta-deg and --k build one")
-        filt = gabor_filter(
-            cfg.side, args.theta_deg, args.k, args.phase or 0.0, not args.raw_filter
-        )
-    else:
-        bank = cfg.resolve_bank()
-        index = args.filter_index or 0
-        if not 0 <= index < len(bank):
-            raise ConfigurationError(f"--filter-index {index} outside bank of {len(bank)} filters")
-        filt = bank[index]
+        cfg.bank = ({"theta_deg": args.theta_deg, "k": args.k, "phase": args.phase or 0.0,
+                     "binarized": not args.raw_filter},)
+    bank = cfg.resolve_bank()
+    index = args.filter_index or 0
+    if not 0 <= index < len(bank):
+        raise ConfigurationError(f"--filter-index {index} outside bank of {len(bank)} filters")
+    filt = bank[index]
     array_cfg = cfg.array_config(cfg.side ** 2)
     onn = feature_map_onn(img, filt, array_cfg, cfg.dom_policy, cfg.seeds)
     oracle_map = convolve_valid(img, filt, mode="correlation")
@@ -484,33 +498,16 @@ def cmd_hw(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-# Flags that override a setting: each one's dest is the config key or the
-# dom_policy field it overrides.
-_FLAGS = {
-    "seeds": ("--seeds", dict(type=_parse_seeds, help="seed list 'a,b,c' or range 'start:stop'")),
-    "rho": ("--rho", dict(type=float)),
-    "omega0": ("--omega0", dict(type=float)),
-    "delta_omega": ("--delta-omega", dict(type=float)),
-    "epsilon": ("--epsilon", dict(type=float)),
-    "dt": ("--dt", dict(type=float)),
-    "t_end": ("--t-end", dict(type=float)),
-    "stride": ("--stride", dict(type=int)),
-    "side": ("--side", dict(type=int, help="fragment/filter side in pixels")),
-    "spread_tol": ("--spread-tol", dict(type=float)),
-    "dom_threshold_fraction": ("--dom-threshold", dict(
-        type=float, help="lock-time envelope threshold as a fraction of the plateau")),
-    "method": ("--dom-method", dict(choices=("trailing_mean_envelope", "sample_peak_detector"))),
-    "sample_time": ("--sample-time", dict(type=float)),
-    "trailing_fraction": ("--trailing-fraction", dict(type=float)),
-    "bank": ("--bank", dict(help="JSON bank file: list of {theta_deg, k, phase, binarized}")),
-}
+# the setting flags of match and featuremap; --reference-oscillator is match's own
+_RUN_FLAGS = [key for key, (_, flag, _) in _SETTINGS.items()
+              if flag and key != "reference_oscillator"]
 
 
 def _add_flags(p: _Parser, *keys: str, **helps: str) -> None:
-    """The override flags of keys, in order; helps replaces a flag's help text."""
+    """The flags of the settings keys, in order; helps replaces a flag's help text."""
     for key in keys:
-        flag, kwargs = _FLAGS[key]
-        p.add_argument(flag, dest=key, **{**kwargs, "help": helps.get(key, kwargs.get("help"))})
+        _, flag, options = _SETTINGS[key]
+        p.add_argument(flag, dest=key, **{**options, "help": helps.get(key, options.get("help"))})
 
 
 def _add_io_flags(p: _Parser) -> None:
@@ -526,12 +523,9 @@ def build_parser() -> _Parser:
     p.add_argument("image", help="PGM image (P2 or P5)")
     p.add_argument("--origin", default="0,0", help="fragment top-left 'row,col'")
     p.add_argument("--dump-traces", action="store_true", help="write per-filter trace CSVs")
-    p.add_argument(
-        "--reference-oscillator", action="store_true", default=None,
-        help="add one extra oscillator at omega0 that encodes no pixel",
-    )
+    _add_flags(p, "reference_oscillator")
     _add_io_flags(p)
-    _add_flags(p, *_FLAGS)
+    _add_flags(p, *_RUN_FLAGS)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("sweep-locking", help="two-oscillator locking sweep")
@@ -553,7 +547,7 @@ def build_parser() -> _Parser:
     p.add_argument("--phase", type=float, help="filter phase offset (default 0)")
     p.add_argument("--raw-filter", action="store_true", help="skip binarization")
     _add_io_flags(p)
-    _add_flags(p, *_FLAGS)
+    _add_flags(p, *_RUN_FLAGS)
     p.set_defaults(func=cmd_featuremap)
 
     p = sub.add_parser("hw", help="hardware locking range, power, and cost")

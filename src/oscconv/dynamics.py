@@ -156,9 +156,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class SimulationTrace:
     """Sampled time evolution of one integration run, or of a block of runs.
 
-    All arrays are read-only views; the derived signals are computed
-    lazily and cached, along the sample axis, so that the same code reads
-    one run or a block. times and averager cover every sample, sample k
+    All arrays are read-only views; the envelope is computed lazily and
+    cached, along the sample axis, so that the same code reads one run or
+    a block. times and averager cover every sample, sample k
     at times[k]. One run has states of shape (samples, n), every sample,
     averager of shape (samples,), the mean of states, and freq (n,), the
     final_freq it summed as it ran. A block has a leading row axis:
@@ -197,21 +197,13 @@ class SimulationTrace:
         aliases as instantaneous_frequency's does, once stride*dt*|omega| > pi:
         stride 26 and above at omega 1.1 and the default dt.
         """
-        if self.num_samples < 3:  # as in instantaneous_frequency
-            raise InsufficientDataError(
-                f"instantaneous frequency needs >= 3 samples, trace has {self.num_samples}"
-            )
+        _check_freq_samples(self.num_samples)
         return self.freq
 
     @cached_property
     def envelope(self) -> np.ndarray:
         """|S(t)| of the averager S(t) = (1/n) * sum_j z_j; the DOM readout signal."""
         return _read_only(np.abs(self.averager))
-
-    @cached_property
-    def peak_detector_output(self) -> np.ndarray:
-        """Peak-detector response to the envelope at the default decay."""
-        return _read_only(default_peak_detector(self.envelope, self.config))
 
 
 def _field(omega: np.ndarray, cfg: OscillatorArrayConfig):
@@ -476,6 +468,14 @@ def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     return sliding_window_view(padded, window, axis=-2) @ kernel
 
 
+def _check_freq_samples(num_samples: int) -> None:
+    """A frequency readout, instantaneous or final, needs 3 samples of a run."""
+    if num_samples < 3:
+        raise InsufficientDataError(
+            f"instantaneous frequency needs >= 3 samples, trace has {num_samples}"
+        )
+
+
 def _smoothing_window(cfg: OscillatorArrayConfig, num_samples: int) -> int:
     """Samples in instantaneous_frequency's moving average: one period of omega0."""
     period = 2.0 * math.pi / cfg.omega0
@@ -493,10 +493,7 @@ def instantaneous_frequency(trace: SimulationTrace) -> np.ndarray:
         InsufficientDataError: for traces shorter than 3 samples, or
             that recorded no states.
     """
-    if trace.num_samples < 3:
-        raise InsufficientDataError(
-            f"instantaneous frequency needs >= 3 samples, trace has {trace.num_samples}"
-        )
+    _check_freq_samples(trace.num_samples)
     if not trace.states.shape[-2]:
         raise InsufficientDataError("instantaneous frequency needs states; the trace recorded none")
     phases = np.unwrap(np.angle(trace.states), axis=-2)

@@ -20,6 +20,7 @@ from .dynamics import (
     OscillatorArrayConfig,
     SimulationTrace,
     _check_block,
+    _check_freq_samples,
     _read_only,
     default_peak_detector,
     integrate,
@@ -30,7 +31,8 @@ from .encoding import Fragment, GaborFilter, fsk_encode
 from .errors import ConfigurationError, PolicyError
 from .oracle import FeatureMap, Image, dot
 
-DOM_METHODS = ("sample_peak_detector", "trailing_mean_envelope")
+# DomPolicy's default first, the order --dom-method lists them in
+DOM_METHODS = ("trailing_mean_envelope", "sample_peak_detector")
 
 
 @dataclass(frozen=True)
@@ -296,6 +298,7 @@ def match_filters(
         _sample_index(policy, sample_times(cfg))
     spread_tol = _spread_tol(cfg, spread_tol)
     _check_threshold(dom_threshold_fraction)
+    _check_freq_samples(cfg.num_samples)  # classify_lock reads final_freq
     # every filter is encoded, and its side checked, before the first run
     omegas = [fsk_encode(fragment, filt, cfg.omega0, cfg.delta_omega) for filt in bank]
     if reference_oscillator:
@@ -387,7 +390,7 @@ class SweepPoint:
 
 def _sweep_config(
     epsilon: float,
-    rows: int,
+    points: int,
     lowest: float,
     highest: float,
     omega0: float = 1.0,
@@ -395,10 +398,10 @@ def _sweep_config(
     t_end: float = 1200.0,
     dt: float | None = None,
 ) -> OscillatorArrayConfig:
-    """Array config of a locking sweep over rows detunings from lowest to highest.
+    """Array config of a locking sweep over points detunings from lowest to highest.
 
-    The grid is held to the block cap here, so a caller can check a grid
-    by its size and ends before it builds it.
+    The whole grid is held to VALUE_CAP recorded values here, so a caller
+    can check a grid by its size and ends before it builds it.
     """
     if lowest < 0:
         raise ConfigurationError("detunings must be >= 0")
@@ -408,7 +411,12 @@ def _sweep_config(
         n=2, rho=rho, omega0=omega0, delta_omega=0.25 * highest, epsilon=epsilon, dt=dt,
         t_end=t_end,
     )
-    _check_block(rows, cfg)
+    recorded = points * cfg.num_samples
+    if recorded > VALUE_CAP:
+        raise ConfigurationError(
+            f"a sweep of {points} points would record {recorded} values, more than 2**24; "
+            f"sweep fewer points, raise dt or lower t_end"
+        )
     return cfg
 
 
@@ -463,6 +471,7 @@ def sweep_locking(
         raise ConfigurationError(
             f"gap_tol (spread_tol on the command line) must be positive and finite, got {gap_tol}"
         )
+    _check_freq_samples(cfg.num_samples)  # read takes final_freq
     omega = np.column_stack([omega0 - 0.5 * detunings, omega0 + 0.5 * detunings])
 
     def read(trace: SimulationTrace) -> tuple[bool, float, float]:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import inspect
 import json
@@ -23,7 +24,9 @@ from oscconv import (
     integrate,
     random_initial_state,
 )
-from oscconv.cli import RunConfig, load_image, main
+from oscconv.cli import RunConfig, build_parser, load_image, main
+from oscconv.dynamics import default_peak_detector
+from oscconv.inference import DOM_METHODS
 from oscconv.pgm import write_pgm
 
 
@@ -171,7 +174,7 @@ class TestMatch:
             dumped = np.array(rows, dtype=np.float64)
             expected = np.column_stack([
                 trace.times, trace.averager.real, trace.averager.imag,
-                trace.envelope, trace.peak_detector_output,
+                trace.envelope, default_peak_detector(trace.envelope, trace.config),
             ])
             assert np.array_equal(dumped, expected)
 
@@ -195,8 +198,8 @@ class TestMatch:
             oscconv.cli._write_csv(
                 tmp_path / name,
                 ["time", "averager_re", "averager_im", "envelope", "peak_detector"],
-                np.column_stack([trace.times, trace.averager.real, trace.averager.imag,
-                                 trace.envelope, trace.peak_detector_output]).tolist(),
+                np.column_stack([trace.times, trace.averager.real, trace.averager.imag, trace.envelope,
+                                 default_peak_detector(trace.envelope, trace.config)]).tolist(),
             )
             assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
 
@@ -407,7 +410,8 @@ class TestConfigHandling:
         # checked by its first seed, a range reaches the block cap unbuilt
         seeds = oscconv.cli._parse_seeds("0:16000000")
         assert seeds == range(16000000)
-        assert oscconv.cli._CONFIG_KEYS["seeds"](seeds, "seeds") is seeds
+        check, _, _ = oscconv.cli._SETTINGS["seeds"]
+        assert check(seeds, "seeds") is seeds
 
     @pytest.mark.parametrize("seeds, message", [
         ("0:16000000", "a block of 16000000 runs would record"),
@@ -756,7 +760,8 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert_one_line_error(code, err)
-        assert "a block of 10000001 runs" in err
+        assert err == ("error: a sweep of 10000001 points would record 105050010505 values, "
+                       "more than 2**24; sweep fewer points, raise dt or lower t_end\n")
         assert peak < 16e6
 
     def test_bad_grid(self, capsys, tmp_path):
@@ -848,6 +853,19 @@ class TestFeaturemap:
         assert code == 1
         assert "--filter-index" in err
 
+    def test_filter_flags_read_as_a_one_entry_bank(self, capsys, tmp_path):
+        grating = str(Path(__file__).parent / "golden" / "inputs" / "grating7.pgm")
+        bank_file = tmp_path / "bank.json"
+        bank_file.write_text(json.dumps(
+            [{"theta_deg": 30, "k": 0.35, "phase": 1.5708, "binarized": False}]))
+        run = ("featuremap", grating, "--seeds", "0,1", "--t-end", "40")
+        flags = run_cli(capsys, *run, "--theta-deg", "30", "--k", "0.35", "--phase", "1.5708",
+                        "--raw-filter", "--out-dir", str(tmp_path / "flags"))
+        bank = run_cli(capsys, *run, "--bank", str(bank_file), "--out-dir", str(tmp_path / "bank"))
+        assert flags == bank and flags[0] == 0
+        for name in ("onn_map.csv", "oracle_map.csv"):
+            assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "bank" / name).read_bytes()
+
     def test_theta_and_k_required_together(self, capsys, tmp_path, planted_image):
         code, _, err = run_cli(capsys, "featuremap", planted_image, "--theta-deg", "30")
         assert code == 1
@@ -898,7 +916,37 @@ class TestHw:
         assert oscconv.cli._eng(value, unit) == text
 
 
+def subcommands() -> dict:
+    """The parser of each subcommand, by name."""
+    actions = build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# (subcommand, flag, setting) of every float flag the settings table declares,
+# on every subcommand that has it
+FLOAT_FLAGS = [
+    (name, flag, key)
+    for key, (_, flag, options) in oscconv.cli._SETTINGS.items()
+    if options and options.get("type") is float
+    for name, parser in subcommands().items() if flag in parser._option_string_actions
+]
+
+
 class TestParser:
+    @pytest.mark.parametrize("command, flag, key", FLOAT_FLAGS)
+    def test_an_infinite_float_flag_is_one_line(self, capsys, tmp_path, white_image, command,
+                                                flag, key):
+        positionals = [white_image for a in subcommands()[command]._actions if not a.option_strings]
+        code, _, err = run_cli(capsys, command, *positionals, flag, "inf",
+                               "--out-dir", str(tmp_path / "o"))
+        assert_one_line_error(code, err)
+        assert f"{key} must be" in err
+
+    def test_dom_method_choices_are_the_dom_methods(self):
+        for name in ("match", "featuremap"):
+            action = subcommands()[name]._option_string_actions["--dom-method"]
+            assert action.choices == DOM_METHODS
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1

@@ -693,8 +693,11 @@ class TestSweepLocking:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(oscconv.inference, "integrate", counting)
-        with pytest.raises(ConfigurationError, match="5000 runs"):
+        with pytest.raises(ConfigurationError, match="a sweep of 5000 points"):
             sweep_locking(0.05, np.linspace(0.0, 0.2, 5000))
+        # a final frequency needs 3 samples; these runs would record 2
+        with pytest.raises(InsufficientDataError, match="needs >= 3 samples, trace has 2"):
+            sweep_locking(0.05, np.array([0.1]), t_end=0.1, dt=0.1)
         assert calls == []
 
     def test_divergence_is_the_first_failing_detunings(self):

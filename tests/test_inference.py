@@ -15,6 +15,7 @@ from oscconv import (
     Fragment,
     GaborFilter,
     Image,
+    InsufficientDataError,
     MatchReport,
     OscillatorArrayConfig,
     PolicyError,
@@ -32,7 +33,7 @@ from oscconv import (
     random_initial_state,
     winner_take_all,
 )
-from oscconv.dynamics import SimulationTrace
+from oscconv.dynamics import SimulationTrace, default_peak_detector
 from oscconv.errors import DivergenceError
 from oscconv.inference import _seed_blocks
 
@@ -106,23 +107,33 @@ class TestDom:
 
     def test_sample_peak_detector(self):
         trace = run_match_trace(MATCH_FRAG, FILTER, t_end=100.0)
+        peak = default_peak_detector(trace.envelope, trace.config)
         policy = DomPolicy(method="sample_peak_detector", sample_time=trace.times[-1])
-        assert dom(trace, policy) == pytest.approx(trace.peak_detector_output[-1])
+        assert dom(trace, policy) == pytest.approx(peak[-1])
         start = DomPolicy(method="sample_peak_detector", sample_time=0.0)
-        assert dom(trace, start) == pytest.approx(trace.peak_detector_output[0])
+        assert dom(trace, start) == pytest.approx(peak[0])
 
-    def test_sample_peak_detector_reads_a_block_up_to_its_sample(self):
+    def test_sample_peak_detector_reads_a_block_up_to_its_sample(self, monkeypatch):
         cfg = OscillatorArrayConfig(n=25, t_end=60.0)
         omegas = [fsk_encode(MATCH_FRAG, filt, cfg.omega0, cfg.delta_omega)
                   for filt in (FILTER, ANTI_FILTER)]
         block = integrate(np.array(omegas), cfg, np.array([random_initial_state(25, 0)] * 2))
+        lengths = []
+
+        def recording(envelope, cfg):
+            lengths.append(envelope.shape[-1])
+            return default_peak_detector(envelope, cfg)
+
+        monkeypatch.setattr(oscconv.inference, "default_peak_detector", recording)
         sample_times = (0.0, 0.05, 7.3, 30.0, block.times[-1])
         doms = [dom(block, DomPolicy(method="sample_peak_detector", sample_time=sample_time))
                 for sample_time in sample_times]
-        assert "peak_detector_output" not in vars(block)  # dom ran no full-length detector
-        for sample_time, got in zip(sample_times, doms):
-            idx = int(np.argmin(np.abs(block.times - sample_time)))
-            assert got == block.peak_detector_output[:, idx].tolist()
+        peak = default_peak_detector(block.envelope, cfg)
+        indices = [int(np.argmin(np.abs(block.times - t))) for t in sample_times]
+        # dom runs the detector up to the sample it reads, never over the whole block
+        assert lengths == [idx + 1 for idx in indices]
+        for idx, got in zip(indices, doms):
+            assert got == peak[:, idx].tolist()
 
     def test_sample_time_beyond_trace(self):
         trace = run_match_trace(MATCH_FRAG, FILTER, t_end=50.0)
@@ -395,14 +406,20 @@ class TestSeedBlocks:
         # trace of an earlier call is alive
         assert [held for _, held in integrate_calls] == [0] * 3
 
-    @pytest.mark.parametrize("kwargs, message", [
-        (dict(spread_tol=-1.0), "spread_tol must be positive and finite"),
-        (dict(dom_threshold_fraction=1.5), "dom_threshold_fraction must be in"),
-        (dict(cfg=OscillatorArrayConfig(n=25, delta_omega=0.0)), "delta_omega is 0"),
+    @pytest.mark.parametrize("kwargs, message, error", [
+        (dict(spread_tol=-1.0), "spread_tol must be positive and finite", ConfigurationError),
+        (dict(dom_threshold_fraction=1.5), "dom_threshold_fraction must be in",
+         ConfigurationError),
+        (dict(cfg=OscillatorArrayConfig(n=25, delta_omega=0.0)), "delta_omega is 0",
+         ConfigurationError),
         (dict(policy=DomPolicy(method="sample_peak_detector", sample_time=500.0)),
-         "sample_time 500.0 beyond trace end"),
+         "sample_time 500.0 beyond trace end", ConfigurationError),
+        # classify_lock's final frequencies need 3 samples
+        (dict(cfg=OscillatorArrayConfig(n=25, dt=0.1, t_end=0.1)),
+         "needs >= 3 samples, trace has 2", InsufficientDataError),
     ])
-    def test_readout_settings_are_checked_before_any_encoding(self, monkeypatch, kwargs, message):
+    def test_readout_settings_are_checked_before_any_encoding(self, monkeypatch, kwargs, message,
+                                                              error):
         def never(*args, **kwargs):
             raise AssertionError("called before the readout settings were checked")
 
@@ -410,11 +427,11 @@ class TestSeedBlocks:
         monkeypatch.setattr(oscconv.inference, "integrate", never)
         args = dict(fragment=MATCH_FRAG, bank=(FILTER,), cfg=OscillatorArrayConfig(n=25),
                     policy=DomPolicy(), seeds=(0,))
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(error, match=message):
             match_filters(**{**args, **kwargs})
         if "policy" in kwargs:
             img = Image(width=6, height=6, values=np.zeros(36))
-            with pytest.raises(ConfigurationError, match=message):
+            with pytest.raises(error, match=message):
                 feature_map_onn(img, FILTER, args["cfg"], kwargs["policy"], seeds=(0,))
 
 
