@@ -407,13 +407,15 @@ def _dump_traces(out: Path, report: MatchReport, array_cfg: OscillatorArrayConfi
 
 # Coupling of the two-oscillator locking sweep when none is configured.
 SWEEP_EPSILON = 0.05
+# The sweep's array settings besides epsilon, in --help order.
+_SWEEP_KEYS = ("t_end", "rho", "omega0", "dt")
 
 
 def cmd_sweep_locking(args) -> int:
     cfg = _config_from(args)
     start, step, count = _parse_grid(args.grid)
     epsilon = cfg.array.get("epsilon", SWEEP_EPSILON)
-    run = {k: v for k, v in cfg.array.items() if k in ("rho", "omega0", "dt", "t_end")}
+    run = {k: v for k, v in cfg.array.items() if k in _SWEEP_KEYS}
     # the grid's last point is its largest; the block cap is checked before the grid is built
     _sweep_config(epsilon, count, start, start + step * (count - 1), **run)
     grid = start + step * np.arange(count)
@@ -532,7 +534,7 @@ def build_parser() -> _Parser:
     _add_flags(p, "epsilon", epsilon=f"coupling coefficient (default {SWEEP_EPSILON:g})")
     p.add_argument("--grid", default="0:0.2:0.01", help="detuning grid 'start:stop:step'")
     _add_flags(
-        p, "t_end", "rho", "omega0", "dt", "spread_tol",
+        p, *_SWEEP_KEYS, "spread_tol",
         t_end="span per run (default 1200)",
         spread_tol="locked threshold on the final frequency gap (default 0.1*epsilon)",
     )

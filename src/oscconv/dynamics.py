@@ -30,8 +30,9 @@ from .errors import (
     NumericError,
 )
 
-# Divergence guard: the normalized dynamics keep ||z|| of order sqrt(n),
-# so 10*sqrt(n) is only reachable through integrator blow-up.
+# Divergence guard: a run stops once ||z|| passes 10*sqrt(n). Integrator blow-up
+# trips it, and so does a bounded run with eps*n/rho > 99, as its coherent state
+# has |z_i|**2 = 1 + eps*n/rho (ROADMAP item 3).
 DIVERGENCE_FACTOR = 10.0
 # Complex values one run, or one block of runs, may record: 256 MiB.
 VALUE_CAP = 2**24
@@ -207,25 +208,25 @@ class SimulationTrace:
 
 
 def _field(omega: np.ndarray, cfg: OscillatorArrayConfig):
-    """The right-hand side z -> dz/dt of the arrays with natural frequencies omega.
+    """rhs(z, k): dz/dt of the arrays with natural frequencies omega, written into k.
 
     omega and z have shape (n, cols), oscillator-major: each column is an
     array of its own. Its oscillator sum, shape (cols,), is an axis-0 reduce,
     which numpy runs as element-wise adds, one oscillator after the next.
-    rhs(z) evaluates z * (gain - rho*|z|**2) + eps*sum_j z_j. It takes |z|**2
+    rhs evaluates z * (gain - rho*|z|**2) + eps*sum_j z_j. It takes |z|**2
     as conj(z)*z, a complex array whose imaginary part is exactly 0, so the
     field never casts to float and back. rhs(z, k, s) reuses k = conj(z)*z,
     which it overwrites, and s, z's column sums. Without self-coupling, gain
-    holds the -eps that takes z_i out of its own sum.
+    holds the -eps that takes z_i out of its own sum. -rho and eps are 0-d
+    complex arrays, which numpy need not cast from float on every call.
     """
-    eps = cfg.epsilon
-    gain = (cfg.rho if cfg.include_self_in_sum else cfg.rho - eps) + 1j * omega
-    neg_rho = -cfg.rho
+    gain = (cfg.rho if cfg.include_self_in_sum else cfg.rho - cfg.epsilon) + 1j * omega
+    neg_rho, eps = np.array(-cfg.rho, dtype=complex), np.array(cfg.epsilon, dtype=complex)
     coupled = np.empty(omega.shape[1:], dtype=np.complex128)
 
-    def rhs(z: np.ndarray, k: np.ndarray | None = None, s: np.ndarray | None = None) -> np.ndarray:
-        if k is None:
-            k = np.conjugate(z)
+    def rhs(z: np.ndarray, k: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+        if s is None:
+            np.conjugate(z, out=k)
             k *= z
             s = np.add.reduce(z, axis=0, out=coupled)
         k *= neg_rho
@@ -287,7 +288,8 @@ def derivative(state: np.ndarray, omega: np.ndarray, cfg: OscillatorArrayConfig)
     """
     omega, state = _checked(omega, state, cfg, "state")
     rows = len(np.atleast_2d(omega))
-    rate = _field(_columns(omega, rows), cfg)(_columns(state, rows))
+    state = _columns(state, rows)
+    rate = _field(_columns(omega, rows), cfg)(state, np.empty_like(state))
     return rate[:, :rows].T.reshape(omega.shape)
 
 
@@ -360,7 +362,10 @@ def integrate(
     field reads it, and the divergence guard compares the column sums of
     its real part, the squared norms, with 100*n. The step's sum of z goes
     into the sample's column of the recorded sums, or into a scratch row
-    between samples, and the next step's field reads it.
+    between samples, and the next step's field reads it. z steps in place,
+    k1 in conj(z)*z's buffer; the stage input, k2, k3, k4 and last, the
+    state that a sample's phase step reads, from sample first - 1 on, each
+    keep one buffer for the call.
 
     Args:
         omega: natural frequencies (radian-time units), shape (n,) or
@@ -387,11 +392,11 @@ def integrate(
     rows = len(np.atleast_2d(omega))
     _check_block(rows, cfg)
     first, weights = _final_freq_weights(cfg)
-    z = last = _columns(init, rows)
+    z = _columns(init, rows)
     rhs = _field(_columns(omega, rows), cfg)
-    dt, stride = cfg.dt, cfg.stride
-    half, sixth = 0.5 * dt, dt / 6.0
-    guard2 = DIVERGENCE_FACTOR**2 * cfg.n
+    dt, stride, guard2 = cfg.dt, cfg.stride, DIVERGENCE_FACTOR**2 * cfg.n
+    # 0-d complex operands: numpy would cast a float to complex on every call
+    half, dt, sixth, two = (np.array(x, dtype=complex) for x in (0.5 * dt, dt, dt / 6.0, 2.0))
     # per column: the state sums (n times the averager) at every sample, the
     # weighted phase steps from sample first on, and a run's every state
     sums = np.zeros((z.shape[1], cfg.num_samples), dtype=np.complex128)
@@ -400,29 +405,30 @@ def integrate(
     s = np.add.reduce(z, axis=0, out=sums[:, 0])
     if run:
         states[0, 0] = z[:, 0]
-    a2, tmp, between = np.conjugate(z) * z, np.empty_like(z), np.empty_like(s)
+    a2, last, between = np.conjugate(z) * z, z.copy(), np.empty_like(s)
+    tmp, k2, k3, k4 = np.empty((4, *z.shape), dtype=complex)
     failures = {}
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a diverging row
         for step in range(1, cfg.n_steps + 1):
-            k1 = rhs(z, a2, s)
+            k1 = rhs(z, a2, s)  # in a2's buffer
             np.multiply(half, k1, out=tmp)
             tmp += z
-            k2 = rhs(tmp)
+            rhs(tmp, k2)
             np.multiply(half, k2, out=tmp)
             tmp += z
-            k3 = rhs(tmp)
+            rhs(tmp, k3)
             np.multiply(dt, k3, out=tmp)
             tmp += z
-            k4 = rhs(tmp)
+            rhs(tmp, k4)
             # k1 + 2*k2 + 2*k3 + k4, summed left to right
-            k2 *= 2.0
+            k2 *= two
             k1 += k2
-            k3 *= 2.0
+            k3 *= two
             k1 += k3
             k1 += k4
             k1 *= sixth
-            z = z + k1  # a new array: last holds the previous one
-            a2 = np.conjugate(z)
+            z += k1
+            np.conjugate(z, out=a2)
             a2 *= z  # the next step's k1 input, and the guard's squared norms
             norm2 = np.add.reduce(a2.real, axis=0)
             if not np.maximum.reduce(norm2) <= guard2:
@@ -442,7 +448,8 @@ def integrate(
                 states[0, sample] = z[:, 0]
             if sample >= first:
                 freq += weights[sample - first] * np.angle(z * last.conj())
-            last = z
+            if sample >= first - 1:  # the next sample's phase step reads this state
+                last[...] = z
     sums /= cfg.n
     times = sample_times(cfg)
     freq = np.ascontiguousarray(freq[:, :rows].T)

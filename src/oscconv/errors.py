@@ -26,7 +26,8 @@ class NumericError(OscconvError):
 
 
 class DivergenceError(NumericError):
-    """Integration blew past the divergence guard.
+    """The state norm passed the divergence guard, 10*sqrt(n): integrator blow-up,
+    or a bounded run whose coherent state, of norm sqrt(n*(1 + eps*n/rho)), lies past it.
 
     Attributes:
         step: 1-based index of the integration step that tripped the guard.

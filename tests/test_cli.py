@@ -65,6 +65,19 @@ def one_filter_bank(tmp_path):
     return str(path)
 
 
+def runs_without_and_with_config(capsys, tmp_path, config: dict, *argv):
+    """(exit code, stdout, stderr, {file name: bytes}) of argv run without, then with,
+    a config file holding config."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    runs = []
+    for name, extra in (("plain", ()), ("configured", ("--config", str(path)))):
+        out_dir = tmp_path / name
+        code, out, err = run_cli(capsys, *argv, *extra, "--out-dir", str(out_dir))
+        runs.append((code, out, err, {p.name: p.read_bytes() for p in out_dir.iterdir()}))
+    return runs
+
+
 def assert_one_line_error(code, err):
     assert code == 1
     assert err.startswith("error:")
@@ -309,19 +322,22 @@ class TestConfigHandling:
 
     def test_seed_key_is_ignored_by_match(self, capsys, tmp_path, white_image, one_filter_bank):
         # seed sets the sweep's initial phases; a match run's come from its seeds
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 3}))
-        runs = []
-        for name, config in (("plain", ()), ("seeded", ("--config", str(cfg)))):
-            out_dir = tmp_path / name
-            code, out, err = run_cli(
-                capsys, "match", white_image, *config, "--bank", one_filter_bank,
-                "--dump-traces", "--seeds", "0,1", "--t-end", "50", "--out-dir", str(out_dir),
-            )
-            files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
-            runs.append((code, out, err, files))
-        assert runs[0] == runs[1]
-        assert runs[0][0] == 0 and len(runs[0][3]) == 2
+        plain, seeded = runs_without_and_with_config(
+            capsys, tmp_path, {"seed": 3}, "match", white_image, "--bank", one_filter_bank,
+            "--dump-traces", "--seeds", "0,1", "--t-end", "50",
+        )
+        assert plain == seeded
+        assert plain[0] == 0 and len(plain[3]) == 2
+
+    def test_reference_oscillator_key_is_ignored_by_featuremap(self, capsys, tmp_path,
+                                                               white_image):
+        # only match adds the reference oscillator
+        plain, configured = runs_without_and_with_config(
+            capsys, tmp_path, {"reference_oscillator": True}, "featuremap", white_image,
+            "--seeds", "0,1", "--t-end", "20",
+        )
+        assert plain == configured
+        assert plain[0] == 0 and sorted(plain[3]) == ["onn_map.csv", "oracle_map.csv"]
 
     def test_unknown_config_field(self, capsys, tmp_path, white_image):
         cfg = tmp_path / "cfg.json"
@@ -941,6 +957,12 @@ class TestParser:
                                "--out-dir", str(tmp_path / "o"))
         assert_one_line_error(code, err)
         assert f"{key} must be" in err
+
+    def test_sweep_settings_are_its_array_keys_epsilon_and_spread_tol(self):
+        # cmd_sweep_locking passes on exactly the array settings its flags set
+        dests = [a.dest for a in subcommands()["sweep-locking"]._actions
+                 if a.dest in oscconv.cli._SETTINGS]
+        assert dests == ["epsilon", *oscconv.cli._SWEEP_KEYS, "spread_tol"]
 
     def test_dom_method_choices_are_the_dom_methods(self):
         for name in ("match", "featuremap"):

@@ -280,6 +280,22 @@ class TestIntegrate:
         omega[0] = 1.01
         init[0] = 1.0
 
+    @pytest.mark.parametrize("rows", [None, 1, 3], ids=["run", "block-of-1", "block-of-3"])
+    def test_shares_no_memory_with_its_inputs_or_another_trace(self, rows):
+        # z is stepped in place and the stage buffers are reused within a call
+        cfg = two_osc_cfg(t_end=20.0)
+        omega, init = np.array([1.0, 1.02]), random_initial_state(2, 9)
+        if rows:
+            omega, init = np.tile(omega, (rows, 1)), np.tile(init, (rows, 1))
+        given = omega.copy(), init.copy()
+        a = integrate(omega, cfg, init)
+        b = integrate(omega, cfg, init)
+        assert np.array_equal(omega, given[0]) and np.array_equal(init, given[1])
+        for name in ("times", "states", "averager", "freq"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+            for other in (omega, init, b.times, b.states, b.averager, b.freq):
+                assert not np.shares_memory(getattr(a, name), other)
+
     def test_trace_leaves_callers_arrays_writeable(self):
         cfg = OscillatorArrayConfig(n=2, delta_omega=0.0, epsilon=0.0, dt=0.1, t_end=9.9)
         times = np.arange(100) * 0.1
@@ -402,6 +418,9 @@ class TestBatchedIntegrate:
         dict(t_end=5.0),  # the window spans the run, and the edge padding folds onto its ends
         dict(t_end=0.3, dt=0.1),  # 4 samples: the steps read span the whole run
         dict(stride=3, include_self_in_sum=False),
+        # 3 samples: the first phase step reads the initial state
+        dict(t_end=0.2, dt=0.1),
+        dict(t_end=0.6, dt=0.1, stride=3),
     ])
     def test_a_block_sums_its_lone_runs_final_freq(self, kw):
         cfg = OscillatorArrayConfig(**{"n": 5, "t_end": 60.0, **kw})
