@@ -16,7 +16,9 @@ a presentation-layer multiplication by a carrier frequency.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -293,17 +295,60 @@ def derivative(state: np.ndarray, omega: np.ndarray, cfg: OscillatorArrayConfig)
     return rate[:, :rows].T.reshape(omega.shape)
 
 
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _hashmix(value: int, const: list[int], mult: int) -> int:
+    """SeedSequence's hash of value under const[0], which then advances by mult."""
+    old, const[0] = const[0], const[0] * mult & _M32
+    value = (value ^ old) * const[0] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x: int, value: int, const: list[int]) -> int:
+    x = (0xCA01F9DD * x - 0x4973F715 * _hashmix(value, const, 0x931E8875)) & _M32
+    return x ^ x >> 16
+
+
+def _pcg64(seed: int, n: int):
+    """Yield the first n outputs of numpy's PCG64(SeedSequence(seed)), XSL-RR 128/64."""
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    const = [0x43B0D7E5]
+    pool = [_hashmix(word, const, 0x931E8875) for word in (words + [0, 0, 0])[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], pool[src], const)
+    for word, dst in itertools.product(words[4:], range(4)):
+        pool[dst] = _mix(pool[dst], word, const)
+    const = [0x8B51F9DD]
+    out = [_hashmix(pool[i % 4], const, 0x58F38DED) for i in range(8)]
+    # generate_state(4, uint64) pairs words little-endian: state (u0 : u1), increment (u2 : u3)
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = (out[5] << 96 | out[4] << 64 | out[7] << 32 | out[6]) << 1 & _M128 | 1
+    state = ((inc + (out[1] << 96 | out[0] << 64 | out[3] << 32 | out[2])) * mult + inc) & _M128
+    for _ in range(n):
+        state = (state * mult + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        yield (x >> rot | x << 64 - rot) & _M64
+
+
 def random_initial_state(n: int, seed: int) -> np.ndarray:
     """Oscillators on the unit circle with seeded random phases.
 
     z_i = exp(i theta_i), theta_i drawn independently and uniformly from
-    [0, 2*pi). The same seed always produces the same state.
+    [0, 2*pi) by the package's own PCG64 stream: a non-negative integer seed
+    always gives the same state, which tests pin to numpy's
+    Generator(PCG64(SeedSequence(seed))).uniform(0, 2*pi, n) bit for bit.
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * math.pi, n)
-    return np.exp(1j * theta)
+    try:
+        index = operator.index(seed)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
+    # uniform(0, 2*pi) is 0.0 + 2*pi * next_double, next_double = (x >> 11) * 2**-53
+    return np.exp(1j * np.array([math.tau * ((x >> 11) * 2.0**-53) for x in _pcg64(index, n)]))
 
 
 def _check_block(rows: int, cfg: OscillatorArrayConfig) -> None:

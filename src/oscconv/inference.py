@@ -250,7 +250,7 @@ def _seed_blocks(omegas, cfg: OscillatorArrayConfig, seeds: tuple[int, ...], rea
         raise ConfigurationError(f"cfg.n={cfg.n} but the runs need n={len(omegas[0])} oscillators")
     runs = len(seeds)
     _check_block(runs, cfg)
-    inits = np.array([random_initial_state(cfg.n, int(seed)) for seed in seeds])
+    inits = np.array([random_initial_state(cfg.n, seed) for seed in seeds])
     per_call = max(1, min(_CALL_STATES // (runs * cfg.n), VALUE_CAP // (runs * cfg.num_samples)))
     for start in range(0, len(omegas), per_call):
         yield from _read_call(omegas[start:start + per_call], inits, cfg, read)

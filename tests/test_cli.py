@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import inspect
 import json
@@ -76,6 +77,44 @@ def runs_without_and_with_config(capsys, tmp_path, config: dict, *argv):
         code, out, err = run_cli(capsys, *argv, *extra, "--out-dir", str(out_dir))
         runs.append((code, out, err, {p.name: p.read_bytes() for p in out_dir.iterdir()}))
     return runs
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def modules_after_runs(names: list, *argvs: list) -> tuple:
+    """Run main on each argv in one fresh interpreter. Return the modules of
+    names that import numpy loaded, main's exit codes, and the modules of names
+    loaded after the runs."""
+    script = "\n".join([
+        "import sys, numpy",
+        f"eager = [m for m in {names!r} if m in sys.modules]",
+        "from oscconv.cli import main",
+        f"codes = [main(argv) for argv in {list(argvs)!r}]",
+        f"print(repr((eager, codes, [m for m in {names!r} if m in sys.modules])))",
+    ])
+    src = str(Path(oscconv.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    return ast.literal_eval(run.stdout.splitlines()[-1])
+
+
+def test_no_run_imports_an_rng(tmp_path):
+    # the initial phases come from the package's own PCG64 stream; numpy.random
+    # would bring secrets and hashlib's OpenSSL binding with it
+    names = ["numpy.random", "secrets", "_hashlib"]
+    eager, codes, loaded = modules_after_runs(
+        names,
+        ["match", str(GOLDEN_INPUTS / "fragment.pgm"), "--seeds", "0:2", "--t-end", "20",
+         "--out-dir", str(tmp_path / "m")],
+        ["sweep-locking", "--t-end", "20", "--out-dir", str(tmp_path / "s")],
+        ["featuremap", str(GOLDEN_INPUTS / "grating7.pgm"), "--seeds", "0", "--t-end", "20",
+         "--out-dir", str(tmp_path / "f")],
+    )
+    if "numpy.random" in eager:
+        pytest.skip("import numpy loads numpy.random on this numpy")
+    assert (codes, loaded) == ([0, 0, 0], eager)
 
 
 def assert_one_line_error(code, err):
@@ -235,24 +274,12 @@ class TestMatch:
 
     def test_a_match_leaves_numpy_ma_unimported(self, tmp_path):
         # on numpy 2, np.median imports numpy.ma for its NaN check
-        fragment = str(Path(__file__).parent / "golden" / "inputs" / "fragment.pgm")
-        argv = ["match", fragment, "--seeds", "0:2", "--t-end", "20", "--out-dir",
-                str(tmp_path / "m")]
-        script = "\n".join([
-            "import sys, numpy",
-            "eager = 'numpy.ma' in sys.modules",
-            "from oscconv.cli import main",
-            f"code = main({argv!r})",
-            "print(eager, code, 'numpy.ma' in sys.modules)",
-        ])
-        src = str(Path(oscconv.cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, check=True)
-        eager, code, loaded = run.stdout.splitlines()[-1].split()
-        if eager == "True":
+        argv = ["match", str(GOLDEN_INPUTS / "fragment.pgm"), "--seeds", "0:2", "--t-end", "20",
+                "--out-dir", str(tmp_path / "m")]
+        eager, codes, loaded = modules_after_runs(["numpy.ma"], argv)
+        if eager:
             pytest.skip("import numpy loads numpy.ma on this numpy")
-        assert (code, loaded) == ("0", "False")
+        assert (codes, loaded) == ([0], [])
 
     def test_all_filters_failing_exits_2(self, capsys, tmp_path, white_image):
         out_dir = tmp_path / "f"

@@ -1,4 +1,5 @@
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -554,6 +555,37 @@ class TestRandomInitialState:
     def test_rejects_bad_args(self):
         with pytest.raises(ConfigurationError):
             random_initial_state(0, 1)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 0.5, 1.0, np.float64(2.0), "3", None])
+    def test_rejects_a_seed_that_is_not_a_natural(self, seed):
+        message = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ConfigurationError, match=message):
+            random_initial_state(3, seed)
+
+    def test_numpy_integer_seeds_draw_as_their_ints(self):
+        for seed in (np.int64(7), np.uint8(200), np.uint64(2**64 - 1)):
+            expected = random_initial_state(4, int(seed))
+            assert random_initial_state(4, seed).tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**130 - 1), n=st.integers(1, 64))
+    @example(seed=0, n=1)
+    @example(seed=2**32 - 1, n=3)
+    @example(seed=2**32, n=3)
+    @example(seed=2**128 - 1, n=64)  # four seed words, the whole pool
+    @example(seed=2**128, n=2)  # five: a word past the pool
+    def test_is_numpys_pcg64_stream(self, seed, n):
+        theta = np.random.Generator(np.random.PCG64(seed)).uniform(0.0, 2.0 * math.pi, n)
+        assert random_initial_state(n, seed).tobytes() == np.exp(1j * theta).tobytes()
+
+    # Frozen phases: these hold if a numpy release changes its own stream.
+    @pytest.mark.parametrize("seed, theta", [
+        (0, 4.002148315014479),
+        (2**32, 5.590393700586498),
+        (2**64 + 3, 4.551468373893655),
+    ])
+    def test_pinned_first_phase(self, seed, theta):
+        assert random_initial_state(1, seed).tobytes() == np.exp(1j * np.array([theta])).tobytes()
 
 
 class TestInstantaneousFrequency:

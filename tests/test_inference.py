@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -333,6 +334,24 @@ class TestMatchFilters:
         bad_n = OscillatorArrayConfig(n=24, t_end=50.0)
         with pytest.raises(ConfigurationError):
             match_filters(MATCH_FRAG, (FILTER,), bad_n, DomPolicy(), seeds=(0,))
+
+    @pytest.mark.parametrize(
+        "seeds, named", [((0.5, 0.7), "0.5"), ((0, 1.0), "1.0"), ((2, -1), "-1")]
+    )
+    def test_a_seed_that_is_not_a_natural_is_named(self, seeds, named):
+        # truncated, 0.5 and 0.7 would both run seed 0 and report a dom_std of 0
+        cfg = OscillatorArrayConfig(n=25, t_end=50.0)
+        message = f"^seed must be a non-negative integer, got {re.escape(named)}$"
+        with pytest.raises(ConfigurationError, match=message):
+            match_filters(MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=seeds)
+
+    def test_numpy_integer_seeds_run_as_their_ints(self):
+        cfg = OscillatorArrayConfig(n=25, t_end=50.0)
+        ints = match_filters(MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=(0, 1))
+        numpys = match_filters(
+            MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=(np.int64(0), np.uint32(1))
+        )
+        assert numpys.results[0].doms == ints.results[0].doms
 
 
 @pytest.fixture
