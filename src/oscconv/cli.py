@@ -44,6 +44,8 @@ from .hardware import (
 )
 from .inference import (
     DOM_METHODS,
+    DOM_THRESHOLD_FRACTION,
+    SWEEP_T_END,
     DomPolicy,
     MatchReport,
     _sweep_config,
@@ -204,7 +206,6 @@ _SETTINGS = {
     "reference_oscillator": (_boolean, "--reference-oscillator", dict(
         action="store_true", default=None,
         help="add one extra oscillator at omega0 that encodes no pixel")),
-    "include_self_in_sum": (_boolean, None, None),
     "seed": (_natural, None, None),
 }
 # settings that are DomPolicy fields, which a config file sets under
@@ -231,7 +232,7 @@ class RunConfig:
     seeds: tuple | range = range(8)
     dom_policy: DomPolicy = DomPolicy()
     spread_tol: float | None = None
-    dom_threshold_fraction: float = 0.8
+    dom_threshold_fraction: float = DOM_THRESHOLD_FRACTION
     reference_oscillator: bool = False
     bank: object = None  # None (default bank), path string, or checked entries
 
@@ -419,7 +420,7 @@ def cmd_sweep_locking(args) -> int:
     # the grid's last point is its largest; the block cap is checked before the grid is built
     _sweep_config(epsilon, count, start, start + step * (count - 1), **run)
     grid = start + step * np.arange(count)
-    points = sweep_locking(epsilon, grid, seed=cfg.seed, gap_tol=cfg.spread_tol, **run)
+    points = sweep_locking(epsilon, grid, seed=cfg.seed, spread_tol=cfg.spread_tol, **run)
     out = _out_dir(args)
     _write_csv(
         out / "sweep.csv",
@@ -535,7 +536,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", default="0:0.2:0.01", help="detuning grid 'start:stop:step'")
     _add_flags(
         p, *_SWEEP_KEYS, "spread_tol",
-        t_end="span per run (default 1200)",
+        t_end=f"span per run (default {SWEEP_T_END:g})",
         spread_tol="locked threshold on the final frequency gap (default 0.1*epsilon)",
     )
     _add_io_flags(p)

@@ -83,9 +83,6 @@ class OscillatorArrayConfig:
             within omega0 +/- 2*delta_omega.
         epsilon: coupling coefficient. None selects
             default_coupling(n, delta_omega).
-        include_self_in_sum: whether the mean-field sum includes z_i
-            itself (default true; excluding it only shifts the effective
-            linear gain by epsilon).
         dt: integration step in radian-time. None selects
             default_timestep(omega0 + 2*delta_omega).
         t_end: total integration span in radian-time.
@@ -97,7 +94,6 @@ class OscillatorArrayConfig:
     omega0: float = 1.0
     delta_omega: float = 0.05
     epsilon: float | None = None
-    include_self_in_sum: bool = True
     dt: float | None = None
     t_end: float = 400.0
     stride: int = 1
@@ -218,11 +214,10 @@ def _field(omega: np.ndarray, cfg: OscillatorArrayConfig):
     rhs evaluates z * (gain - rho*|z|**2) + eps*sum_j z_j. It takes |z|**2
     as conj(z)*z, a complex array whose imaginary part is exactly 0, so the
     field never casts to float and back. rhs(z, k, s) reuses k = conj(z)*z,
-    which it overwrites, and s, z's column sums. Without self-coupling, gain
-    holds the -eps that takes z_i out of its own sum. -rho and eps are 0-d
+    which it overwrites, and s, z's column sums. -rho and eps are 0-d
     complex arrays, which numpy need not cast from float on every call.
     """
-    gain = (cfg.rho if cfg.include_self_in_sum else cfg.rho - cfg.epsilon) + 1j * omega
+    gain = cfg.rho + 1j * omega
     neg_rho, eps = np.array(-cfg.rho, dtype=complex), np.array(cfg.epsilon, dtype=complex)
     coupled = np.empty(omega.shape[1:], dtype=np.complex128)
 
@@ -279,7 +274,7 @@ def derivative(state: np.ndarray, omega: np.ndarray, cfg: OscillatorArrayConfig)
     Args:
         state: length-n complex amplitudes.
         omega: length-n natural frequencies.
-        cfg: array configuration (rho, epsilon, coupling topology).
+        cfg: array configuration (rho, epsilon).
 
     Returns:
         Length-n complex rate vector.

@@ -33,6 +33,8 @@ from .oracle import FeatureMap, Image, dot
 
 # DomPolicy's default first, the order --dom-method lists them in
 DOM_METHODS = ("trailing_mean_envelope", "sample_peak_detector")
+# the lock-time envelope threshold, as a fraction of the final plateau, when none is set
+DOM_THRESHOLD_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
@@ -122,18 +124,18 @@ def classify_lock(trace: SimulationTrace, spread_tol: float | None = None) -> bo
     spread_tol defaults to 0.1 * delta_omega. A block trace gives one
     flag per row.
     """
-    spread_tol = _spread_tol(trace.config, spread_tol)
+    spread_tol = _spread_tol(spread_tol, trace.config.delta_omega, "delta_omega")
     final = trace.final_freq
     spread = np.abs(final - _median(final)).max(axis=-1)
     return (spread < spread_tol).tolist()
 
 
-def _spread_tol(cfg: OscillatorArrayConfig, spread_tol: float | None) -> float:
-    """spread_tol, or its default 0.1 * cfg.delta_omega, checked."""
+def _spread_tol(spread_tol: float | None, scale: float, name: str) -> float:
+    """spread_tol, or its default 0.1 * scale, checked; name is scale's setting, for errors."""
     if spread_tol is None:
-        if cfg.delta_omega == 0:
-            raise ConfigurationError("delta_omega is 0: set spread_tol (default 0.1*delta_omega)")
-        spread_tol = 0.1 * cfg.delta_omega
+        if scale == 0:
+            raise ConfigurationError(f"{name} is 0: set spread_tol (default 0.1*{name})")
+        spread_tol = 0.1 * scale
     if not 0 < spread_tol < math.inf:
         raise ConfigurationError(f"spread_tol must be positive and finite, got {spread_tol}")
     return spread_tol
@@ -141,7 +143,7 @@ def _spread_tol(cfg: OscillatorArrayConfig, spread_tol: float | None) -> float:
 
 def measure_lock_time(
     trace: SimulationTrace,
-    dom_threshold_fraction: float = 0.8,
+    dom_threshold_fraction: float = DOM_THRESHOLD_FRACTION,
 ) -> float | None | list[float | None]:
     """Earliest time after which the envelope stays above threshold.
 
@@ -220,20 +222,6 @@ class MatchReport:
 _CALL_STATES = 2**12
 
 
-def _read_call(omegas, inits: np.ndarray, cfg: OscillatorArrayConfig, read) -> list:
-    """Integrate, in one call, a block per frequency vector with a run per
-    initial state; return per block (read(its trace), None), or (None, its
-    first failed seed's error). The call's trace dies on return."""
-    runs = len(inits)
-    call = integrate(np.repeat(omegas, runs, axis=0), cfg, np.tile(inits, (len(omegas), 1)))
-    outcomes = []
-    for start in range(0, len(call.failures), runs):
-        trace = call.rows(slice(start, start + runs))
-        failure = next((f for f in trace.failures if f is not None), None)
-        outcomes.append((None, failure) if failure is not None else (read(trace), None))
-    return outcomes
-
-
 def _seed_blocks(omegas, cfg: OscillatorArrayConfig, seeds: tuple[int, ...], read):
     """Yield, per frequency vector, (read(trace), None) for the trace of its
     block with a run per seed, or (None, its first failed seed's error).
@@ -242,7 +230,8 @@ def _seed_blocks(omegas, cfg: OscillatorArrayConfig, seeds: tuple[int, ...], rea
 
     One integrate call steps as many blocks as together step at most
     _CALL_STATES oscillator states and record at most VALUE_CAP values,
-    and at least one. A call's blocks are all read before the next starts.
+    and at least one. A call's blocks are all read, and its trace released,
+    before the next call starts.
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
@@ -253,7 +242,15 @@ def _seed_blocks(omegas, cfg: OscillatorArrayConfig, seeds: tuple[int, ...], rea
     inits = np.array([random_initial_state(cfg.n, seed) for seed in seeds])
     per_call = max(1, min(_CALL_STATES // (runs * cfg.n), VALUE_CAP // (runs * cfg.num_samples)))
     for start in range(0, len(omegas), per_call):
-        yield from _read_call(omegas[start:start + per_call], inits, cfg, read)
+        group = omegas[start:start + per_call]
+        call = integrate(np.repeat(group, runs, axis=0), cfg, np.tile(inits, (len(group), 1)))
+        outcomes = []
+        for row in range(0, len(call.failures), runs):
+            trace = call.rows(slice(row, row + runs))
+            failure = next((f for f in trace.failures if f is not None), None)
+            outcomes.append((None, failure) if failure is not None else (read(trace), None))
+        del call, trace
+        yield from outcomes
 
 
 def match_filters(
@@ -264,7 +261,7 @@ def match_filters(
     seeds: tuple[int, ...],
     reference_oscillator: bool = False,
     spread_tol: float | None = None,
-    dom_threshold_fraction: float = 0.8,
+    dom_threshold_fraction: float = DOM_THRESHOLD_FRACTION,
 ) -> MatchReport:
     """Match a fragment against every filter in the bank.
 
@@ -296,7 +293,7 @@ def match_filters(
     # the readouts' settings are checked before the first filter is encoded
     if policy.method == "sample_peak_detector":
         _sample_index(policy, sample_times(cfg))
-    spread_tol = _spread_tol(cfg, spread_tol)
+    spread_tol = _spread_tol(spread_tol, cfg.delta_omega, "delta_omega")
     _check_threshold(dom_threshold_fraction)
     _check_freq_samples(cfg.num_samples)  # classify_lock reads final_freq
     # every filter is encoded, and its side checked, before the first run
@@ -388,17 +385,20 @@ class SweepPoint:
     beat_amplitude: float
 
 
+# Span of each locking-sweep run when none is set: long runs sharpen the boundary.
+SWEEP_T_END = 1200.0
+
+
 def _sweep_config(
     epsilon: float,
     points: int,
     lowest: float,
     highest: float,
-    omega0: float = 1.0,
-    rho: float = 1.0,
-    t_end: float = 1200.0,
-    dt: float | None = None,
+    t_end: float = SWEEP_T_END,
+    **array: float | None,
 ) -> OscillatorArrayConfig:
-    """Array config of a locking sweep over points detunings from lowest to highest.
+    """Array config of a locking sweep over points detunings from lowest to highest;
+    array holds the other OscillatorArrayConfig settings that were set.
 
     The whole grid is held to VALUE_CAP recorded values here, so a caller
     can check a grid by its size and ends before it builds it.
@@ -408,8 +408,7 @@ def _sweep_config(
     # delta_omega sized so omega_max, and with it the default dt and the
     # accuracy guard, covers the fastest frequency on the grid
     cfg = OscillatorArrayConfig(
-        n=2, rho=rho, omega0=omega0, delta_omega=0.25 * highest, epsilon=epsilon, dt=dt,
-        t_end=t_end,
+        n=2, delta_omega=0.25 * highest, epsilon=epsilon, t_end=t_end, **array
     )
     recorded = points * cfg.num_samples
     if recorded > VALUE_CAP:
@@ -425,17 +424,17 @@ def sweep_locking(
     detunings: np.ndarray,
     omega0: float = 1.0,
     rho: float = 1.0,
-    t_end: float = 1200.0,
+    t_end: float = SWEEP_T_END,
     dt: float | None = None,
     seed: int = 0,
-    gap_tol: float | None = None,
+    spread_tol: float | None = None,
 ) -> tuple[SweepPoint, ...]:
     """Two-oscillator locking sweep over a detuning grid.
 
     For each detuning d, a one-run block of _seed_blocks, the oscillators
     run at omega0 -/+ d/2 under coupling epsilon. A point is locked
     when the gap between the two final instantaneous frequencies
-    (averaged over the last 10% of the trace) is below gap_tol.
+    (averaged over the last 10% of the trace) is below spread_tol.
 
     Args:
         epsilon: coupling coefficient.
@@ -446,7 +445,7 @@ def sweep_locking(
         dt: integration step; None picks the default for the fastest
             frequency on the grid.
         seed: initial-phase seed shared by all points.
-        gap_tol: locked threshold on the final frequency gap;
+        spread_tol: locked threshold on the final frequency gap;
             None selects 0.1 * epsilon.
 
     Returns:
@@ -458,26 +457,17 @@ def sweep_locking(
     detunings = np.asarray(detunings, dtype=np.float64)
     if detunings.size == 0:
         raise ConfigurationError("detuning grid must be nonempty")
-    # the config checks epsilon before the default gap_tol is derived from it
+    # the config checks epsilon before the default spread_tol is derived from it
     cfg = _sweep_config(epsilon, detunings.size, float(detunings.min()), float(detunings.max()),
-                        omega0, rho, t_end, dt)
-    if gap_tol is None:
-        if epsilon == 0:
-            raise ConfigurationError(
-                "epsilon is 0: set gap_tol, spread_tol on the command line (default 0.1*epsilon)"
-            )
-        gap_tol = 0.1 * epsilon
-    if not 0 < gap_tol < math.inf:
-        raise ConfigurationError(
-            f"gap_tol (spread_tol on the command line) must be positive and finite, got {gap_tol}"
-        )
+                        t_end, omega0=omega0, rho=rho, dt=dt)
+    spread_tol = _spread_tol(spread_tol, epsilon, "epsilon")
     _check_freq_samples(cfg.num_samples)  # read takes final_freq
     omega = np.column_stack([omega0 - 0.5 * detunings, omega0 + 0.5 * detunings])
 
     def read(trace: SimulationTrace) -> tuple[bool, float, float]:
         gap = abs(trace.final_freq[0, 1] - trace.final_freq[0, 0])
         window = trace.envelope[0, -max(1, trace.num_samples // 5):]
-        return bool(gap < gap_tol), float(gap), float((window.max() - window.min()) / 2.0)
+        return bool(gap < spread_tol), float(gap), float((window.max() - window.min()) / 2.0)
 
     outcomes = list(_seed_blocks(omega, cfg, (seed,), read))
     failure = next((f for _, f in outcomes if f is not None), None)

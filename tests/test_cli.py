@@ -27,7 +27,7 @@ from oscconv import (
 )
 from oscconv.cli import RunConfig, build_parser, load_image, main
 from oscconv.dynamics import default_peak_detector
-from oscconv.inference import DOM_METHODS
+from oscconv.inference import DOM_METHODS, measure_lock_time, sweep_locking
 from oscconv.pgm import write_pgm
 
 
@@ -367,11 +367,15 @@ class TestConfigHandling:
         assert plain[0] == 0 and sorted(plain[3]) == ["onn_map.csv", "oracle_map.csv"]
 
     def test_unknown_config_field(self, capsys, tmp_path, white_image):
+        # include_self_in_sum is no setting: every run couples through the self-inclusive mean field
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        code, _, err = run_cli(capsys, "match", white_image, "--config", str(cfg))
-        assert code == 1
-        assert "unknown field 'bogus'" in err
+        for key, command in [("bogus", ["match", white_image]),
+                             ("include_self_in_sum", ["match", white_image]),
+                             ("include_self_in_sum", ["sweep-locking"])]:
+            cfg.write_text(json.dumps({key: True}))
+            code, _, err = run_cli(capsys, *command, "--config", str(cfg))
+            assert_one_line_error(code, err)
+            assert f"unknown field {key!r}" in err
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_jobs_is_not_an_option(self, capsys, tmp_path, white_image, source):
@@ -469,8 +473,8 @@ class TestConfigHandling:
 # rejected inputs whose error line must name what to change, by test id
 BLAMED = {
     "sweep-negative-epsilon": "epsilon must be >= 0 and finite, got -1",
-    "sweep-zero-epsilon": "epsilon is 0: set gap_tol, spread_tol",
-    "sweep-negative-spread-tol": "spread_tol on the command line) must be positive",
+    "sweep-zero-epsilon": "epsilon is 0: set spread_tol (default 0.1*epsilon)",
+    "sweep-negative-spread-tol": "spread_tol must be positive and finite, got -1",
     "sweep-grid-negative": "detunings must be >= 0",
 }
 
@@ -721,7 +725,7 @@ def test_float_csv_writes_the_bytes_of_csv(tmp_path, columns):
 
 # Every config key, and values of the wrong JSON type, non-finite or negative
 CONFIG_KEYS = (
-    "rho", "omega0", "delta_omega", "epsilon", "include_self_in_sum", "dt", "t_end",
+    "rho", "omega0", "delta_omega", "epsilon", "dt", "t_end",
     "stride", "seed", "side", "seeds", "dom_policy", "spread_tol",
     "dom_threshold_fraction", "reference_oscillator", "bank",
 )
@@ -990,6 +994,14 @@ class TestParser:
         dests = [a.dest for a in subcommands()["sweep-locking"]._actions
                  if a.dest in oscconv.cli._SETTINGS]
         assert dests == ["epsilon", *oscconv.cli._SWEEP_KEYS, "spread_tol"]
+
+    def test_the_cli_states_and_runs_the_library_defaults(self):
+        # the sweep span --help states, and the lock threshold a match reads
+        span = inspect.signature(sweep_locking).parameters["t_end"].default
+        help_text = " ".join(subcommands()["sweep-locking"].format_help().split())
+        assert f"span per run (default {span:g})" in help_text
+        threshold = inspect.signature(measure_lock_time).parameters["dom_threshold_fraction"]
+        assert RunConfig().dom_threshold_fraction == threshold.default
 
     def test_dom_method_choices_are_the_dom_methods(self):
         for name in ("match", "featuremap"):

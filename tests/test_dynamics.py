@@ -112,31 +112,17 @@ class TestDerivative:
         rate = derivative(np.array([0.0 + 0j]), np.array([2.0]), cfg)
         assert rate[0] == 0.0
 
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_matches_scalar_expansion(self, include_self):
+    def test_matches_scalar_expansion(self):
         # independent element-wise evaluation of the same formula
-        cfg = OscillatorArrayConfig(
-            n=2, delta_omega=0.05, epsilon=0.1, include_self_in_sum=include_self
-        )
+        cfg = OscillatorArrayConfig(n=2, delta_omega=0.05, epsilon=0.1)
         z = np.array([1.0 + 0.0j, 1.0 + 0.0j])
         omega = np.array([1.0, 1.05])
         rate = derivative(z, omega, cfg)
         total = z[0] + z[1]
         for i in range(2):
             mag2 = z[i].real ** 2 + z[i].imag ** 2
-            coupled = total if include_self else total - z[i]
-            expected = (1.0 + 1j * omega[i]) * z[i] - 1.0 * z[i] * mag2 + 0.1 * coupled
+            expected = (1.0 + 1j * omega[i]) * z[i] - 1.0 * z[i] * mag2 + 0.1 * total
             assert rate[i] == pytest.approx(expected, rel=1e-15)
-
-    def test_self_sum_flag(self):
-        cfg_in = OscillatorArrayConfig(n=2, delta_omega=0.0, epsilon=0.1)
-        cfg_out = OscillatorArrayConfig(
-            n=2, delta_omega=0.0, epsilon=0.1, include_self_in_sum=False
-        )
-        z = np.array([0.5 + 0.5j, -0.3 + 0.1j])
-        omega = np.ones(2)
-        diff = derivative(z, omega, cfg_in) - derivative(z, omega, cfg_out)
-        assert np.allclose(diff, 0.1 * z)
 
     def test_length_mismatch(self):
         cfg = OscillatorArrayConfig(n=2, delta_omega=0.0, epsilon=0.0)
@@ -252,15 +238,12 @@ class TestIntegrate:
             a.states[0, 0] = 0
 
     # n=25: past the 8 values at which numpy sums pairwise
-    @pytest.mark.parametrize("include_self, n", [(True, 3), (False, 3), (True, 25), (False, 25)],
-                             ids=["True", "False", "True-n25", "False-n25"])
-    def test_one_step_is_rk4_over_derivative(self, include_self, n):
+    @pytest.mark.parametrize("n", [3, 25])
+    def test_one_step_is_rk4_over_derivative(self, n):
         # integrate and derivative evaluate one vector field, and the row's
         # step is the same in a block
         dt = 0.1
-        cfg = OscillatorArrayConfig(
-            n=n, epsilon=0.02, include_self_in_sum=include_self, dt=dt, t_end=dt
-        )
+        cfg = OscillatorArrayConfig(n=n, epsilon=0.02, dt=dt, t_end=dt)
         omega = np.resize([0.95, 1.0, 1.08], n)
         z = random_initial_state(n, 4)
         k1 = derivative(z, omega, cfg)
@@ -334,7 +317,7 @@ BATCH_OMEGA = 1.0 + 0.05 * np.random.default_rng(11).uniform(-2.0, 2.0, (6, 5))
 BATCH_INIT = np.array([random_initial_state(5, seed) for seed in range(6)])
 BATCH_CONFIGS = (
     OscillatorArrayConfig(n=5, t_end=60.0),
-    OscillatorArrayConfig(n=5, t_end=60.0, stride=3, include_self_in_sum=False),
+    OscillatorArrayConfig(n=5, t_end=60.0, stride=3),
 )
 
 
@@ -418,7 +401,7 @@ class TestBatchedIntegrate:
         dict(stride=50),  # a smoothing window of one sample
         dict(t_end=5.0),  # the window spans the run, and the edge padding folds onto its ends
         dict(t_end=0.3, dt=0.1),  # 4 samples: the steps read span the whole run
-        dict(stride=3, include_self_in_sum=False),
+        dict(stride=3),
         # 3 samples: the first phase step reads the initial state
         dict(t_end=0.2, dt=0.1),
         dict(t_end=0.6, dt=0.1, stride=3),
@@ -711,13 +694,13 @@ class TestSweepLocking:
         with pytest.raises(ConfigurationError):
             sweep_locking(0.0, np.array([0.1]))
 
-    @pytest.mark.parametrize("gap_tol", [math.nan, math.inf])
-    def test_rejects_non_finite_gap_tol(self, gap_tol):
-        with pytest.raises(ConfigurationError, match="gap_tol"):
-            sweep_locking(0.05, np.array([0.1]), gap_tol=gap_tol)
-        # a non-finite coupling is blamed on epsilon, not on the gap_tol derived from it
+    @pytest.mark.parametrize("spread_tol", [math.nan, math.inf])
+    def test_rejects_non_finite_spread_tol(self, spread_tol):
+        with pytest.raises(ConfigurationError, match="spread_tol must be positive and finite"):
+            sweep_locking(0.05, np.array([0.1]), spread_tol=spread_tol)
+        # a non-finite coupling is blamed on epsilon, not on the spread_tol derived from it
         with pytest.raises(ConfigurationError, match="epsilon"):
-            sweep_locking(gap_tol, np.array([0.1]))
+            sweep_locking(spread_tol, np.array([0.1]))
 
     def test_default_dt_covers_the_fastest_grid_frequency(self):
         grid = np.array([0.0, 0.06, 0.1])

@@ -147,14 +147,11 @@ class TestDom:
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(1, 9), rho=st.floats(0.2, 2.0), epsilon=st.floats(0.0, 0.1),
-        include_self=st.booleans(), seed=st.integers(0, 10**6), peak=st.booleans(),
-        data=st.data(),
+        seed=st.integers(0, 10**6), peak=st.booleans(), data=st.data(),
     )
-    def test_bounds_property(self, n, rho, epsilon, include_self, seed, peak, data):
+    def test_bounds_property(self, n, rho, epsilon, seed, peak, data):
         detuning = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
-        cfg = OscillatorArrayConfig(
-            n=n, rho=rho, epsilon=epsilon, include_self_in_sum=include_self, t_end=60.0
-        )
+        cfg = OscillatorArrayConfig(n=n, rho=rho, epsilon=epsilon, t_end=60.0)
         omega = cfg.omega0 + cfg.delta_omega * np.array(detuning)
         init = np.array([random_initial_state(n, seed + k) for k in range(3)])
         policy = DomPolicy("sample_peak_detector", 30.0) if peak else DomPolicy()
