@@ -52,13 +52,15 @@ def default_coupling(n: int, delta_omega: float) -> float:
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
+    if not 0 <= delta_omega < math.inf:  # negated, so NaN fails too
+        raise ConfigurationError(f"delta_omega must be >= 0 and finite, got {delta_omega}")
     return 3.0 * delta_omega / n
 
 
 def default_timestep(omega_max: float) -> float:
     """Default integration step: 50 samples per period of the fastest oscillator."""
-    if omega_max <= 0:
-        raise ConfigurationError(f"omega_max must be positive, got {omega_max}")
+    if not 0 < omega_max < math.inf:
+        raise ConfigurationError(f"omega_max must be positive and finite, got {omega_max}")
     return 2.0 * math.pi / (50.0 * omega_max)
 
 
@@ -562,10 +564,9 @@ def peak_detector(envelope: np.ndarray, tau_decay: float, dt: float) -> np.ndarr
     Raises:
         InsufficientDataError: for an empty envelope.
     """
-    if tau_decay <= 0:
-        raise ConfigurationError(f"tau_decay must be positive, got {tau_decay}")
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
+    for name, value in (("tau_decay", tau_decay), ("dt", dt)):
+        if not 0 < value < math.inf:
+            raise ConfigurationError(f"{name} must be positive and finite, got {value}")
     envelope = np.asarray(envelope, dtype=np.float64)
     if envelope.size == 0:
         raise InsufficientDataError("peak detector needs at least one envelope sample")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import OscillatorArrayConfig
 from .errors import ConfigurationError, InputError
 
 _TOL = 1e-12
@@ -158,28 +159,20 @@ def default_bank(side: int = 5) -> tuple[GaborFilter, ...]:
     )
 
 
-def fsk_encode(
-    fragment: Fragment,
-    filt: GaborFilter,
-    omega0: float,
-    delta_omega: float,
-) -> np.ndarray:
-    """Natural-frequency vector omega_j = omega0 + delta_omega * (F_j - G_j).
+def fsk_encode(fragment: Fragment, filt: GaborFilter, cfg: OscillatorArrayConfig) -> np.ndarray:
+    """Natural-frequency vector omega_j = cfg.omega0 + cfg.delta_omega * (F_j - G_j).
 
-    Every output lies in [omega0 - 2*delta_omega, omega0 + 2*delta_omega].
+    Every output lies in [omega0 - 2*delta_omega, omega0 + 2*delta_omega];
+    cfg has checked both.
 
     Raises:
-        ConfigurationError: on side mismatch or invalid omega0/delta_omega.
+        ConfigurationError: on side mismatch.
     """
     if fragment.side != filt.side:
         raise ConfigurationError(
             f"fragment side {fragment.side} does not match filter side {filt.side}"
         )
-    if omega0 <= 0:
-        raise ConfigurationError(f"omega0 must be positive, got {omega0}")
-    if delta_omega < 0:
-        raise ConfigurationError(f"delta_omega must be >= 0, got {delta_omega}")
-    return omega0 + delta_omega * (fragment.values - filt.values)
+    return cfg.omega0 + cfg.delta_omega * (fragment.values - filt.values)
 
 
 def edge_fragment() -> Fragment:

@@ -297,7 +297,7 @@ def match_filters(
     _check_threshold(dom_threshold_fraction)
     _check_freq_samples(cfg.num_samples)  # classify_lock reads final_freq
     # every filter is encoded, and its side checked, before the first run
-    omegas = [fsk_encode(fragment, filt, cfg.omega0, cfg.delta_omega) for filt in bank]
+    omegas = [fsk_encode(fragment, filt, cfg) for filt in bank]
     if reference_oscillator:
         omegas = [np.append(omega, cfg.omega0) for omega in omegas]
 
@@ -362,7 +362,7 @@ def feature_map_onn(
     out_h = img.height - filt.side + 1
     out_w = img.width - filt.side + 1
     omegas = [
-        fsk_encode(img.window(*divmod(cell, out_w), filt.side), filt, cfg.omega0, cfg.delta_omega)
+        fsk_encode(img.window(*divmod(cell, out_w), filt.side), filt, cfg)
         for cell in range(out_h * out_w)
     ]
     values, errors = [], []
@@ -422,12 +422,9 @@ def _sweep_config(
 def sweep_locking(
     epsilon: float,
     detunings: np.ndarray,
-    omega0: float = 1.0,
-    rho: float = 1.0,
-    t_end: float = SWEEP_T_END,
-    dt: float | None = None,
     seed: int = 0,
     spread_tol: float | None = None,
+    **array: float | None,
 ) -> tuple[SweepPoint, ...]:
     """Two-oscillator locking sweep over a detuning grid.
 
@@ -439,14 +436,13 @@ def sweep_locking(
     Args:
         epsilon: coupling coefficient.
         detunings: grid of detuning values, each >= 0.
-        omega0: center frequency.
-        rho: nonlinear gain.
-        t_end: span per run; long runs sharpen the boundary.
-        dt: integration step; None picks the default for the fastest
-            frequency on the grid.
         seed: initial-phase seed shared by all points.
         spread_tol: locked threshold on the final frequency gap;
             None selects 0.1 * epsilon.
+        array: the other OscillatorArrayConfig settings, such as omega0,
+            rho and dt, with the config's defaults; t_end defaults to
+            SWEEP_T_END, and dt to the default for the fastest frequency
+            on the grid.
 
     Returns:
         One SweepPoint per detuning, in grid order.
@@ -459,10 +455,10 @@ def sweep_locking(
         raise ConfigurationError("detuning grid must be nonempty")
     # the config checks epsilon before the default spread_tol is derived from it
     cfg = _sweep_config(epsilon, detunings.size, float(detunings.min()), float(detunings.max()),
-                        t_end, omega0=omega0, rho=rho, dt=dt)
+                        **array)
     spread_tol = _spread_tol(spread_tol, epsilon, "epsilon")
     _check_freq_samples(cfg.num_samples)  # read takes final_freq
-    omega = np.column_stack([omega0 - 0.5 * detunings, omega0 + 0.5 * detunings])
+    omega = np.column_stack([cfg.omega0 - 0.5 * detunings, cfg.omega0 + 0.5 * detunings])
 
     def read(trace: SimulationTrace) -> tuple[bool, float, float]:
         gap = abs(trace.final_freq[0, 1] - trace.final_freq[0, 0])

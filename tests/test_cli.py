@@ -27,7 +27,7 @@ from oscconv import (
 )
 from oscconv.cli import RunConfig, build_parser, load_image, main
 from oscconv.dynamics import default_peak_detector
-from oscconv.inference import DOM_METHODS, measure_lock_time, sweep_locking
+from oscconv.inference import DOM_METHODS, measure_lock_time
 from oscconv.pgm import write_pgm
 
 
@@ -215,10 +215,7 @@ class TestMatch:
         fragment = load_image(white_image).window(0, 0, 5)
         cfg = OscillatorArrayConfig(n=26 if reference else 25, t_end=100.0)
         for index, entry in enumerate(entries):
-            omega = fsk_encode(
-                fragment, gabor_filter(5, entry["theta_deg"], entry["k"]),
-                cfg.omega0, cfg.delta_omega,
-            )
+            omega = fsk_encode(fragment, gabor_filter(5, entry["theta_deg"], entry["k"]), cfg)
             if reference:
                 omega = np.append(omega, cfg.omega0)
             trace = integrate(omega, cfg, random_initial_state(cfg.n, 3))
@@ -243,8 +240,7 @@ class TestMatch:
         cfg = OscillatorArrayConfig(n=25, t_end=40.0)
         entries = json.loads((inputs / "bank3.json").read_text())
         for index, entry in enumerate(entries):
-            omega = fsk_encode(fragment, gabor_filter(5, entry["theta_deg"], entry["k"]),
-                               cfg.omega0, cfg.delta_omega)
+            omega = fsk_encode(fragment, gabor_filter(5, entry["theta_deg"], entry["k"]), cfg)
             trace = integrate(omega, cfg, random_initial_state(cfg.n, 0))
             name = f"trace_filter_{index:02d}.csv"
             oscconv.cli._write_csv(
@@ -627,9 +623,9 @@ class TestMalformedValues:
         (["match", "FRAGMENT", "--dom-threshold", "1.5"], "dom_threshold_fraction must be in"),
         (["match", "FRAGMENT", "--delta-omega", "0"], "delta_omega is 0: set spread_tol"),
         (["match", "FRAGMENT", "--dom-method", "sample_peak_detector", "--sample-time", "500"],
-         "sample_time 500.0 beyond trace end"),
+         "sample_time 500.0 beyond trace end 399.95330473519505\n"),
         (["featuremap", "GRATING", "--dom-method", "sample_peak_detector", "--sample-time",
-          "500"], "sample_time 500.0 beyond trace end"),
+          "500"], "sample_time 500.0 beyond trace end 399.95330473519505\n"),
     ])
     def test_a_readout_setting_is_rejected_before_the_first_run(self, capsys, tmp_path,
                                                                monkeypatch, argv, message):
@@ -847,7 +843,11 @@ class TestSweep:
         def recorder(*args, **kwargs):
             bound = inspect.signature(oscconv.inference.sweep_locking).bind(*args, **kwargs)
             bound.apply_defaults()
-            received.append(tuple(bound.arguments[k] for k in ("epsilon", "t_end", "seed")))
+            epsilon, grid, seed, _, array = bound.arguments.values()
+            # the span of the config the sweep builds, its default included
+            sweep_config = oscconv.inference._sweep_config
+            cfg = sweep_config(epsilon, grid.size, grid.min(), grid.max(), **array)
+            received.append((epsilon, cfg.t_end, seed))
             return ()
 
         monkeypatch.setattr(oscconv.cli, "sweep_locking", recorder)
@@ -997,7 +997,7 @@ class TestParser:
 
     def test_the_cli_states_and_runs_the_library_defaults(self):
         # the sweep span --help states, and the lock threshold a match reads
-        span = inspect.signature(sweep_locking).parameters["t_end"].default
+        span = inspect.signature(oscconv.inference._sweep_config).parameters["t_end"].default
         help_text = " ".join(subcommands()["sweep-locking"].format_help().split())
         assert f"span per run (default {span:g})" in help_text
         threshold = inspect.signature(measure_lock_time).parameters["dom_threshold_fraction"]

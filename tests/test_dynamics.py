@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from functools import lru_cache
@@ -72,6 +73,14 @@ class TestConfig:
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ConfigurationError, match=name):
             OscillatorArrayConfig(n=2, **{name: value})
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_default_helpers_reject_bad_values(self, value):
+        # the non-finite ones too: default_timestep(inf) was 0.0, default_coupling(25, nan) NaN
+        with pytest.raises(ConfigurationError, match="omega_max must be positive and finite"):
+            default_timestep(value)
+        with pytest.raises(ConfigurationError, match="delta_omega must be >= 0 and finite"):
+            default_coupling(25, value)
 
     def test_caps_recorded_values(self):
         with pytest.raises(ConfigurationError, match="t_end.*dt.*stride"):
@@ -670,10 +679,12 @@ class TestPeakDetector:
             peak_detector(np.array([]), tau_decay=1.0, dt=0.1)
 
     def test_rejects_bad_params(self):
-        with pytest.raises(ConfigurationError):
-            peak_detector(np.ones(3), tau_decay=0.0, dt=0.1)
-        with pytest.raises(ConfigurationError):
-            peak_detector(np.ones(3), tau_decay=1.0, dt=0.0)
+        # NaN and inf too: a NaN tau_decay or dt made every sample after the first NaN
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match=f"tau_decay must be .* finite, got {bad}"):
+                peak_detector(np.ones(3), tau_decay=bad, dt=0.1)
+            with pytest.raises(ConfigurationError, match=f"^dt must be .* finite, got {bad}"):
+                peak_detector(np.ones(3), tau_decay=1.0, dt=bad)
 
 
 class TestSweepLocking:
@@ -706,6 +717,24 @@ class TestSweepLocking:
         grid = np.array([0.0, 0.06, 0.1])
         explicit = sweep_locking(0.05, grid, t_end=60.0, dt=default_timestep(1.0 + 0.5 * 0.1))
         assert sweep_locking(0.05, grid, t_end=60.0) == explicit
+
+    def test_array_settings_reach_the_config(self, monkeypatch):
+        calls = []
+
+        def recording(omega, cfg, *args, **kwargs):
+            calls.append((omega, cfg))
+            return integrate(omega, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(oscconv.inference, "integrate", recording)
+        points = sweep_locking(0.05, np.array([0.0, 0.1]), omega0=1.2, rho=0.5, t_end=60.0)
+        assert len(points) == 2
+        [(omega, cfg)] = calls
+        assert (cfg.omega0, cfg.rho, cfg.t_end) == (1.2, 0.5, 60.0)
+        # the oscillators sit at omega0 -/+ d/2
+        assert np.allclose(omega, [[1.2, 1.2], [1.15, 1.25]])
+        # the array settings take their defaults from the config alone
+        named = inspect.signature(sweep_locking).parameters
+        assert not {"omega0", "rho", "t_end", "dt"} & set(named)
 
     def test_points_do_not_depend_on_how_the_grid_is_batched(self):
         def sweep(detunings):

@@ -10,6 +10,7 @@ from oscconv import (
     Fragment,
     GaborFilter,
     InputError,
+    OscillatorArrayConfig,
     default_bank,
     edge_fragment,
     fsk_encode,
@@ -182,26 +183,29 @@ class TestDefaultBank:
 
 
 class TestFskEncode:
+    # fsk_encode reads omega0 and delta_omega off the config; n is not checked
+    CFG = OscillatorArrayConfig(n=25, omega0=1.0, delta_omega=0.05)
+
     def test_perfect_match_collapses_detuning(self):
         filt = gabor_filter(5, 30.0, 0.35)
         frag = Fragment(side=5, values=filt.values.copy())
-        omega = fsk_encode(frag, filt, omega0=1.0, delta_omega=0.05)
+        omega = fsk_encode(frag, filt, self.CFG)
         assert np.allclose(omega, 1.0)
 
     def test_arithmetic(self):
         frag = Fragment(side=1, values=np.array([1.0]))
         filt = GaborFilter(side=1, values=np.array([-1.0]), theta_deg=0, k=0.2)
-        assert fsk_encode(frag, filt, 1.0, 0.05)[0] == pytest.approx(1.10)
+        assert fsk_encode(frag, filt, self.CFG)[0] == pytest.approx(1.10)
         frag2 = Fragment(side=1, values=np.array([0.25]))
         filt2 = GaborFilter(
             side=1, values=np.array([0.75]), theta_deg=0, k=0.2, binarized=False
         )
-        assert fsk_encode(frag2, filt2, 1.0, 0.05)[0] == pytest.approx(0.975)
+        assert fsk_encode(frag2, filt2, self.CFG)[0] == pytest.approx(0.975)
 
     def test_swap_reflects_about_center(self):
         frag = edge_fragment()
         filt = gabor_filter(5, 60.0, 0.5)
-        forward = fsk_encode(frag, filt, 1.0, 0.05)
+        forward = fsk_encode(frag, filt, self.CFG)
         backward = 1.0 + 0.05 * (filt.values - frag.values)
         assert np.allclose(forward + backward, 2.0)
 
@@ -210,7 +214,7 @@ class TestFskEncode:
         for _ in range(10):
             frag = Fragment(side=4, values=rng.uniform(-1, 1, 16))
             filt = gabor_filter(4, rng.uniform(0, 180), rng.uniform(0, 0.6))
-            omega = fsk_encode(frag, filt, 1.0, 0.05)
+            omega = fsk_encode(frag, filt, self.CFG)
             assert omega.min() >= 1.0 - 2 * 0.05 - 1e-12
             assert omega.max() <= 1.0 + 2 * 0.05 + 1e-12
 
@@ -227,18 +231,11 @@ class TestFskEncode:
         filt = GaborFilter(
             side=side, values=np.array(data.draw(unit)), theta_deg=0.0, k=0.0, binarized=False
         )
-        omega = fsk_encode(frag, filt, omega0, delta_omega)
+        cfg = OscillatorArrayConfig(n=side * side, omega0=omega0, delta_omega=delta_omega)
+        omega = fsk_encode(frag, filt, cfg)
         assert omega.min() >= omega0 - 2.0 * delta_omega
         assert omega.max() <= omega0 + 2.0 * delta_omega
 
     def test_side_mismatch(self):
         with pytest.raises(ConfigurationError):
-            fsk_encode(edge_fragment(), gabor_filter(4, 0.0, 0.2), 1.0, 0.05)
-
-    def test_bad_carrier(self):
-        frag = edge_fragment()
-        filt = gabor_filter(5, 0.0, 0.2)
-        with pytest.raises(ConfigurationError):
-            fsk_encode(frag, filt, 0.0, 0.05)
-        with pytest.raises(ConfigurationError):
-            fsk_encode(frag, filt, 1.0, -0.01)
+            fsk_encode(edge_fragment(), gabor_filter(4, 0.0, 0.2), self.CFG)

@@ -46,7 +46,7 @@ ANTI_FILTER = gabor_filter(5, 30.0, 0.35, phase=math.pi)
 
 def run_match_trace(fragment, filt, seed=0, t_end=400.0, init=None):
     cfg = OscillatorArrayConfig(n=25, t_end=t_end)
-    omega = fsk_encode(fragment, filt, cfg.omega0, cfg.delta_omega)
+    omega = fsk_encode(fragment, filt, cfg)
     return integrate(omega, cfg, random_initial_state(25, seed) if init is None else init)
 
 
@@ -116,8 +116,7 @@ class TestDom:
 
     def test_sample_peak_detector_reads_a_block_up_to_its_sample(self, monkeypatch):
         cfg = OscillatorArrayConfig(n=25, t_end=60.0)
-        omegas = [fsk_encode(MATCH_FRAG, filt, cfg.omega0, cfg.delta_omega)
-                  for filt in (FILTER, ANTI_FILTER)]
+        omegas = [fsk_encode(MATCH_FRAG, filt, cfg) for filt in (FILTER, ANTI_FILTER)]
         block = integrate(np.array(omegas), cfg, np.array([random_initial_state(25, 0)] * 2))
         lengths = []
 
@@ -243,6 +242,15 @@ class TestMeasureLockTime:
         init = np.exp(0.7j) * np.ones(25)
         trace = run_match_trace(MATCH_FRAG, FILTER, init=init)
         assert measure_lock_time(trace) == 0.0
+
+    # a step envelope over 101 samples 0.25 apart, below threshold before sample settle
+    # and at its plateau from there: the settled suffix spans (100 - settle) / 4, against 6.25
+    @pytest.mark.parametrize("settle, expected", [(76, None), (75, 18.75), (74, 18.5)])
+    def test_the_settled_suffix_must_span_a_quarter_of_the_trace(self, settle, expected):
+        cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, dt=0.25, t_end=25.0)
+        envelope = np.where(np.arange(101) < settle, 0.1, 1.0)
+        trace = SimulationTrace(0.25 * np.arange(101), np.zeros((101, 0)), cfg, envelope + 0j)
+        assert measure_lock_time(trace) == expected
 
     @pytest.mark.parametrize("kw", [
         dict(dom_threshold_fraction=0.0),
@@ -429,7 +437,7 @@ class TestSeedBlocks:
         (dict(cfg=OscillatorArrayConfig(n=25, delta_omega=0.0)), "delta_omega is 0",
          ConfigurationError),
         (dict(policy=DomPolicy(method="sample_peak_detector", sample_time=500.0)),
-         "sample_time 500.0 beyond trace end", ConfigurationError),
+         "sample_time 500\\.0 beyond trace end 399\\.95330473519505$", ConfigurationError),
         # classify_lock's final frequencies need 3 samples
         (dict(cfg=OscillatorArrayConfig(n=25, dt=0.1, t_end=0.1)),
          "needs >= 3 samples, trace has 2", InsufficientDataError),
