@@ -46,6 +46,7 @@ from .inference import (
     DOM_METHODS,
     DOM_THRESHOLD_FRACTION,
     SWEEP_T_END,
+    _SWEEP_KEYS,
     DomPolicy,
     MatchReport,
     _sweep_config,
@@ -408,8 +409,6 @@ def _dump_traces(out: Path, report: MatchReport, array_cfg: OscillatorArrayConfi
 
 # Coupling of the two-oscillator locking sweep when none is configured.
 SWEEP_EPSILON = 0.05
-# The sweep's array settings besides epsilon, in --help order.
-_SWEEP_KEYS = ("t_end", "rho", "omega0", "dt")
 
 
 def cmd_sweep_locking(args) -> int:

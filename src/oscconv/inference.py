@@ -387,6 +387,8 @@ class SweepPoint:
 
 # Span of each locking-sweep run when none is set: long runs sharpen the boundary.
 SWEEP_T_END = 1200.0
+# The array settings a locking sweep takes besides epsilon, in sweep-locking --help order.
+_SWEEP_KEYS = ("t_end", "rho", "omega0", "dt")
 
 
 def _sweep_config(
@@ -398,11 +400,16 @@ def _sweep_config(
     **array: float | None,
 ) -> OscillatorArrayConfig:
     """Array config of a locking sweep over points detunings from lowest to highest;
-    array holds the other OscillatorArrayConfig settings that were set.
+    array holds those of rho, omega0 and dt that were set.
 
     The whole grid is held to VALUE_CAP recorded values here, so a caller
     can check a grid by its size and ends before it builds it.
     """
+    unknown = sorted(set(array) - set(_SWEEP_KEYS))
+    if unknown:
+        raise ConfigurationError(
+            f"a locking sweep sets only {', '.join(_SWEEP_KEYS)}, not {', '.join(unknown)}"
+        )
     if lowest < 0:
         raise ConfigurationError("detunings must be >= 0")
     # delta_omega sized so omega_max, and with it the default dt and the
@@ -422,6 +429,7 @@ def _sweep_config(
 def sweep_locking(
     epsilon: float,
     detunings: np.ndarray,
+    *,
     seed: int = 0,
     spread_tol: float | None = None,
     **array: float | None,
@@ -439,10 +447,9 @@ def sweep_locking(
         seed: initial-phase seed shared by all points.
         spread_tol: locked threshold on the final frequency gap;
             None selects 0.1 * epsilon.
-        array: the other OscillatorArrayConfig settings, such as omega0,
-            rho and dt, with the config's defaults; t_end defaults to
-            SWEEP_T_END, and dt to the default for the fastest frequency
-            on the grid.
+        array: any of the array settings t_end, rho, omega0 and dt, with
+            OscillatorArrayConfig's defaults; t_end defaults to SWEEP_T_END,
+            and dt to the default for the fastest frequency on the grid.
 
     Returns:
         One SweepPoint per detuning, in grid order.

@@ -704,6 +704,11 @@ class TestSweepLocking:
             sweep_locking(0.05, np.array([-0.1]))
         with pytest.raises(ConfigurationError):
             sweep_locking(0.0, np.array([0.1]))
+        # the sweep sets n, delta_omega and epsilon itself and takes no other array setting
+        for key in ("stride", "delta_omega"):
+            message = f"^a locking sweep sets only t_end, rho, omega0, dt, not {key}$"
+            with pytest.raises(ConfigurationError, match=message):
+                sweep_locking(0.05, np.array([0.1]), **{key: 1})
 
     @pytest.mark.parametrize("spread_tol", [math.nan, math.inf])
     def test_rejects_non_finite_spread_tol(self, spread_tol):
@@ -735,6 +740,10 @@ class TestSweepLocking:
         # the array settings take their defaults from the config alone
         named = inspect.signature(sweep_locking).parameters
         assert not {"omega0", "rho", "t_end", "dt"} & set(named)
+        # so an old positional omega0 is refused rather than read as the seed
+        assert named["seed"].kind is inspect.Parameter.KEYWORD_ONLY
+        with pytest.raises(TypeError):
+            sweep_locking(0.05, np.array([0.1]), 2)
 
     def test_points_do_not_depend_on_how_the_grid_is_batched(self):
         def sweep(detunings):
