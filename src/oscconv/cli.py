@@ -44,7 +44,6 @@ from .hardware import (
 )
 from .inference import (
     DOM_METHODS,
-    DOM_THRESHOLD_FRACTION,
     SWEEP_T_END,
     _SWEEP_KEYS,
     DomPolicy,
@@ -196,11 +195,8 @@ _SETTINGS = {
     "stride": (_natural, "--stride", dict(type=int)),
     "side": (_natural, "--side", dict(type=int, help="fragment/filter side in pixels")),
     "spread_tol": (_number, "--spread-tol", dict(type=float)),
-    "dom_threshold_fraction": (_number, "--dom-threshold", dict(
-        type=float, help="lock-time envelope threshold as a fraction of the plateau")),
     "method": (_string, "--dom-method", dict(choices=DOM_METHODS)),
     "sample_time": (_number, "--sample-time", dict(type=float)),
-    "trailing_fraction": (_number, "--trailing-fraction", dict(type=float)),
     # a bank file path or an inline list of entries
     "bank": (lambda v, name: v if isinstance(v, str) else _bank_entries(v, name), "--bank",
              dict(help="JSON bank file: list of {theta_deg, k, phase, binarized}")),
@@ -233,7 +229,6 @@ class RunConfig:
     seeds: tuple | range = range(8)
     dom_policy: DomPolicy = DomPolicy()
     spread_tol: float | None = None
-    dom_threshold_fraction: float = DOM_THRESHOLD_FRACTION
     reference_oscillator: bool = False
     bank: object = None  # None (default bank), path string, or checked entries
 
@@ -352,7 +347,6 @@ def cmd_match(args) -> int:
         cfg.seeds,
         reference_oscillator=cfg.reference_oscillator,
         spread_tol=cfg.spread_tol,
-        dom_threshold_fraction=cfg.dom_threshold_fraction,
     )
     out = _out_dir(args)
     _write_csv(
@@ -500,7 +494,8 @@ def cmd_hw(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-# the setting flags of match and featuremap; --reference-oscillator is match's own
+# the setting flags of match but --reference-oscillator, which it lists first;
+# featuremap takes them less --spread-tol, as it reads no lock
 _RUN_FLAGS = [key for key, (_, flag, _) in _SETTINGS.items()
               if flag and key != "reference_oscillator"]
 
@@ -549,7 +544,7 @@ def build_parser() -> _Parser:
     p.add_argument("--phase", type=float, help="filter phase offset (default 0)")
     p.add_argument("--raw-filter", action="store_true", help="skip binarization")
     _add_io_flags(p)
-    _add_flags(p, *_RUN_FLAGS)
+    _add_flags(p, *(key for key in _RUN_FLAGS if key != "spread_tol"))
     p.set_defaults(func=cmd_featuremap)
 
     p = sub.add_parser("hw", help="hardware locking range, power, and cost")

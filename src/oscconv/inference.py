@@ -33,7 +33,9 @@ from .oracle import FeatureMap, Image, dot
 
 # DomPolicy's default first, the order --dom-method lists them in
 DOM_METHODS = ("trailing_mean_envelope", "sample_peak_detector")
-# the lock-time envelope threshold, as a fraction of the final plateau, when none is set
+# the share of the run, at its end, whose mean envelope is the default DOM readout
+DOM_TRAILING_FRACTION = 0.2
+# the lock-time envelope threshold, as a fraction of the final plateau
 DOM_THRESHOLD_FRACTION = 0.8
 
 
@@ -42,23 +44,18 @@ class DomPolicy:
     """How a scalar DOM is read off a trace.
 
     trailing_mean_envelope averages the envelope over the final
-    trailing_fraction of the run (seed-robust, the default).
+    DOM_TRAILING_FRACTION of the run (seed-robust, the default).
     sample_peak_detector samples the peak-detector output at the sample
     nearest sample_time, mirroring a sampled hardware readout.
     """
 
     method: str = "trailing_mean_envelope"
     sample_time: float | None = None
-    trailing_fraction: float = 0.2
 
     def __post_init__(self):
         if self.method not in DOM_METHODS:
             raise ConfigurationError(
                 f"method must be one of {DOM_METHODS}, got {self.method!r}"
-            )
-        if not 0.0 < self.trailing_fraction <= 1.0:
-            raise ConfigurationError(
-                f"trailing_fraction must be in (0, 1], got {self.trailing_fraction}"
             )
         if self.sample_time is not None and not 0 <= self.sample_time < math.inf:
             raise ConfigurationError(f"sample_time must be >= 0 and finite, got {self.sample_time}")
@@ -80,7 +77,7 @@ def dom(trace: SimulationTrace, policy: DomPolicy) -> float | list[float]:
         PolicyError: if sample_time lies beyond the trace.
     """
     if policy.method == "trailing_mean_envelope":
-        m = min(trace.num_samples, max(1, int(round(policy.trailing_fraction * trace.num_samples))))
+        m = max(1, int(round(DOM_TRAILING_FRACTION * trace.num_samples)))
         return trace.envelope[..., -m:].mean(axis=-1).tolist()
     # the detector runs up to the sample it reads: it never looks ahead
     idx = _sample_index(policy, trace.times)
@@ -141,36 +138,25 @@ def _spread_tol(spread_tol: float | None, scale: float, name: str) -> float:
     return spread_tol
 
 
-def measure_lock_time(
-    trace: SimulationTrace,
-    dom_threshold_fraction: float = DOM_THRESHOLD_FRACTION,
-) -> float | None | list[float | None]:
+def measure_lock_time(trace: SimulationTrace) -> float | None | list[float | None]:
     """Earliest time after which the envelope stays above threshold.
 
-    The threshold is dom_threshold_fraction times the final plateau
+    The threshold is DOM_THRESHOLD_FRACTION times the final plateau
     (mean envelope over the last 10%). Returns None when the envelope
     never settles: the above-threshold suffix must span at least a
     quarter of the trace, which rejects beating envelopes whose last
     upswing happens to end the run above threshold. A block trace gives
     one lock time (or None) per row.
     """
-    _check_threshold(dom_threshold_fraction)
     env, times = trace.envelope, trace.times
     plateau = env[..., -max(1, trace.num_samples // 10):].mean(axis=-1, keepdims=True)
-    below = env < dom_threshold_fraction * plateau
+    below = env < DOM_THRESHOLD_FRACTION * plateau
     # k: the sample after the last one below threshold, 0 if none is
     k = np.where(below.any(axis=-1), trace.num_samples - np.argmax(below[..., ::-1], axis=-1), 0)
     start = times[np.minimum(k, trace.num_samples - 1)]
     span = times[-1] - times[0]
     settled = (k < trace.num_samples) & ~(times[-1] - start < 0.25 * span)
     return np.where(settled, start - times[0], None).tolist()
-
-
-def _check_threshold(dom_threshold_fraction: float) -> None:
-    if not 0.0 < dom_threshold_fraction < 1.0:
-        raise ConfigurationError(
-            f"dom_threshold_fraction must be in (0, 1), got {dom_threshold_fraction}"
-        )
 
 
 @dataclass(frozen=True)
@@ -261,7 +247,6 @@ def match_filters(
     seeds: tuple[int, ...],
     reference_oscillator: bool = False,
     spread_tol: float | None = None,
-    dom_threshold_fraction: float = DOM_THRESHOLD_FRACTION,
 ) -> MatchReport:
     """Match a fragment against every filter in the bank.
 
@@ -285,8 +270,6 @@ def match_filters(
             encodes no pixel.
         spread_tol: lock-classification frequency tolerance
             (None: 0.1 * delta_omega).
-        dom_threshold_fraction: envelope threshold for lock-time
-            measurement, as a fraction of the final plateau.
     """
     if not bank:
         raise ConfigurationError("filter bank must be nonempty")
@@ -294,7 +277,6 @@ def match_filters(
     if policy.method == "sample_peak_detector":
         _sample_index(policy, sample_times(cfg))
     spread_tol = _spread_tol(spread_tol, cfg.delta_omega, "delta_omega")
-    _check_threshold(dom_threshold_fraction)
     _check_freq_samples(cfg.num_samples)  # classify_lock reads final_freq
     # every filter is encoded, and its side checked, before the first run
     omegas = [fsk_encode(fragment, filt, cfg) for filt in bank]
@@ -304,7 +286,7 @@ def match_filters(
     def read(trace: SimulationTrace) -> dict:
         doms = dom(trace, policy)
         locked = sum(classify_lock(trace, spread_tol)) * 2 > len(seeds)
-        finite = [t for t in measure_lock_time(trace, dom_threshold_fraction) if t is not None]
+        finite = [t for t in measure_lock_time(trace) if t is not None]
         lock_time = _median(finite).item() if locked and finite else None
         return dict(dom_mean=float(np.mean(doms)), dom_std=float(np.std(doms)), doms=tuple(doms),
                     locked=locked, lock_time=lock_time,

@@ -27,7 +27,7 @@ from oscconv import (
 )
 from oscconv.cli import RunConfig, build_parser, load_image, main
 from oscconv.dynamics import default_peak_detector
-from oscconv.inference import DOM_METHODS, measure_lock_time
+from oscconv.inference import DOM_METHODS
 from oscconv.pgm import write_pgm
 
 
@@ -354,21 +354,27 @@ class TestConfigHandling:
 
     def test_reference_oscillator_key_is_ignored_by_featuremap(self, capsys, tmp_path,
                                                                white_image):
-        # only match adds the reference oscillator
+        # only match adds the reference oscillator and reads a lock
         plain, configured = runs_without_and_with_config(
-            capsys, tmp_path, {"reference_oscillator": True}, "featuremap", white_image,
-            "--seeds", "0,1", "--t-end", "20",
+            capsys, tmp_path, {"reference_oscillator": True, "spread_tol": -1.0}, "featuremap",
+            white_image, "--seeds", "0,1", "--t-end", "20",
         )
         assert plain == configured
         assert plain[0] == 0 and sorted(plain[3]) == ["onn_map.csv", "oracle_map.csv"]
 
     def test_unknown_config_field(self, capsys, tmp_path, white_image):
-        # include_self_in_sum is no setting: every run couples through the self-inclusive mean field
+        # include_self_in_sum is no setting: every run couples through the self-inclusive mean
+        # field; the DOM window and the lock-time threshold are fixed readouts
         cfg = tmp_path / "cfg.json"
-        for key, command in [("bogus", ["match", white_image]),
-                             ("include_self_in_sum", ["match", white_image]),
-                             ("include_self_in_sum", ["sweep-locking"])]:
-            cfg.write_text(json.dumps({key: True}))
+        for config, key, command in [
+            ({"bogus": True}, "bogus", ["match", white_image]),
+            ({"include_self_in_sum": True}, "include_self_in_sum", ["match", white_image]),
+            ({"include_self_in_sum": True}, "include_self_in_sum", ["sweep-locking"]),
+            ({"dom_threshold_fraction": 0.8}, "dom_threshold_fraction", ["match", white_image]),
+            ({"dom_policy": {"trailing_fraction": 0.2}}, "trailing_fraction",
+             ["match", white_image]),
+        ]:
+            cfg.write_text(json.dumps(config))
             code, _, err = run_cli(capsys, *command, "--config", str(cfg))
             assert_one_line_error(code, err)
             assert f"unknown field {key!r}" in err
@@ -387,6 +393,16 @@ class TestConfigHandling:
         assert err.startswith("error:") and "jobs" in err
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    # the DOM window and the lock-time threshold are fixed readouts, not settings
+    @pytest.mark.parametrize("command", ["match", "featuremap"])
+    @pytest.mark.parametrize("flag, value", [("--dom-threshold", "0.8"),
+                                             ("--trailing-fraction", "0.2")])
+    def test_retired_readout_flags_are_not_options(self, capsys, white_image, command, flag,
+                                                   value):
+        code, _, err = run_cli(capsys, command, white_image, flag, value)
+        assert_one_line_error(code, err)
+        assert f"unrecognized arguments: {flag} {value}" in err
 
     def test_invalid_json(self, capsys, tmp_path, white_image):
         cfg = tmp_path / "cfg.json"
@@ -620,7 +636,8 @@ class TestMalformedValues:
 
     @pytest.mark.parametrize("argv, message", [
         (["match", "FRAGMENT", "--spread-tol", "-1"], "spread_tol must be positive and finite"),
-        (["match", "FRAGMENT", "--dom-threshold", "1.5"], "dom_threshold_fraction must be in"),
+        (["match", "FRAGMENT", "--dom-method", "sample_peak_detector"],
+         "sample_peak_detector needs a nonnegative sample_time"),
         (["match", "FRAGMENT", "--delta-omega", "0"], "delta_omega is 0: set spread_tol"),
         (["match", "FRAGMENT", "--dom-method", "sample_peak_detector", "--sample-time", "500"],
          "sample_time 500.0 beyond trace end 399.95330473519505\n"),
@@ -723,7 +740,7 @@ def test_float_csv_writes_the_bytes_of_csv(tmp_path, columns):
 CONFIG_KEYS = (
     "rho", "omega0", "delta_omega", "epsilon", "dt", "t_end",
     "stride", "seed", "side", "seeds", "dom_policy", "spread_tol",
-    "dom_threshold_fraction", "reference_oscillator", "bank",
+    "reference_oscillator", "bank",
 )
 BAD_VALUES = st.one_of(
     st.booleans(),
@@ -996,12 +1013,18 @@ class TestParser:
         assert dests == ["epsilon", *oscconv.cli._SWEEP_KEYS, "spread_tol"]
 
     def test_the_cli_states_and_runs_the_library_defaults(self):
-        # the sweep span --help states, and the lock threshold a match reads
+        # the sweep span --help states
         span = inspect.signature(oscconv.inference._sweep_config).parameters["t_end"].default
         help_text = " ".join(subcommands()["sweep-locking"].format_help().split())
         assert f"span per run (default {span:g})" in help_text
-        threshold = inspect.signature(measure_lock_time).parameters["dom_threshold_fraction"]
-        assert RunConfig().dom_threshold_fraction == threshold.default
+
+    def test_featuremap_offers_no_lock_flag(self, capsys, white_image):
+        # featuremap reads no lock: --spread-tol and --reference-oscillator are match's own
+        lock_flags = {"--spread-tol", "--reference-oscillator"}
+        assert not lock_flags & subcommands()["featuremap"]._option_string_actions.keys()
+        assert lock_flags <= subcommands()["match"]._option_string_actions.keys()
+        code, _, err = run_cli(capsys, "featuremap", white_image, "--spread-tol", "0.1")
+        assert_one_line_error(code, err)
 
     def test_dom_method_choices_are_the_dom_methods(self):
         for name in ("match", "featuremap"):

@@ -54,14 +54,12 @@ class TestDomPolicy:
     def test_defaults(self):
         policy = DomPolicy()
         assert policy.method == "trailing_mean_envelope"
-        assert policy.trailing_fraction == 0.2
 
     @pytest.mark.parametrize(
         "kw",
         [
             dict(method="last_sample"),
-            dict(trailing_fraction=0.0),
-            dict(trailing_fraction=1.5),
+            dict(sample_time=-1.0),
             dict(method="sample_peak_detector"),
             dict(method="sample_peak_detector", sample_time=-1.0),
         ],
@@ -102,9 +100,10 @@ class TestDom:
         assert 0.12 < np.mean(values) < 0.24
 
     def test_trailing_window_uses_requested_fraction(self):
+        # the default DOM is the mean envelope over the final fifth of the run
         trace = run_match_trace(MATCH_FRAG, FILTER, t_end=100.0)
-        full = dom(trace, DomPolicy(trailing_fraction=1.0))
-        assert full == pytest.approx(trace.envelope.mean())
+        m = round(0.2 * trace.num_samples)
+        assert dom(trace, DomPolicy()) == trace.envelope[-m:].mean()
 
     def test_sample_peak_detector(self):
         trace = run_match_trace(MATCH_FRAG, FILTER, t_end=100.0)
@@ -243,23 +242,23 @@ class TestMeasureLockTime:
         trace = run_match_trace(MATCH_FRAG, FILTER, init=init)
         assert measure_lock_time(trace) == 0.0
 
-    # a step envelope over 101 samples 0.25 apart, below threshold before sample settle
-    # and at its plateau from there: the settled suffix spans (100 - settle) / 4, against 6.25
+    # a step envelope over 101 samples 0.25 apart, at level before sample settle and at
+    # its plateau 1.0 from there
+    @staticmethod
+    def step_trace(settle: int, level: float) -> SimulationTrace:
+        cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, dt=0.25, t_end=25.0)
+        envelope = np.where(np.arange(101) < settle, level, 1.0)
+        return SimulationTrace(0.25 * np.arange(101), np.zeros((101, 0)), cfg, envelope + 0j)
+
+    # below threshold before settle: the settled suffix spans (100 - settle) / 4, against 6.25
     @pytest.mark.parametrize("settle, expected", [(76, None), (75, 18.75), (74, 18.5)])
     def test_the_settled_suffix_must_span_a_quarter_of_the_trace(self, settle, expected):
-        cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, dt=0.25, t_end=25.0)
-        envelope = np.where(np.arange(101) < settle, 0.1, 1.0)
-        trace = SimulationTrace(0.25 * np.arange(101), np.zeros((101, 0)), cfg, envelope + 0j)
-        assert measure_lock_time(trace) == expected
+        assert measure_lock_time(self.step_trace(settle, 0.1)) == expected
 
-    @pytest.mark.parametrize("kw", [
-        dict(dom_threshold_fraction=0.0),
-        dict(dom_threshold_fraction=1.0),
-    ])
-    def test_rejects_bad_fractions(self, kw):
-        trace = run_match_trace(MATCH_FRAG, FILTER, t_end=50.0)
-        with pytest.raises(ConfigurationError):
-            measure_lock_time(trace, **kw)
+    # the threshold is 0.8 of the plateau: a level at or above it is settled from the start
+    @pytest.mark.parametrize("level, expected", [(0.79, 12.5), (0.8, 0.0), (0.81, 0.0)])
+    def test_the_threshold_is_four_fifths_of_the_plateau(self, level, expected):
+        assert measure_lock_time(self.step_trace(50, level)) == expected
 
 
 @pytest.fixture(scope="module")
@@ -432,8 +431,7 @@ class TestSeedBlocks:
 
     @pytest.mark.parametrize("kwargs, message, error", [
         (dict(spread_tol=-1.0), "spread_tol must be positive and finite", ConfigurationError),
-        (dict(dom_threshold_fraction=1.5), "dom_threshold_fraction must be in",
-         ConfigurationError),
+        (dict(spread_tol=math.nan), "spread_tol must be positive and finite", ConfigurationError),
         (dict(cfg=OscillatorArrayConfig(n=25, delta_omega=0.0)), "delta_omega is 0",
          ConfigurationError),
         (dict(policy=DomPolicy(method="sample_peak_detector", sample_time=500.0)),
