@@ -60,6 +60,7 @@ class TestDomPolicy:
         [
             dict(method="last_sample"),
             dict(sample_time=-1.0),
+            dict(method="Trailing_Mean_Envelope"),
             dict(method="sample_peak_detector"),
             dict(method="sample_peak_detector", sample_time=-1.0),
         ],
