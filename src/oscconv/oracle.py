@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoding import Fragment, _frozen_values
 from .errors import ConfigurationError, InputError
@@ -79,6 +78,12 @@ def convolve_valid(img: Image, filt, mode: str = "convolution") -> FeatureMap:
     the element-wise FSK comparison, so it is the ground truth for DOM
     maps; convolution is the classical feature-map definition.
 
+    The map starts at zero and adds one kernel tap at a time, in row-major
+    order of the (flipped, in convolution mode) kernel: tap (i, j) adds
+    the image shifted by (i, j) times kernel[i, j]. Each cell is thus
+    ((0 + x00*k00) + x01*k01) + ..., the textbook sum over the window in
+    the same order, and equals it bit for bit.
+
     Raises:
         InputError: if the filter does not fit inside the image.
         ConfigurationError: on an unknown mode.
@@ -93,9 +98,15 @@ def convolve_valid(img: Image, filt, mode: str = "convolution") -> FeatureMap:
     kernel = np.asarray(filt.values, dtype=np.float64).reshape(s, s)
     if mode == "convolution":
         kernel = kernel[::-1, ::-1]
-    # einsum walks the strided windows without building the (h, w, s, s) product
-    out = np.einsum("rcij,ij->rc", sliding_window_view(img.grid(), (s, s)), kernel)
-    return FeatureMap(width=out.shape[1], height=out.shape[0], values=out.ravel())
+    grid = img.grid()
+    h, w = img.height - s + 1, img.width - s + 1
+    out, tap = np.zeros((h, w)), np.empty((h, w))
+    for i in range(s):
+        for j in range(s):
+            out += np.multiply(grid[i:i + h, j:j + w], kernel[i, j], out=tap)
+    # freed before FeatureMap copies out, so the copy does not raise the peak
+    del tap
+    return FeatureMap(width=w, height=h, values=out.ravel())
 
 
 def distance_identity_check(fragment, filt) -> tuple[float, float]:

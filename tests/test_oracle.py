@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscconv import (
@@ -41,6 +41,13 @@ def naive_feature_map(grid, kernel, mode):
 
 def random_image(rng, width, height):
     return Image(width=width, height=height, values=rng.uniform(-1, 1, width * height))
+
+
+@st.composite
+def map_shapes(draw):
+    """(width, height, side): image sides up to 12, any kernel side that fits."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return width, height, draw(st.integers(1, min(width, height)))
 
 
 class TestDot:
@@ -104,17 +111,20 @@ class TestConvolveValid:
             ref = naive_feature_map(
                 img.grid().tolist(), filt.values.reshape(side, side).tolist(), mode
             )
-            assert fmap.grid() == pytest.approx(ref, abs=1e-12)
+            assert np.array_equal(fmap.grid(), ref)
 
     @settings(max_examples=40, deadline=None)
     @given(
         mode=st.sampled_from(["convolution", "correlation"]),
-        shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4)),
+        shape=map_shapes(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a 1-row map, a 1-column map and a 1x1 kernel, whatever else is drawn
+    @example(mode="convolution", shape=(12, 5, 5), seed=0)
+    @example(mode="correlation", shape=(4, 11, 4), seed=1)
+    @example(mode="convolution", shape=(9, 7, 1), seed=2)
     def test_matches_naive_loop_property(self, mode, shape, seed):
         width, height, side = shape
-        side = min(side, width, height)
         rng = np.random.default_rng(seed)
         img = random_image(rng, width, height)
         filt = Fragment(side=side, values=rng.uniform(-1, 1, side * side))
@@ -122,7 +132,17 @@ class TestConvolveValid:
         ref = naive_feature_map(
             img.grid().tolist(), filt.values.reshape(side, side).tolist(), mode
         )
-        assert fmap.grid() == pytest.approx(ref, abs=1e-12)
+        assert np.array_equal(fmap.grid(), ref)
+
+    @pytest.mark.parametrize("mode", ["convolution", "correlation"])
+    def test_map_shares_no_memory_with_image(self, mode):
+        rng = np.random.default_rng(6)
+        img = random_image(rng, 7, 6)
+        before = img.values.copy()
+        fmap = convolve_valid(img, Fragment(side=3, values=rng.uniform(-1, 1, 9)), mode=mode)
+        assert np.array_equal(img.values, before)
+        assert not fmap.values.flags.writeable
+        assert not np.shares_memory(fmap.values, img.values)
 
     def test_single_position_correlation_is_dot(self):
         rng = np.random.default_rng(2)
@@ -139,7 +159,7 @@ class TestConvolveValid:
         rotated = Fragment(side=3, values=filt.values.reshape(3, 3)[::-1, ::-1].ravel())
         conv = convolve_valid(img, filt, mode="convolution")
         corr = convolve_valid(img, rotated, mode="correlation")
-        assert np.allclose(conv.grid(), corr.grid())
+        assert np.array_equal(conv.grid(), corr.grid())
 
     def test_filter_too_big(self):
         img = Image(width=3, height=3, values=np.zeros(9))
