@@ -462,7 +462,10 @@ def cmd_featuremap(args) -> int:
         )
     valid = np.isfinite(onn.values)
     r = math.nan
-    if valid.sum() >= 2 and np.std(onn.values[valid]) > 0 and np.std(oracle_map.values[valid]) > 0:
+    # a lone oscillator's amplitude is sqrt(1 + eps/rho) whatever its
+    # frequency: its map's spread is RK4 step error, which r would correlate
+    if (array_cfg.n > 1 and valid.sum() >= 2
+            and np.std(onn.values[valid]) > 0 and np.std(oracle_map.values[valid]) > 0):
         r = float(np.corrcoef(onn.values[valid], oracle_map.values[valid])[0, 1])
     print(
         f"pearson={r!r} rows={onn.height} cols={onn.width} "

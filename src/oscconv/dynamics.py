@@ -214,8 +214,12 @@ def _field(omega: np.ndarray, cfg: OscillatorArrayConfig):
     array of its own. Its oscillator sum, shape (cols,), is an axis-0 reduce,
     which numpy runs as element-wise adds, one oscillator after the next.
     rhs evaluates z * (gain - rho*|z|**2) + eps*sum_j z_j. It takes |z|**2
-    as conj(z)*z, a complex array whose imaginary part is exactly 0, so the
-    field never casts to float and back. rhs(z, k, s) reuses k = conj(z)*z,
+    as conj(z)*z, a complex array, so the field never casts to float and
+    back. Its imaginary part is the multiply's rounding residue: 0 with
+    numpy's baseline complex multiply, but not always with the AVX-512
+    kernels that numpy 2 dispatches to, which also round z*w and w*z
+    apart. Operand order is thus part of the bits, here and in the phase
+    step z * last.conj() of integrate. rhs(z, k, s) reuses k = conj(z)*z,
     which it overwrites, and s, z's column sums. -rho and eps are 0-d
     complex arrays, which numpy need not cast from float on every call.
     """

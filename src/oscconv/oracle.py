@@ -14,6 +14,10 @@ import numpy as np
 from .encoding import Fragment, _frozen_values
 from .errors import ConfigurationError, InputError
 
+# image values per row block of convolve_valid: the block's running sum, its
+# tap buffer and the image rows it reads stay in L2
+_BLOCK_VALUES = 2**14
+
 
 @dataclass(frozen=True)
 class Image:
@@ -78,11 +82,20 @@ def convolve_valid(img: Image, filt, mode: str = "convolution") -> FeatureMap:
     the element-wise FSK comparison, so it is the ground truth for DOM
     maps; convolution is the classical feature-map definition.
 
-    The map starts at zero and adds one kernel tap at a time, in row-major
-    order of the (flipped, in convolution mode) kernel: tap (i, j) adds
-    the image shifted by (i, j) times kernel[i, j]. Each cell is thus
-    ((0 + x00*k00) + x01*k01) + ..., the textbook sum over the window in
-    the same order, and equals it bit for bit.
+    The map is built in blocks of whole map rows, as many as fit in
+    _BLOCK_VALUES image values (at least one), so that a block's running
+    sum, its tap buffer and the image rows it reads stay in cache. A
+    block starts at zero and adds one kernel tap at a time, in row-major
+    order of the (flipped, in convolution mode) kernel. Tap (i, j) is one
+    contiguous run of the flat image, starting i rows down and j columns
+    right of the block's top-left pixel, which fills a block as wide as
+    the image; the last side - 1 columns of each row wrap around to the
+    next row and are dropped. A
+    tap of exactly 1.0 adds the run and a tap of exactly -1.0 subtracts
+    it (x*1.0 is x, x*-1.0 is -x, and a - x is a + -x); any other tap
+    adds the run times the tap. Each cell is thus ((0 + x00*k00) +
+    x01*k01) + ..., the textbook sum over the window in the same order,
+    and equals it bit for bit.
 
     Raises:
         InputError: if the filter does not fit inside the image.
@@ -98,14 +111,27 @@ def convolve_valid(img: Image, filt, mode: str = "convolution") -> FeatureMap:
     kernel = np.asarray(filt.values, dtype=np.float64).reshape(s, s)
     if mode == "convolution":
         kernel = kernel[::-1, ::-1]
-    grid = img.grid()
-    h, w = img.height - s + 1, img.width - s + 1
-    out, tap = np.zeros((h, w)), np.empty((h, w))
-    for i in range(s):
-        for j in range(s):
-            out += np.multiply(grid[i:i + h, j:j + w], kernel[i, j], out=tap)
+    flat, width = img.values, img.width
+    h, w = img.height - s + 1, width - s + 1
+    rows = min(h, max(1, _BLOCK_VALUES // width))
+    taps = [(i * width + j, kernel[i, j]) for i in range(s) for j in range(s)]
+    out, wide, tap = np.empty((h, w)), np.empty(rows * width), np.empty(rows * width)
+    for top in range(0, h, rows):
+        n = min(rows, h - top)
+        size, first = (n - 1) * width + w, top * width
+        block = wide[:size]
+        block.fill(0.0)
+        for offset, k in taps:
+            x = flat[first + offset:first + offset + size]
+            if k == 1.0:
+                block += x
+            elif k == -1.0:
+                block -= x
+            else:
+                block += np.multiply(x, k, out=tap[:size])
+        out[top:top + n] = wide[:n * width].reshape(n, width)[:, :w]
     # freed before FeatureMap copies out, so the copy does not raise the peak
-    del tap
+    del wide, tap
     return FeatureMap(width=w, height=h, values=out.ravel())
 
 

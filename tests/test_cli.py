@@ -904,6 +904,17 @@ class TestFeaturemap:
         assert float(onn[1][0]) > 0.9
         assert "rows=1 cols=1 windows=1 errors=0" in out
 
+    def test_one_oscillator_map_has_no_pearson(self, capsys, tmp_path):
+        # every window's DOM is the same limit-cycle amplitude, up to step error
+        grating = str(Path(__file__).parent / "golden" / "inputs" / "grating7.pgm")
+        out_dir = tmp_path / "side1"
+        code, out, _ = run_cli(capsys, "featuremap", grating, "--side", "1", "--seeds", "0",
+                               "--t-end", "20", "--out-dir", str(out_dir))
+        assert code == 0
+        assert out.startswith("pearson=nan rows=7 cols=7 windows=49 errors=0")
+        onn = np.array(read_rows(out_dir / "onn_map.csv")[1:], dtype=float)
+        assert onn.shape == (7, 7) and np.ptp(onn) < 1e-5
+
     def test_bank_index_selection(self, capsys, tmp_path, planted_image):
         code, _, _ = run_cli(
             capsys, "featuremap", planted_image, "--filter-index", "17",

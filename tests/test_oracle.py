@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oscconv.oracle
 from oscconv import (
     ConfigurationError,
     FeatureMap,
@@ -37,6 +39,27 @@ def naive_feature_map(grid, kernel, mode):
             row.append(acc)
         out.append(row)
     return np.array(out)
+
+
+def shifted_view_map(grid, kernel, mode):
+    """Independent reference for large maps: 2-D shifted views of the image
+    times each tap, summed from zero in row-major tap order."""
+    s = kernel.shape[0]
+    if mode == "convolution":
+        kernel = kernel[::-1, ::-1]
+    h, w = grid.shape[0] - s + 1, grid.shape[1] - s + 1
+    out = np.zeros((h, w))
+    for i in range(s):
+        for j in range(s):
+            out = out + grid[i:i + h, j:j + w] * kernel[i, j]
+    return out
+
+
+def mixed_kernel(rng, side):
+    """Kernel entries drawn from exact +-1.0, +-0.0 and uniform values, so
+    the taps added without a multiply meet the multiplied ones."""
+    pool = np.concatenate([[1.0, -1.0, 1.0, -1.0, 0.0, -0.0], rng.uniform(-1, 1, 4)])
+    return Fragment(side=side, values=rng.choice(pool, side * side))
 
 
 def random_image(rng, width, height):
@@ -133,6 +156,45 @@ class TestConvolveValid:
             img.grid().tolist(), filt.values.reshape(side, side).tolist(), mode
         )
         assert np.array_equal(fmap.grid(), ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from(["convolution", "correlation"]),
+        shape=map_shapes(),
+        block_values=st.sampled_from([1, 5, 13, 2**14]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mixed_kernels_in_small_blocks_match_naive_loop(self, mode, shape, block_values,
+                                                            seed):
+        # blocks of one row, of a few rows with a partial last block, or the whole map
+        width, height, side = shape
+        rng = np.random.default_rng(seed)
+        img = random_image(rng, width, height)
+        filt = mixed_kernel(rng, side)
+        with mock.patch.object(oscconv.oracle, "_BLOCK_VALUES", block_values):
+            fmap = convolve_valid(img, filt, mode=mode)
+        ref = naive_feature_map(
+            img.grid().tolist(), filt.values.reshape(side, side).tolist(), mode
+        )
+        assert np.array_equal(fmap.grid(), ref)
+
+    @pytest.mark.parametrize("mode", ["convolution", "correlation"])
+    @pytest.mark.parametrize(
+        "width, height, side",
+        [
+            # 54 map rows per block: two full blocks and a partial one of 18
+            (300, 130, 5),
+            # wider than a block: one map row per block
+            (2**14 + 9, 4, 3),
+        ],
+    )
+    def test_maps_across_row_blocks_are_exact(self, mode, width, height, side):
+        rng = np.random.default_rng(width + height)
+        img = random_image(rng, width, height)
+        for filt in (mixed_kernel(rng, side), gabor_filter(side, 30.0, 0.35)):
+            fmap = convolve_valid(img, filt, mode=mode)
+            kernel = filt.values.reshape(side, side)
+            assert np.array_equal(fmap.grid(), shifted_view_map(img.grid(), kernel, mode))
 
     @pytest.mark.parametrize("mode", ["convolution", "correlation"])
     def test_map_shares_no_memory_with_image(self, mode):
