@@ -118,7 +118,7 @@ def _checker(kind: str, test, convert=lambda value: value):
 
 
 _number = _checker("a finite number", lambda v: not isinstance(v, bool) and math.isfinite(v), float)
-# the library checks the tighter bounds of stride (>= 1) and side (>= 1)
+# the library checks the tighter bound of side (>= 1)
 _natural = _checker("an integer >= 0", lambda v: type(v) is int and v >= 0)
 _boolean = _checker("true or false", lambda v: isinstance(v, bool))
 _string = _checker("a string", lambda v: isinstance(v, str))
@@ -192,7 +192,6 @@ _SETTINGS = {
     "epsilon": (_number, "--epsilon", dict(type=float)),
     "dt": (_number, "--dt", dict(type=float)),
     "t_end": (_number, "--t-end", dict(type=float)),
-    "stride": (_natural, "--stride", dict(type=int)),
     "side": (_natural, "--side", dict(type=int, help="fragment/filter side in pixels")),
     "spread_tol": (_number, "--spread-tol", dict(type=float)),
     "method": (_string, "--dom-method", dict(choices=DOM_METHODS)),

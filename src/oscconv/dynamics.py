@@ -88,7 +88,6 @@ class OscillatorArrayConfig:
         dt: integration step in radian-time. None selects
             default_timestep(omega0 + 2*delta_omega).
         t_end: total integration span in radian-time.
-        stride: sampling stride; the trace records every stride-th step.
     """
 
     n: int
@@ -98,12 +97,15 @@ class OscillatorArrayConfig:
     epsilon: float | None = None
     dt: float | None = None
     t_end: float = 400.0
-    stride: int = 1
 
     def __post_init__(self):
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            n = 0
+        if n < 1:
+            raise ConfigurationError(f"n must be an integer >= 1, got {self.n!r}")
         # the negated comparisons also reject NaN and +inf
-        if self.n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {self.n}")
         if not 0 < self.rho < math.inf:
             raise ConfigurationError(f"rho must be positive and finite, got {self.rho}")
         if not 0 < self.omega0 < math.inf:
@@ -120,16 +122,12 @@ class OscillatorArrayConfig:
             raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
         if not self.dt <= self.t_end < math.inf:
             raise ConfigurationError(f"t_end must be finite and >= dt={self.dt}, got {self.t_end}")
-        if self.stride < 1:
-            raise ConfigurationError(f"stride must be >= 1, got {self.stride}")
         # the float test comes first, as round() fails on a t_end/dt that overflows to inf
-        if self.t_end / self.dt > VALUE_CAP * self.stride or self.n * self.num_samples > VALUE_CAP:
+        if self.t_end / self.dt > VALUE_CAP or self.n * self.num_samples > VALUE_CAP:
             raise ConfigurationError(
-                f"t_end={self.t_end:g}, dt={self.dt:g} and stride={self.stride} record more than "
-                f"2**24 values of the {self.n} oscillators; raise dt or stride, or lower t_end"
+                f"t_end={self.t_end:g} and dt={self.dt:g} record more than 2**24 values "
+                f"of the {self.n} oscillators; raise dt or lower t_end"
             )
-        if self.stride > self.n_steps:  # a longer stride records only the initial state
-            raise ConfigurationError(f"stride must be <= the run's {self.n_steps} steps")
         _check_accuracy(self.dt, self.omega_max)
 
     @property
@@ -144,8 +142,8 @@ class OscillatorArrayConfig:
 
     @property
     def num_samples(self) -> int:
-        """Samples of one run: the initial state and every stride-th of the n_steps."""
-        return self.n_steps // self.stride + 1
+        """Samples of one run: the initial state and the state after each of the n_steps."""
+        return self.n_steps + 1
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -183,6 +181,8 @@ class SimulationTrace:
 
     def rows(self, rows: slice) -> SimulationTrace:
         """The trace of some rows of a block."""
+        if self.averager.ndim == 1:
+            raise ConfigurationError("rows() reads a block of runs; this trace is one run")
         return SimulationTrace(self.times, self.states[rows], self.config, self.averager[rows],
                                self.failures[rows], self.freq[rows])
 
@@ -194,9 +194,8 @@ class SimulationTrace:
     def final_freq(self) -> np.ndarray:
         """Per-oscillator instantaneous frequency averaged over the final 10% of the trace.
 
-        integrate sums it from the run's phase steps. A step wraps, and the value
-        aliases as instantaneous_frequency's does, once stride*dt*|omega| > pi:
-        stride 26 and above at omega 1.1 and the default dt.
+        integrate sums it from the run's phase steps. The accuracy guard holds
+        dt*|omega| to 2*pi/25, far below the half turn at which a step wraps.
         """
         _check_freq_samples(self.num_samples)
         return self.freq
@@ -358,7 +357,7 @@ def _check_block(rows: int, cfg: OscillatorArrayConfig) -> None:
     if recorded > VALUE_CAP:
         raise ConfigurationError(
             f"a block of {rows} runs would record {recorded} values, more than 2**24; "
-            f"integrate fewer rows at a time, raise dt or stride, or lower t_end"
+            f"integrate fewer rows at a time, raise dt or lower t_end"
         )
 
 
@@ -379,7 +378,7 @@ def _final_freq_weights(cfg: OscillatorArrayConfig) -> tuple[int, np.ndarray]:
     share = np.bincount(np.clip(u, 0, num - 1), weights=uses, minlength=num) / (final * window)
     share[1:-1] /= 2.0
     first = max(1, num - final - lead)
-    return first, (share[first - 1:-1] + share[first:]) / (cfg.stride * cfg.dt)
+    return first, (share[first - 1:-1] + share[first:]) / cfg.dt
 
 
 def integrate(
@@ -389,9 +388,9 @@ def integrate(
 ) -> SimulationTrace:
     """Integrate the array with a classical 4th-order Runge-Kutta scheme.
 
-    The step is fixed at cfg.dt and the trace records every cfg.stride-th
-    step, so runs are deterministic: identical (omega, cfg, init) produce
-    bit-identical traces.
+    The step is fixed at cfg.dt and the trace records the initial state and
+    every step, so runs are deterministic: identical (omega, cfg, init)
+    produce bit-identical traces.
 
     A 1-D omega is one run, and its trace keeps every state. A 2-D omega
     is a block of runs, one per row, stepped together; the block's trace
@@ -407,11 +406,10 @@ def integrate(
     Each step computes conj(z)*z of its new state once: the next step's
     field reads it, and the divergence guard compares the column sums of
     its real part, the squared norms, with 100*n. The step's sum of z goes
-    into the sample's column of the recorded sums, or into a scratch row
-    between samples, and the next step's field reads it. z steps in place,
-    k1 in conj(z)*z's buffer; the stage input, k2, k3, k4 and last, the
-    state that a sample's phase step reads, from sample first - 1 on, each
-    keep one buffer for the call.
+    into its sample's column of the recorded sums, and the next step's
+    field reads it. z steps in place, k1 in conj(z)*z's buffer; the stage
+    input, k2, k3, k4 and last, the state that a sample's phase step reads,
+    from sample first - 1 on, each keep one buffer for the call.
 
     Args:
         omega: natural frequencies (radian-time units), shape (n,) or
@@ -420,8 +418,7 @@ def integrate(
         init: initial complex state, shape (n,) or omega's shape.
 
     Returns:
-        The SimulationTrace of the run or the block, sampled at uniform
-        spacing stride * dt.
+        The SimulationTrace of the run or the block, sampled every dt.
 
     Raises:
         ConfigurationError: on a shape mismatch, a dt too coarse for the
@@ -440,7 +437,7 @@ def integrate(
     first, weights = _final_freq_weights(cfg)
     z = _columns(init, rows)
     rhs = _field(_columns(omega, rows), cfg)
-    dt, stride, guard2 = cfg.dt, cfg.stride, DIVERGENCE_FACTOR**2 * cfg.n
+    dt, guard2 = cfg.dt, DIVERGENCE_FACTOR**2 * cfg.n
     # 0-d complex operands: numpy would cast a float to complex on every call
     half, dt, sixth, two = (np.array(x, dtype=complex) for x in (0.5 * dt, dt, dt / 6.0, 2.0))
     # per column: the state sums (n times the averager) at every sample, the
@@ -451,7 +448,7 @@ def integrate(
     s = np.add.reduce(z, axis=0, out=sums[:, 0])
     if run:
         states[0, 0] = z[:, 0]
-    a2, last, between = np.conjugate(z) * z, z.copy(), np.empty_like(s)
+    a2, last = np.conjugate(z) * z, z.copy()
     tmp, k2, k3, k4 = np.empty((4, *z.shape), dtype=complex)
     failures = {}
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a diverging row
@@ -485,16 +482,12 @@ def integrate(
                     z[:, row] = a2[:, row] = 0.0
                 if len(failures) == rows:
                     break
-            if step % stride:
-                s = np.add.reduce(z, axis=0, out=between)
-                continue
-            sample = step // stride
-            s = np.add.reduce(z, axis=0, out=sums[:, sample])
+            s = np.add.reduce(z, axis=0, out=sums[:, step])
             if run:
-                states[0, sample] = z[:, 0]
-            if sample >= first:
-                freq += weights[sample - first] * np.angle(z * last.conj())
-            if sample >= first - 1:  # the next sample's phase step reads this state
+                states[0, step] = z[:, 0]
+            if step >= first:
+                freq += weights[step - first] * np.angle(z * last.conj())
+            if step >= first - 1:  # the next phase step reads this state
                 last[...] = z
     sums /= cfg.n
     times = sample_times(cfg)
@@ -508,8 +501,8 @@ def integrate(
 
 
 def sample_times(cfg: OscillatorArrayConfig) -> np.ndarray:
-    """Times of a run's cfg.num_samples trace samples, spaced stride * dt."""
-    return np.arange(cfg.num_samples) * (cfg.stride * cfg.dt)
+    """Times of a run's cfg.num_samples trace samples, spaced dt."""
+    return np.arange(cfg.num_samples) * cfg.dt
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
@@ -532,7 +525,7 @@ def _check_freq_samples(num_samples: int) -> None:
 def _smoothing_window(cfg: OscillatorArrayConfig, num_samples: int) -> int:
     """Samples in instantaneous_frequency's moving average: one period of omega0."""
     period = 2.0 * math.pi / cfg.omega0
-    return min(max(1, int(round(period / (cfg.stride * cfg.dt)))), num_samples)
+    return min(max(1, int(round(period / cfg.dt))), num_samples)
 
 
 def instantaneous_frequency(trace: SimulationTrace) -> np.ndarray:
@@ -585,4 +578,4 @@ def peak_detector(envelope: np.ndarray, tau_decay: float, dt: float) -> np.ndarr
 def default_peak_detector(envelope: np.ndarray, cfg: OscillatorArrayConfig) -> np.ndarray:
     """Peak detector on a trace envelope, decaying over ten carrier periods."""
     tau = 10.0 * 2.0 * math.pi / cfg.omega0
-    return peak_detector(envelope, tau, cfg.stride * cfg.dt)
+    return peak_detector(envelope, tau, cfg.dt)

@@ -364,7 +364,8 @@ class TestConfigHandling:
 
     def test_unknown_config_field(self, capsys, tmp_path, white_image):
         # include_self_in_sum is no setting: every run couples through the self-inclusive mean
-        # field; the DOM window and the lock-time threshold are fixed readouts
+        # field; the DOM window and the lock-time threshold are fixed readouts; a run records
+        # every step
         cfg = tmp_path / "cfg.json"
         for config, key, command in [
             ({"bogus": True}, "bogus", ["match", white_image]),
@@ -373,6 +374,7 @@ class TestConfigHandling:
             ({"dom_threshold_fraction": 0.8}, "dom_threshold_fraction", ["match", white_image]),
             ({"dom_policy": {"trailing_fraction": 0.2}}, "trailing_fraction",
              ["match", white_image]),
+            ({"stride": 1}, "stride", ["match", white_image]),
         ]:
             cfg.write_text(json.dumps(config))
             code, _, err = run_cli(capsys, *command, "--config", str(cfg))
@@ -394,10 +396,12 @@ class TestConfigHandling:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    # the DOM window and the lock-time threshold are fixed readouts, not settings
+    # the DOM window and the lock-time threshold are fixed readouts, and a run
+    # records every step: none of them is a setting
     @pytest.mark.parametrize("command", ["match", "featuremap"])
     @pytest.mark.parametrize("flag, value", [("--dom-threshold", "0.8"),
-                                             ("--trailing-fraction", "0.2")])
+                                             ("--trailing-fraction", "0.2"),
+                                             ("--stride", "3")])
     def test_retired_readout_flags_are_not_options(self, capsys, white_image, command, flag,
                                                    value):
         code, _, err = run_cli(capsys, command, white_image, flag, value)
@@ -496,7 +500,7 @@ class TestMalformedValues:
 
     @pytest.mark.parametrize("config, argv", [
         pytest.param({"t_end": "abc"}, ["--seeds", "0"], id="t_end-string"),
-        pytest.param({"stride": "2"}, ["--t-end", "2", "--seeds", "0"], id="stride-string"),
+        pytest.param({"side": "5"}, ["--t-end", "2", "--seeds", "0"], id="side-string"),
         pytest.param({"seeds": [-1]}, ["--t-end", "2"], id="seeds-negative"),
         pytest.param({}, ["--t-end", "2", "--seeds=-1"], id="seeds-flag-negative"),
         pytest.param({"seeds": [1.5]}, ["--t-end", "2"], id="seeds-fraction"),
@@ -580,11 +584,12 @@ class TestMalformedValues:
         # a grid that starts with a minus sign is a value, not a flag
         pytest.param(["sweep-locking", "--grid", "-0.2:-0.1:0.1"], id="sweep-grid-negative"),
         pytest.param(["match", "IMAGE", "--seeds", "0:10000000000"], id="match-huge-seed-range"),
-        # a stride longer than the run records only the initial state
-        pytest.param(["match", "IMAGE", "--stride", "9" * 400, "--seeds", "0"],
-                     id="match-stride-400-digits"),
-        pytest.param(["featuremap", "IMAGE", "--stride", "100000", "--t-end", "20", "--seeds", "0"],
-                     id="featuremap-stride-beyond-run"),
+        # a side of 400 digits parses, and is rejected against the image
+        pytest.param(["match", "IMAGE", "--side", "9" * 400, "--seeds", "0"],
+                     id="match-side-400-digits"),
+        # the flag checks only that a side is an integer; the library rejects 0
+        pytest.param(["featuremap", "IMAGE", "--side", "0", "--t-end", "20", "--seeds", "0"],
+                     id="featuremap-side-zero"),
         # --phase and --raw-filter shape a single filter, never a bank filter
         pytest.param(["featuremap", "IMAGE", "--phase", "1", "--seeds", "0"],
                      id="featuremap-phase-without-filter"),
@@ -739,7 +744,7 @@ def test_float_csv_writes_the_bytes_of_csv(tmp_path, columns):
 # Every config key, and values of the wrong JSON type, non-finite or negative
 CONFIG_KEYS = (
     "rho", "omega0", "delta_omega", "epsilon", "dt", "t_end",
-    "stride", "seed", "side", "seeds", "dom_policy", "spread_tol",
+    "seed", "side", "seeds", "dom_policy", "spread_tol",
     "reference_oscillator", "bank",
 )
 BAD_VALUES = st.one_of(

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oscconv.inference
@@ -61,7 +61,10 @@ class TestConfig:
             dict(n=2, epsilon=-0.01),
             dict(n=2, dt=-0.1),
             dict(n=2, t_end=0.0, dt=0.1),
-            dict(n=2, stride=0),
+            # n counts oscillators: a float or a string is no count, even 25.0
+            dict(n=2.5),
+            dict(n=25.0),
+            dict(n="3"),
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -83,7 +86,7 @@ class TestConfig:
             default_coupling(25, value)
 
     def test_caps_recorded_values(self):
-        with pytest.raises(ConfigurationError, match="t_end.*dt.*stride"):
+        with pytest.raises(ConfigurationError, match="t_end.*dt.*raise dt or lower t_end$"):
             OscillatorArrayConfig(n=25, dt=1e-5)
         # t_end/dt overflows a float: rejected, not an OverflowError
         with pytest.raises(ConfigurationError, match="2\\*\\*24"):
@@ -93,8 +96,6 @@ class TestConfig:
         assert cfg.num_samples == 2**24
         with pytest.raises(ConfigurationError):
             OscillatorArrayConfig(n=1, delta_omega=0.0, dt=0.125, t_end=2**24 * 0.125)
-        # a longer run fits at a coarser stride
-        assert OscillatorArrayConfig(n=25, dt=1e-5, stride=100).num_samples == 400_001
 
     def test_dt_accuracy_guard(self):
         limit = 2.0 * math.pi / (25.0 * 1.1)
@@ -301,12 +302,11 @@ class TestIntegrate:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    def test_uniform_sampling_with_stride(self):
-        cfg = two_osc_cfg(t_end=50.0, stride=4)
+    def test_records_the_initial_state_and_every_step(self):
+        cfg = two_osc_cfg(t_end=50.0)
         trace = integrate(np.array([1.0, 1.01]), cfg, random_initial_state(2, 5))
-        spacing = np.diff(trace.times)
-        assert np.allclose(spacing, cfg.stride * cfg.dt)
-        assert trace.num_samples == trace.states.shape[0]
+        assert trace.num_samples == trace.states.shape[0] == cfg.n_steps + 1
+        assert np.allclose(np.diff(trace.times), cfg.dt)
 
     def test_envelope_bounds(self):
         # triangle inequality and the coherent-gain amplitude bound
@@ -326,7 +326,7 @@ BATCH_OMEGA = 1.0 + 0.05 * np.random.default_rng(11).uniform(-2.0, 2.0, (6, 5))
 BATCH_INIT = np.array([random_initial_state(5, seed) for seed in range(6)])
 BATCH_CONFIGS = (
     OscillatorArrayConfig(n=5, t_end=60.0),
-    OscillatorArrayConfig(n=5, t_end=60.0, stride=3),
+    OscillatorArrayConfig(n=5, t_end=60.0, dt=0.05),
 )
 
 
@@ -407,13 +407,13 @@ class TestBatchedIntegrate:
             assert block_values[i] == readouts(single)
 
     @pytest.mark.parametrize("kw", [
-        dict(stride=50),  # a smoothing window of one sample
+        dict(t_end=150.0),  # the final tenth, 131 samples, is longer than the 55-sample window
         dict(t_end=5.0),  # the window spans the run, and the edge padding folds onto its ends
         dict(t_end=0.3, dt=0.1),  # 4 samples: the steps read span the whole run
-        dict(stride=3),
+        dict(dt=0.05),  # an even window, of 126 samples
         # 3 samples: the first phase step reads the initial state
         dict(t_end=0.2, dt=0.1),
-        dict(t_end=0.6, dt=0.1, stride=3),
+        dict(t_end=0.4, dt=0.2),  # and at a step near the accuracy guard
     ])
     def test_a_block_sums_its_lone_runs_final_freq(self, kw):
         cfg = OscillatorArrayConfig(**{"n": 5, "t_end": 60.0, **kw})
@@ -445,6 +445,11 @@ class TestBatchedIntegrate:
                 assert block.failures[row] is None
                 assert np.array_equal(block.averager[row], single_run(0, row).averager)
 
+    def test_rows_of_a_lone_run_is_rejected(self):
+        # a lone run has no row axis: its first two samples are no rows
+        with pytest.raises(ConfigurationError, match="^rows\\(\\) reads a block of runs"):
+            single_run(0, 0).rows(slice(0, 2))
+
     def test_one_length_n_init_starts_every_row(self):
         cfg = BATCH_CONFIGS[0]
         # the caller's memory layout does not reach the rows' bits either
@@ -471,7 +476,7 @@ class TestBatchedIntegrate:
         block = integrate(np.ones((3, 4)), cfg, init)
         assert all(isinstance(failure, DivergenceError) for failure in block.failures)
         for row, failure in enumerate(block.failures):
-            assert not block.averager[row, -(-failure.step // cfg.stride):].any()
+            assert not block.averager[row, failure.step:].any()
 
     @pytest.mark.parametrize("omega, init", [
         (np.ones((2, 4)), np.ones(5)),
@@ -599,14 +604,6 @@ class TestInstantaneousFrequency:
         freq = instantaneous_frequency(trace)
         assert np.abs(freq).max() < 1e-12
 
-    def test_window_of_one_sample_is_the_raw_gradient(self):
-        # at stride 50 and the default dt one sample spans about a period
-        cfg = two_osc_cfg(stride=50)
-        trace = integrate(np.array([0.98, 1.03]), cfg, random_initial_state(2, 2))
-        assert round(2.0 * math.pi / (cfg.stride * cfg.dt)) == 1
-        raw = np.gradient(unwrapped_phases(trace), trace.times, axis=0)
-        assert np.array_equal(instantaneous_frequency(trace), raw)
-
     def test_two_locked_share_final_frequency(self):
         cfg = two_osc_cfg()
         trace = integrate(np.array([0.98, 1.02]), cfg, random_initial_state(2, 1))
@@ -623,22 +620,20 @@ class TestInstantaneousFrequency:
         reference = instantaneous_frequency(trace)[-tail:].mean(axis=0)
         assert np.abs(trace.final_freq - reference).max() <= 1e-12
 
-    # a free oscillator on its limit cycle turns stride*dt*omega per sample; a
-    # step beyond pi wraps, and final_freq reads the alias omega - 2*pi/(stride*dt)
+    # a free oscillator on its limit cycle turns dt*omega per step, at most 2*pi/25
+    # inside the accuracy guard: far below the half turn at which a phase step
+    # wraps, and an alias would read 2*pi/dt, at least 25*omega, away. Below omega
+    # 0.5 the guard's dt would put the amplitude past RK4's stability limit.
     @settings(max_examples=15, deadline=None)
-    @given(omega=st.floats(0.1, 2.0), stride=st.integers(1, 80))
-    @example(omega=1.1, stride=45)  # 0.99*pi per sample
-    @example(omega=1.1, stride=46)  # 1.01*pi per sample
-    def test_final_freq_aliases_beyond_half_a_turn_per_sample(self, omega, stride):
-        dt = default_timestep(2.0)
-        turn = stride * dt * omega
-        assume(abs(turn - math.pi) > 0.01 and turn < 2.0 * math.pi)
-        cfg = OscillatorArrayConfig(n=1, delta_omega=0.5, epsilon=0.0, stride=stride,
-                                    t_end=12 * stride * dt)
+    @given(omega=st.floats(0.5, 2.0), fraction=st.floats(0.05, 1.0))
+    @example(omega=2.0, fraction=1.0)
+    def test_final_freq_cannot_alias_inside_the_accuracy_guard(self, omega, fraction):
+        dt = fraction * 2.0 * math.pi / (25.0 * omega)
+        cfg = OscillatorArrayConfig(n=1, omega0=omega, delta_omega=0.0, epsilon=0.0, dt=dt,
+                                    t_end=40 * dt)
         trace = integrate(np.array([omega]), cfg, np.array([1.0 + 0j]))
-        expected = omega if turn < math.pi else omega - 2.0 * math.pi / (stride * dt)
-        # RK4's phase error at 50 steps per period of omega 2 is about 4e-6
-        assert trace.final_freq[0] == pytest.approx(expected, abs=1e-5)
+        # RK4's phase error at the guard, 25 steps a period, is 3.25e-5 of omega
+        assert trace.final_freq[0] == pytest.approx(omega, rel=4e-5)
 
     def test_needs_three_samples(self):
         cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, epsilon=0.0, dt=0.1, t_end=0.1)
@@ -705,7 +700,7 @@ class TestSweepLocking:
         with pytest.raises(ConfigurationError):
             sweep_locking(0.0, np.array([0.1]))
         # the sweep sets n, delta_omega and epsilon itself and takes no other array setting
-        for key in ("stride", "delta_omega"):
+        for key in ("n", "delta_omega"):
             message = f"^a locking sweep sets only t_end, rho, omega0, dt, not {key}$"
             with pytest.raises(ConfigurationError, match=message):
                 sweep_locking(0.05, np.array([0.1]), **{key: 1})

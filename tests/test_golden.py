@@ -35,7 +35,6 @@ CASES = {
                         *FAST),
     "match_peak": ("match", FRAGMENT, *BANK3, "--dom-method", "sample_peak_detector",
                    "--sample-time", "30", *FAST),
-    "match_stride": ("match", FRAGMENT, *BANK3, "--stride", "3", "--dump-traces", *FAST),
     # 6 of the 18 bank filters diverge
     "match_partial_failure": ("match", FRAGMENT, "--t-end", "40", "--rho", "0.01",
                               "--epsilon", "0.05", "--delta-omega", "0.5", "--seeds", "1,2"),
