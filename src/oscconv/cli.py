@@ -393,10 +393,17 @@ def _dump_traces(out: Path, report: MatchReport, array_cfg: OscillatorArrayConfi
     peaks = default_peak_detector(envelopes, array_cfg)
     times = list(_cells(sample_times(array_cfg)))  # every file has the same sample times
     for result, averager, envelope, peak in zip(report.results, averagers, envelopes, peaks):
+        # a peak cell with its envelope cell's bits has its text; the int64 views
+        # keep -0.0 apart from 0.0, and one NaN from another
+        envelope_text = list(_cells(envelope))
+        peak_text = envelope_text.copy()
+        held = np.flatnonzero(envelope.view(np.int64) != peak.view(np.int64))
+        for col, text in zip(held.tolist(), _cells(peak[held])):
+            peak_text[col] = text
         _write_float_csv(
             out / f"trace_filter_{result.filter_index:02d}.csv",
             ["time", "averager_re", "averager_im", "envelope", "peak_detector"],
-            [times, *map(_cells, (averager.real, averager.imag, envelope, peak))],
+            [times, *map(_cells, (averager.real, averager.imag)), envelope_text, peak_text],
         )
 
 

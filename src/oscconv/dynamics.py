@@ -218,23 +218,26 @@ def _field(omega: np.ndarray, cfg: OscillatorArrayConfig):
     numpy's baseline complex multiply, but not always with the AVX-512
     kernels that numpy 2 dispatches to, which also round z*w and w*z
     apart. Operand order is thus part of the bits, here and in the phase
-    step z * last.conj() of integrate. rhs(z, k, s) reuses k = conj(z)*z,
+    step z * conj(last) of integrate. rhs(z, k, s) reuses k = conj(z)*z,
     which it overwrites, and s, z's column sums. -rho and eps are 0-d
     complex arrays, which numpy need not cast from float on every call.
+    Each ufunc is called by a bound name with a positional output, the
+    cheapest call numpy offers on a block this small.
     """
     gain = cfg.rho + 1j * omega
     neg_rho, eps = np.array(-cfg.rho, dtype=complex), np.array(cfg.epsilon, dtype=complex)
     coupled = np.empty(omega.shape[1:], dtype=np.complex128)
+    add, multiply, conjugate, add_reduce = np.add, np.multiply, np.conjugate, np.add.reduce
 
     def rhs(z: np.ndarray, k: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
         if s is None:
-            np.conjugate(z, out=k)
-            k *= z
-            s = np.add.reduce(z, axis=0, out=coupled)
-        k *= neg_rho
-        k += gain
-        k *= z
-        k += np.multiply(s, eps, out=coupled)
+            conjugate(z, k)
+            multiply(k, z, k)
+            s = add_reduce(z, 0, None, coupled)
+        multiply(k, neg_rho, k)
+        add(k, gain, k)
+        multiply(k, z, k)
+        add(k, multiply(s, eps, coupled), k)
         return k
 
     return rhs
@@ -404,12 +407,17 @@ def integrate(
     array, so a row's oscillators add up one after the next, in the same
     order in any block; a lone row gets a zero partner column (_columns).
     Each step computes conj(z)*z of its new state once: the next step's
-    field reads it, and the divergence guard compares the column sums of
-    its real part, the squared norms, with 100*n. The step's sum of z goes
-    into its sample's column of the recorded sums, and the next step's
-    field reads it. z steps in place, k1 in conj(z)*z's buffer; the stage
-    input, k2, k3, k4 and last, the state that a sample's phase step reads,
-    from sample first - 1 on, each keep one buffer for the call.
+    field reads it, and the divergence guard reads its real part, the
+    squared moduli. The guard's first tier is one maximum over them all:
+    while none passes 50, half of 100, no column of n sums past 100*n.
+    Past that, the guard compares each column's sum, its squared norm,
+    with 100*n. The step's sum of z goes into its sample's column of the
+    recorded sums, and the next step's field reads it. z steps in place.
+    One (4, n, cols) buffer holds conj(z)*z, in which k1 is computed, k2,
+    k3 and k4, so one multiply doubles k2 and k3. The stage input, the
+    conjugate of last, the state that a sample's phase step reads from
+    sample first - 1 on, and that step's product and angle each keep one
+    buffer for the call.
 
     Args:
         omega: natural frequencies (radian-time units), shape (n,) or
@@ -437,58 +445,67 @@ def integrate(
     first, weights = _final_freq_weights(cfg)
     z = _columns(init, rows)
     rhs = _field(_columns(omega, rows), cfg)
+    add, multiply, conjugate, arctan2 = np.add, np.multiply, np.conjugate, np.arctan2
+    add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
     dt, guard2 = cfg.dt, DIVERGENCE_FACTOR**2 * cfg.n
+    # n squared moduli of at most guard2 / (2n) sum to less than guard2
+    guard1 = guard2 / (2 * cfg.n)
     # 0-d complex operands: numpy would cast a float to complex on every call
     half, dt, sixth, two = (np.array(x, dtype=complex) for x in (0.5 * dt, dt, dt / 6.0, 2.0))
     # per column: the state sums (n times the averager) at every sample, the
     # weighted phase steps from sample first on, and a run's every state
     sums = np.zeros((z.shape[1], cfg.num_samples), dtype=np.complex128)
+    sample_sums = sums.T
     states = np.zeros((rows, cfg.num_samples if run else 0, cfg.n), dtype=np.complex128)
     freq = np.zeros(z.shape)
-    s = np.add.reduce(z, axis=0, out=sums[:, 0])
+    s = add_reduce(z, 0, None, sample_sums[0])
     if run:
         states[0, 0] = z[:, 0]
-    a2, last = np.conjugate(z) * z, z.copy()
-    tmp, k2, k3, k4 = np.empty((4, *z.shape), dtype=complex)
+    slopes = np.empty((4, *z.shape), dtype=complex)
+    a2, k2, k3, k4 = slopes  # k1 is computed in a2's buffer
+    k23 = slopes[1:3]
+    a2_real = a2.reshape(-1).real
+    multiply(conjugate(z, a2), z, a2)
+    tmp, phase = np.empty((2, *z.shape), dtype=complex)
+    phase_real, phase_imag, angle = phase.real, phase.imag, np.empty(z.shape)
+    last_conj = conjugate(z)
     failures = {}
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a diverging row
         for step in range(1, cfg.n_steps + 1):
-            k1 = rhs(z, a2, s)  # in a2's buffer
-            np.multiply(half, k1, out=tmp)
-            tmp += z
+            k1 = rhs(z, a2, s)
+            add(multiply(half, k1, tmp), z, tmp)
             rhs(tmp, k2)
-            np.multiply(half, k2, out=tmp)
-            tmp += z
+            add(multiply(half, k2, tmp), z, tmp)
             rhs(tmp, k3)
-            np.multiply(dt, k3, out=tmp)
-            tmp += z
+            add(multiply(dt, k3, tmp), z, tmp)
             rhs(tmp, k4)
             # k1 + 2*k2 + 2*k3 + k4, summed left to right
-            k2 *= two
-            k1 += k2
-            k3 *= two
-            k1 += k3
-            k1 += k4
-            k1 *= sixth
-            z += k1
-            np.conjugate(z, out=a2)
-            a2 *= z  # the next step's k1 input, and the guard's squared norms
-            norm2 = np.add.reduce(a2.real, axis=0)
-            if not np.maximum.reduce(norm2) <= guard2:
-                # a failed row restarts from zero, a fixed point that never
-                # trips the guard again
-                for row in np.flatnonzero(~(norm2 <= guard2)):
-                    failures[int(row)] = DivergenceError(step, math.sqrt(norm2[row]))
-                    z[:, row] = a2[:, row] = 0.0
-                if len(failures) == rows:
-                    break
-            s = np.add.reduce(z, axis=0, out=sums[:, step])
+            multiply(k23, two, k23)
+            add(k1, k2, k1)
+            add(k1, k3, k1)
+            add(k1, k4, k1)
+            add(z, multiply(k1, sixth, k1), z)
+            # the next step's k1 input, and the guard's squared moduli
+            multiply(conjugate(z, a2), z, a2)
+            if not max_reduce(a2_real) <= guard1:
+                norm2 = add_reduce(a2.real, 0)
+                if not max_reduce(norm2) <= guard2:
+                    # a failed row restarts from zero, a fixed point that never
+                    # trips the guard again
+                    for row in np.flatnonzero(~(norm2 <= guard2)):
+                        failures[int(row)] = DivergenceError(step, math.sqrt(norm2[row]))
+                        z[:, row] = a2[:, row] = 0.0
+                    if len(failures) == rows:
+                        break
+            s = add_reduce(z, 0, None, sample_sums[step])
             if run:
                 states[0, step] = z[:, 0]
             if step >= first:
-                freq += weights[step - first] * np.angle(z * last.conj())
+                multiply(z, last_conj, phase)
+                arctan2(phase_imag, phase_real, angle)
+                add(freq, multiply(angle, weights[step - first], angle), freq)
             if step >= first - 1:  # the next phase step reads this state
-                last[...] = z
+                conjugate(z, last_conj)
     sums /= cfg.n
     times = sample_times(cfg)
     freq = np.ascontiguousarray(freq[:, :rows].T)

@@ -239,17 +239,21 @@ class TestMatch:
         fragment = load_image(str(inputs / "fragment.pgm")).window(0, 0, 5)
         cfg = OscillatorArrayConfig(n=25, t_end=40.0)
         entries = json.loads((inputs / "bank3.json").read_text())
+        held = 0  # peak cells that hold a value above their envelope's
         for index, entry in enumerate(entries):
             omega = fsk_encode(fragment, gabor_filter(5, entry["theta_deg"], entry["k"]), cfg)
             trace = integrate(omega, cfg, random_initial_state(cfg.n, 0))
+            peak = default_peak_detector(trace.envelope, trace.config)
+            held += int((peak != trace.envelope).sum())
             name = f"trace_filter_{index:02d}.csv"
             oscconv.cli._write_csv(
                 tmp_path / name,
                 ["time", "averager_re", "averager_im", "envelope", "peak_detector"],
                 np.column_stack([trace.times, trace.averager.real, trace.averager.imag, trace.envelope,
-                                 default_peak_detector(trace.envelope, trace.config)]).tolist(),
+                                 peak]).tolist(),
             )
             assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert held > 0  # filter 1 beats: 209 of its 351 cells
 
     def test_the_default_match_is_one_integrate_call(self, capsys, tmp_path, monkeypatch):
         rows = []

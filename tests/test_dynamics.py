@@ -445,6 +445,35 @@ class TestBatchedIntegrate:
                 assert block.failures[row] is None
                 assert np.array_equal(block.averager[row], single_run(0, row).averager)
 
+    def test_rows_past_the_guards_first_tier_run_on_as_alone(self):
+        # the guard's first tier passes a step whose every |z_i|**2 is at most
+        # 100*n / (2n) = 50; eps*n/rho = 62.5 settles each near 63.4, so from
+        # step 36 on every step takes the exact check of the column sums,
+        # which stay near 1,585, under the guard's 2,500
+        cfg = OscillatorArrayConfig(n=25, rho=0.02, epsilon=0.05, t_end=20.0)
+        block = integrate(WIDE_OMEGA, cfg, WIDE_INIT)
+        assert block.failures == (None,) * len(WIDE_OMEGA)
+        for row in range(len(WIDE_OMEGA)):
+            alone = integrate(WIDE_OMEGA[row], cfg, WIDE_INIT[row])
+            moduli2 = np.abs(alone.states) ** 2
+            assert (moduli2[36:].max(axis=1) > 50.0).all()
+            assert moduli2.sum(axis=1).max() < 1600.0
+            assert np.array_equal(block.averager[row], alone.averager)
+            assert np.array_equal(block.final_freq[row], alone.final_freq)
+
+    def test_one_oscillator_past_100_does_not_fail_its_row(self):
+        # the guard bounds the column's squared norm, 100*n = 400, not any one
+        # |z_i|**2: oscillator 0 holds about 110 for the whole run
+        cfg = OscillatorArrayConfig(n=4, rho=1e-6, epsilon=1e-3, t_end=20.0)
+        omega = np.array([0.95, 1.0, 1.02, 1.08])
+        init = random_initial_state(4, 1) * [10.5, 1.0, 1.0, 1.0]
+        alone = integrate(omega, cfg, init)
+        moduli2 = np.abs(alone.states) ** 2
+        assert moduli2[:, 0].min() > 110.0 and moduli2.sum(axis=1).max() < 120.0
+        block = integrate(np.array([omega, omega[::-1]]), cfg, np.array([init, init[::-1]]))
+        assert block.failures == (None, None)
+        assert np.array_equal(block.averager[0], alone.averager)
+
     def test_rows_of_a_lone_run_is_rejected(self):
         # a lone run has no row axis: its first two samples are no rows
         with pytest.raises(ConfigurationError, match="^rows\\(\\) reads a block of runs"):
@@ -618,6 +647,20 @@ class TestInstantaneousFrequency:
         # integrate sums the phase steps that the reference unwraps, differentiates
         # and smooths: the two agree to rounding
         reference = instantaneous_frequency(trace)[-tail:].mean(axis=0)
+        assert np.abs(trace.final_freq - reference).max() <= 1e-12
+
+    # one period of omega0 is 55 samples at the default dt; a shorter run
+    # smooths each sample over as many samples as the run has
+    @pytest.mark.parametrize("t_end", [0.4, 1.0, 3.0, 6.0])
+    def test_final_freq_of_a_run_shorter_than_a_period_smooths_over_the_run(self, t_end):
+        cfg = two_osc_cfg(t_end=t_end)
+        trace = integrate(np.array([0.98, 1.02]), cfg, random_initial_state(2, 1))
+        num = trace.num_samples
+        assert num < 2.0 * math.pi / cfg.dt
+        gradient = np.gradient(unwrapped_phases(trace), trace.times, axis=0)
+        # sample k averages samples k - num//2 + [0, num), each clamped into the run
+        window = np.clip(np.arange(num)[:, None] + np.arange(num) - num // 2, 0, num - 1)
+        reference = gradient[window].mean(axis=1)[-max(1, num // 10):].mean(axis=0)
         assert np.abs(trace.final_freq - reference).max() <= 1e-12
 
     # a free oscillator on its limit cycle turns dt*omega per step, at most 2*pi/25

@@ -200,6 +200,15 @@ class TestClassifyLock:
             classify_lock(trace)
         assert classify_lock(trace, spread_tol=0.01) in (True, False)
 
+    # the default tolerance is 0.1 * delta_omega, which a spread of 0.105 of it passes
+    @pytest.mark.parametrize("fraction, locked", [(0.095, True), (0.105, False)])
+    def test_the_default_tolerance_is_a_tenth_of_delta_omega(self, fraction, locked):
+        cfg = OscillatorArrayConfig(n=3, delta_omega=0.05, dt=0.2, t_end=20.0)
+        freq = 1.0 + np.array([0.0, 0.0, fraction * cfg.delta_omega])
+        trace = SimulationTrace(0.2 * np.arange(101), np.zeros((101, 3)), cfg,
+                                np.ones(101, dtype=complex), freq=freq)
+        assert classify_lock(trace) is locked
+
 
 # few distinct values, so that ties are common, among them both zeros, both
 # infinities and NaN, and any float besides
@@ -244,11 +253,12 @@ class TestMeasureLockTime:
         assert measure_lock_time(trace) == 0.0
 
     # a step envelope over 101 samples 0.25 apart, at level before sample settle and at
-    # its plateau 1.0 from there
+    # its plateau 1.0 from there, but for sample 91, the first of the last ten, at head
     @staticmethod
-    def step_trace(settle: int, level: float) -> SimulationTrace:
+    def step_trace(settle: int, level: float, head: float = 1.0) -> SimulationTrace:
         cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, dt=0.25, t_end=25.0)
         envelope = np.where(np.arange(101) < settle, level, 1.0)
+        envelope[91] = head
         return SimulationTrace(0.25 * np.arange(101), np.zeros((101, 0)), cfg, envelope + 0j)
 
     # below threshold before settle: the settled suffix spans (100 - settle) / 4, against 6.25
@@ -260,6 +270,13 @@ class TestMeasureLockTime:
     @pytest.mark.parametrize("level, expected", [(0.79, 12.5), (0.8, 0.0), (0.81, 0.0)])
     def test_the_threshold_is_four_fifths_of_the_plateau(self, level, expected):
         assert measure_lock_time(self.step_trace(50, level)) == expected
+
+    # the plateau is the mean of the last tenth, 10 samples: 0.985 with a head of
+    # 0.85, whose threshold 0.788 passes a level of 0.7885 from the start. The mean
+    # of the last 5, 9, 11 or 20 samples would put the level below threshold.
+    @pytest.mark.parametrize("head, expected", [(0.85, 0.0), (1.0, 12.5)])
+    def test_the_plateau_is_the_mean_of_the_last_tenth(self, head, expected):
+        assert measure_lock_time(self.step_trace(50, 0.7885, head)) == expected
 
 
 @pytest.fixture(scope="module")
