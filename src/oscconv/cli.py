@@ -26,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-# integrate and fsk_encode are not called here: perfbench/tracing.py patches
-# them under these names to count the runs the CLI causes.
+from . import _shares
+# integrate, fsk_encode and sweep_locking are not called here: perfbench/tracing.py
+# patches them under these names, and fails on a name that is missing.
 from .dynamics import (  # noqa: F401
     OscillatorArrayConfig,
     default_peak_detector,
@@ -48,10 +49,11 @@ from .inference import (
     _SWEEP_KEYS,
     DomPolicy,
     MatchReport,
+    _sweep,
     _sweep_config,
     feature_map_onn,
     match_filters,
-    sweep_locking,
+    sweep_locking,  # noqa: F401
     winner_take_all,
 )
 from .oracle import FeatureMap, Image, convolve_valid
@@ -387,24 +389,31 @@ def _print_match_summary(report: MatchReport) -> None:
 
 
 def _dump_traces(out: Path, report: MatchReport, array_cfg: OscillatorArrayConfig) -> None:
-    """One trace CSV per successful filter, from its first-seed match run."""
+    """One trace CSV per successful filter, from its first-seed match run; the files
+    are written in as many shares as there are CPUs this process may use, or fewer."""
     averagers = np.array([result.averager for result in report.results])
     envelopes = np.abs(averagers)
     peaks = default_peak_detector(envelopes, array_cfg)
     times = list(_cells(sample_times(array_cfg)))  # every file has the same sample times
-    for result, averager, envelope, peak in zip(report.results, averagers, envelopes, peaks):
-        # a peak cell with its envelope cell's bits has its text; the int64 views
-        # keep -0.0 apart from 0.0, and one NaN from another
-        envelope_text = list(_cells(envelope))
-        peak_text = envelope_text.copy()
-        held = np.flatnonzero(envelope.view(np.int64) != peak.view(np.int64))
-        for col, text in zip(held.tolist(), _cells(peak[held])):
-            peak_text[col] = text
-        _write_float_csv(
-            out / f"trace_filter_{result.filter_index:02d}.csv",
-            ["time", "averager_re", "averager_im", "envelope", "peak_detector"],
-            [times, *map(_cells, (averager.real, averager.imag)), envelope_text, peak_text],
-        )
+
+    def write(indices: range) -> None:
+        for i in indices:
+            # a peak cell with its envelope cell's bits has its text; the int64 views
+            # keep -0.0 apart from 0.0, and one NaN from another
+            envelope_text = list(_cells(envelopes[i]))
+            peak_text = envelope_text.copy()
+            held = np.flatnonzero(envelopes[i].view(np.int64) != peaks[i].view(np.int64))
+            for col, text in zip(held.tolist(), _cells(peaks[i][held])):
+                peak_text[col] = text
+            _write_float_csv(
+                out / f"trace_filter_{report.results[i].filter_index:02d}.csv",
+                ["time", "averager_re", "averager_im", "envelope", "peak_detector"],
+                [times, *map(_cells, (averagers[i].real, averagers[i].imag)), envelope_text,
+                 peak_text],
+            )
+
+    files = range(len(report.results))
+    _shares.run(write, _shares.split(files, min(_shares.cpus(), len(files))))
 
 
 # Coupling of the two-oscillator locking sweep when none is configured.
@@ -416,10 +425,9 @@ def cmd_sweep_locking(args) -> int:
     start, step, count = _parse_grid(args.grid)
     epsilon = cfg.array.get("epsilon", SWEEP_EPSILON)
     run = {k: v for k, v in cfg.array.items() if k in _SWEEP_KEYS}
-    # the grid's last point is its largest; the block cap is checked before the grid is built
-    _sweep_config(epsilon, count, start, start + step * (count - 1), **run)
-    grid = start + step * np.arange(count)
-    points = sweep_locking(epsilon, grid, seed=cfg.seed, spread_tol=cfg.spread_tol, **run)
+    # the grid's last point is its largest; its config checks the block cap before it is built
+    sweep_cfg = _sweep_config(epsilon, count, start, start + step * (count - 1), **run)
+    points = _sweep(sweep_cfg, start + step * np.arange(count), cfg.seed, cfg.spread_tol)
     out = _out_dir(args)
     _write_csv(
         out / "sweep.csv",

@@ -37,3 +37,6 @@ class DivergenceError(NumericError):
         self.step = step
         self.norm = norm
         super().__init__(f"state norm {norm:.3g} exceeded the divergence guard at step {step}")
+
+    def __reduce__(self):  # the default passes the message alone to __init__
+        return type(self), (self.step, self.norm)

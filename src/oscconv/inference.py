@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _shares
 from .dynamics import (
     VALUE_CAP,
     OscillatorArrayConfig,
@@ -206,6 +207,10 @@ class MatchReport:
 # most. Past 2**12 a step's cost per state falls by a fifth at most, and the
 # default match's 18 filters x 8 seeds x 25 = 3,600 states take one call.
 _CALL_STATES = 2**12
+# Oscillator states that a share of a call steps at least. On a 2-CPU host, a
+# block of 2 x 300 states or more stepped in two processes took a sixth or
+# more less time per step than in one; 2 x 250 or fewer, 8% less at most.
+_SHARE_STATES = 300
 
 
 def _seed_blocks(omegas, cfg: OscillatorArrayConfig, seeds: tuple[int, ...], read):
@@ -214,10 +219,15 @@ def _seed_blocks(omegas, cfg: OscillatorArrayConfig, seeds: tuple[int, ...], rea
     The seeds, cfg.n and the block cap are checked, and the initial states
     built, before any run.
 
-    One integrate call steps as many blocks as together step at most
-    _CALL_STATES oscillator states and record at most VALUE_CAP values,
-    and at least one. A call's blocks are all read, and its trace released,
-    before the next call starts.
+    A call takes as many blocks as together step at most _CALL_STATES
+    oscillator states and record at most VALUE_CAP values, and at least
+    one. Its blocks are split into as many shares, runs of whole blocks,
+    as there are CPUs this process may use, blocks in the call, or whole
+    _SHARE_STATES states among them, whichever is fewest. Each share is one
+    integrate call, in this process or a forked one (_shares.run), whose
+    blocks are all read, and its trace released, before the next call
+    starts. A row's bits do not depend on the rows stepped beside it, so
+    no outcome depends on the number of shares.
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
@@ -227,16 +237,22 @@ def _seed_blocks(omegas, cfg: OscillatorArrayConfig, seeds: tuple[int, ...], rea
     _check_block(runs, cfg)
     inits = np.array([random_initial_state(cfg.n, seed) for seed in seeds])
     per_call = max(1, min(_CALL_STATES // (runs * cfg.n), VALUE_CAP // (runs * cfg.num_samples)))
-    for start in range(0, len(omegas), per_call):
-        group = omegas[start:start + per_call]
+    cpus = _shares.cpus()
+
+    def step(group) -> list:
         call = integrate(np.repeat(group, runs, axis=0), cfg, np.tile(inits, (len(group), 1)))
         outcomes = []
         for row in range(0, len(call.failures), runs):
             trace = call.rows(slice(row, row + runs))
             failure = next((f for f in trace.failures if f is not None), None)
             outcomes.append((None, failure) if failure is not None else (read(trace), None))
-        del call, trace
-        yield from outcomes
+        return outcomes
+
+    for start in range(0, len(omegas), per_call):
+        group = omegas[start:start + per_call]
+        count = max(1, min(cpus, len(group), len(group) * runs * cfg.n // _SHARE_STATES))
+        for outcomes in _shares.run(step, _shares.split(group, count)):
+            yield from outcomes
 
 
 def match_filters(
@@ -291,7 +307,7 @@ def match_filters(
         return dict(dom_mean=float(np.mean(doms)), dom_std=float(np.std(doms)), doms=tuple(doms),
                     locked=locked, lock_time=lock_time,
                     # a copy: a view would keep every seed's averager alive
-                    averager=_read_only(trace.averager[0].copy()))
+                    averager=trace.averager[0].copy())
 
     results, errors = [], []
     blocks = _seed_blocks(omegas, cfg, seeds, read)
@@ -299,6 +315,7 @@ def match_filters(
         if failure is not None:
             errors.append(FilterError(filter_index=index, message=str(failure)))
         else:
+            fields["averager"] = _read_only(fields["averager"])  # a forked share's comes writeable
             results.append(FilterResult(filter_index=index, theta_deg=filt.theta_deg, k=filt.k,
                                         dot=dot(fragment, filt), **fields))
 
@@ -442,10 +459,17 @@ def sweep_locking(
     detunings = np.asarray(detunings, dtype=np.float64)
     if detunings.size == 0:
         raise ConfigurationError("detuning grid must be nonempty")
-    # the config checks epsilon before the default spread_tol is derived from it
     cfg = _sweep_config(epsilon, detunings.size, float(detunings.min()), float(detunings.max()),
                         **array)
-    spread_tol = _spread_tol(spread_tol, epsilon, "epsilon")
+    return _sweep(cfg, detunings, seed, spread_tol)
+
+
+def _sweep(
+    cfg: OscillatorArrayConfig, detunings: np.ndarray, seed: int, spread_tol: float | None
+) -> tuple[SweepPoint, ...]:
+    """sweep_locking over a nonempty float grid, with cfg the grid's _sweep_config."""
+    # the config has checked epsilon before the default spread_tol is derived from it
+    spread_tol = _spread_tol(spread_tol, cfg.epsilon, "epsilon")
     _check_freq_samples(cfg.num_samples)  # read takes final_freq
     omega = np.column_stack([cfg.omega0 - 0.5 * detunings, cfg.omega0 + 0.5 * detunings])
 

@@ -255,19 +255,24 @@ class TestMatch:
             assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
         assert held > 0  # filter 1 beats: 209 of its 351 cells
 
-    def test_the_default_match_is_one_integrate_call(self, capsys, tmp_path, monkeypatch):
-        rows = []
-
+    def test_the_default_match_is_one_integrate_call(self, capsys, tmp_path, monkeypatch,
+                                                    process_log, use_cpus):
         def counting(omega, *args, **kwargs):
-            rows.append(len(omega))
+            process_log.append(len(omega))
             return integrate(omega, *args, **kwargs)
 
         monkeypatch.setattr(oscconv.inference, "integrate", counting)
         fragment = Path(__file__).parent / "golden" / "inputs" / "fragment.pgm"
-        code, _, _ = run_cli(capsys, "match", str(fragment), "--out-dir", str(tmp_path / "m"))
-        assert code == 0
         runs = len(default_bank()) * len(RunConfig().seeds)
-        assert rows == [runs] == [144]
+        assert runs == 144
+        # one call, split into a share per CPU: one integrate call a share, each
+        # of 18 / shares filters' 8-seed blocks
+        for cpus, shares in [(1, [144]), (2, [72, 72]), (3, [48, 48, 48])]:
+            use_cpus(cpus)
+            code, _, _ = run_cli(capsys, "match", str(fragment), "--out-dir",
+                                 str(tmp_path / f"m{cpus}"))
+            assert code == 0
+            assert sorted(process_log.pop()) == shares
         # the call size holds the default match's states, and no more than twice them
         states = runs * 25  # oscillators of a 5x5 filter's run
         assert states <= oscconv.inference._CALL_STATES < 2 * states
@@ -792,23 +797,34 @@ class TestSweep:
         assert [r[1] for r in rows[1:]] == ["1", "1", "0"]
         assert "locking boundary: 0.06" in out
 
-    def test_a_sweep_past_2048_points_takes_two_calls(self, capsys, tmp_path, monkeypatch):
-        rows = []
-
+    def test_a_sweep_past_2048_points_takes_two_calls(self, capsys, tmp_path, monkeypatch,
+                                                     process_log, use_cpus):
         def counting(omega, *args, **kwargs):
-            rows.append(len(omega))
+            # a share's rows, keyed by its first detuning
+            process_log.append((omega[0, 1] - omega[0, 0], len(omega)))
             return integrate(omega, *args, **kwargs)
+
+        def rows():
+            return [count for _, count in sorted(process_log.pop())]
 
         monkeypatch.setattr(oscconv.inference, "integrate", counting)
         argv = ["sweep-locking", "--grid", "0:0.25:0.0001", "--t-end", "20", "--out-dir"]
-        assert run_cli(capsys, *argv, str(tmp_path / "split"))[0] == 0
-        assert rows == [2048, 453]
+        # the calls of 2,048 and 453 detunings, each split into a share per CPU
+        # (at most one per 300 oscillator states)
+        split = {1: [2048, 453], 2: [1024, 1024, 226, 227], 3: [682, 683, 683, 151, 151, 151]}
         # the same 2,501 points in one call
-        monkeypatch.setattr(oscconv.inference, "_CALL_STATES", 2 * 2501)
-        assert run_cli(capsys, *argv, str(tmp_path / "one"))[0] == 0
-        assert rows[2:] == [2501]
-        assert (tmp_path / "split" / "sweep.csv").read_bytes() == (
-            tmp_path / "one" / "sweep.csv").read_bytes()
+        whole = {1: [2501], 2: [1250, 1251], 3: [833, 834, 834]}
+        for cpus in (1, 2, 3):
+            use_cpus(cpus)
+            monkeypatch.setattr(oscconv.inference, "_CALL_STATES", 2**12)
+            assert run_cli(capsys, *argv, str(tmp_path / f"split{cpus}"))[0] == 0
+            assert rows() == split[cpus]
+            monkeypatch.setattr(oscconv.inference, "_CALL_STATES", 2 * 2501)
+            assert run_cli(capsys, *argv, str(tmp_path / f"one{cpus}"))[0] == 0
+            assert rows() == whole[cpus]
+            for name in (f"split{cpus}", f"one{cpus}"):
+                assert (tmp_path / name / "sweep.csv").read_bytes() == (
+                    tmp_path / "split1" / "sweep.csv").read_bytes()
 
     def test_no_locked_points(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -866,17 +882,12 @@ class TestSweep:
     ):
         received = []
 
-        def recorder(*args, **kwargs):
-            bound = inspect.signature(oscconv.inference.sweep_locking).bind(*args, **kwargs)
-            bound.apply_defaults()
-            epsilon, grid, seed, _, array = bound.arguments.values()
-            # the span of the config the sweep builds, its default included
-            sweep_config = oscconv.inference._sweep_config
-            cfg = sweep_config(epsilon, grid.size, grid.min(), grid.max(), **array)
-            received.append((epsilon, cfg.t_end, seed))
+        def recorder(cfg, grid, seed, spread_tol):
+            # the span of the config the sweep runs with, its default included
+            received.append((cfg.epsilon, cfg.t_end, seed))
             return ()
 
-        monkeypatch.setattr(oscconv.cli, "sweep_locking", recorder)
+        monkeypatch.setattr(oscconv.cli, "_sweep", recorder)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code, _, _ = run_cli(

@@ -377,10 +377,10 @@ class TestMatchFilters:
 
 
 @pytest.fixture
-def integrate_calls(monkeypatch):
-    """Per integrate call the inference module makes: its rows, and the rows
-    of earlier calls' recordings that live block traces still hold."""
-    calls = []
+def integrate_calls(monkeypatch, process_log):
+    """A function that lists, per integrate call the inference module made in
+    any process: its rows, and the rows of earlier calls' recordings that live
+    block traces of that process still held."""
 
     def owners():
         """The arrays that own the averager rows of every live block trace."""
@@ -394,11 +394,11 @@ def integrate_calls(monkeypatch):
 
     def counting(omega, *args, **kwargs):
         held = sum(len(owner) for key, owner in owners().items() if key not in before)
-        calls.append((len(omega), held))
+        process_log.append((len(omega), held))
         return integrate(omega, *args, **kwargs)
 
     monkeypatch.setattr(oscconv.inference, "integrate", counting)
-    return calls
+    return process_log.pop
 
 
 class TestSeedBlocks:
@@ -409,14 +409,14 @@ class TestSeedBlocks:
         cfg = OscillatorArrayConfig(n=25, t_end=50.0)
         with pytest.raises(ConfigurationError, match="side"):
             match_filters(MATCH_FRAG, bank, cfg, DomPolicy(), seeds=(0,))
-        assert integrate_calls == []
+        assert integrate_calls() == []
 
     def test_a_wrong_n_raises_before_any_map_run(self, integrate_calls):
         img = Image(width=6, height=6, values=np.zeros(36))
         cfg = OscillatorArrayConfig(n=24, t_end=50.0)
         with pytest.raises(ConfigurationError, match="n=25"):
             feature_map_onn(img, FILTER, cfg, DomPolicy(), seeds=(0,))
-        assert integrate_calls == []
+        assert integrate_calls() == []
 
     def test_block_cap_is_checked_before_the_seeds_are_built(self, monkeypatch):
         built = []
@@ -432,20 +432,27 @@ class TestSeedBlocks:
             match_filters(MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=tuple(range(60)))
         assert built == []
 
-    def test_one_block_is_alive_at_a_time(self, integrate_calls, monkeypatch):
+    def test_one_block_is_alive_at_a_time(self, integrate_calls, monkeypatch, use_cpus):
         # 100 seeds of 25 oscillators at this call size: 14 filters' or
         # windows' blocks per call
         monkeypatch.setattr(oscconv.inference, "_CALL_STATES", 14 * 100 * 25)
         seeds = tuple(range(100))
         cfg = OscillatorArrayConfig(n=25, t_end=20.0)
         bank = (FILTER, ANTI_FILTER, FILTER, ANTI_FILTER, FILTER)
-        match_filters(MATCH_FRAG, bank, cfg, DomPolicy(), seeds)
         img = Image(width=9, height=9, values=np.resize(FILTER.values, 81))
-        feature_map_onn(img, FILTER, cfg, DomPolicy(), seeds)
-        assert [rows for rows, _ in integrate_calls] == [500, 1400, 1100]
-        # every block of a call is read before the next call starts: no
-        # trace of an earlier call is alive
-        assert [held for _, held in integrate_calls] == [0] * 3
+        # the calls of 5, 14 and 11 blocks, each split into a share per CPU
+        shares = {1: [500, 1400, 1100], 2: [200, 300, 700, 700, 500, 600],
+                  3: [100, 200, 200, 400, 500, 500, 300, 400, 400]}
+        for cpus, expected in shares.items():
+            use_cpus(cpus)
+            match_filters(MATCH_FRAG, bank, cfg, DomPolicy(), seeds)
+            feature_map_onn(img, FILTER, cfg, DomPolicy(), seeds)
+            calls = integrate_calls()
+            assert sorted(rows for rows, _ in calls) == sorted(expected)
+            assert cpus > 1 or [rows for rows, _ in calls] == expected
+            # every block of a call is read before the next call starts: no
+            # trace of an earlier call is alive in any process
+            assert [held for _, held in calls] == [0] * len(expected)
 
     @pytest.mark.parametrize("kwargs, message, error", [
         (dict(spread_tol=-1.0), "spread_tol must be positive and finite", ConfigurationError),
@@ -476,46 +483,61 @@ class TestSeedBlocks:
 
 
 @pytest.fixture
-def stub_calls(monkeypatch):
-    """Rows per integrate call of the inference module, which a stub takes:
-    it steps nothing and fails every run, so no readout runs."""
-    calls = []
+def stub_calls(monkeypatch, process_log):
+    """A function that lists the rows per integrate call the inference module
+    made in any process, which a stub takes: it steps nothing and fails every
+    run, so no readout runs."""
 
     def stub(omega, cfg, init):
         rows = len(omega)
-        calls.append(rows)
+        process_log.append(rows)
         return SimulationTrace(np.zeros(1), np.zeros((rows, 0, cfg.n)), cfg, np.zeros((rows, 1)),
                                (DivergenceError(1, math.inf),) * rows, np.zeros((rows, cfg.n)))
 
     monkeypatch.setattr(oscconv.inference, "integrate", stub)
-    return calls
+    return process_log.pop
 
 
 class TestCallSize:
     """A call takes whole blocks up to _CALL_STATES states and VALUE_CAP values, one at least."""
 
-    def test_the_default_bank_at_a_long_t_end_is_one_call(self, stub_calls):
-        # 18 filters x 8 seeds x 25 oscillators: 3,600 states, whatever t_end records
+    def test_the_default_bank_at_a_long_t_end_is_one_call(self, stub_calls, use_cpus):
+        # 18 filters x 8 seeds x 25 oscillators: 3,600 states, whatever t_end records,
+        # in one call split into a share per CPU
         cfg = OscillatorArrayConfig(n=25, t_end=2000.0)
-        report = match_filters(edge_fragment(), default_bank(), cfg, DomPolicy(), tuple(range(8)))
-        assert len(report.errors) == 18
-        assert stub_calls == [144]
+        for cpus, shares in [(1, [144]), (2, [72, 72]), (3, [48, 48, 48])]:
+            use_cpus(cpus)
+            report = match_filters(edge_fragment(), default_bank(), cfg, DomPolicy(),
+                                   tuple(range(8)))
+            assert len(report.errors) == 18
+            assert sorted(stub_calls()) == shares
 
     def test_a_call_records_at_most_the_value_cap(self, stub_calls):
         # one oscillator, 2**20 samples: 16 one-run blocks record 2**24 values
         cfg = OscillatorArrayConfig(n=1, dt=0.125, t_end=(2**20 - 1) * 0.125)
         blocks = list(_seed_blocks([np.ones(1)] * 40, cfg, (0,), read=None))
         assert len(blocks) == 40
-        assert stub_calls == [16, 16, 8]
+        assert stub_calls() == [16, 16, 8]
 
     @pytest.mark.parametrize("seeds", [7, 164])
-    def test_a_call_steps_at_most_the_call_states(self, stub_calls, seeds):
+    def test_a_call_steps_at_most_the_call_states(self, stub_calls, use_cpus, seeds):
         # 25 oscillators: 4096 // (25 x seeds) blocks a call, and one at least
-        blocks = list(_seed_blocks([np.ones(25)] * 30, OscillatorArrayConfig(n=25, t_end=20.0),
-                                   tuple(range(seeds)), read=None))
-        assert len(blocks) == 30
         per_call = max(1, 4096 // (25 * seeds))
-        assert stub_calls == [seeds * min(per_call, 30 - start) for start in range(0, 30, per_call)]
+        calls = [min(per_call, 30 - start) for start in range(0, 30, per_call)]
+        for cpus in (1, 2, 3):
+            use_cpus(cpus)
+            blocks = list(_seed_blocks([np.ones(25)] * 30,
+                                       OscillatorArrayConfig(n=25, t_end=20.0),
+                                       tuple(range(seeds)), read=None))
+            assert len(blocks) == 30
+            rows = stub_calls()
+            if cpus == 1:
+                assert rows == [seeds * blocks for blocks in calls]
+            # each call's blocks in runs of whole blocks, as even as can be: one
+            # per CPU, at most one per 300 oscillator states, and one at least
+            shares = [len(part) for blocks in calls for part in np.array_split(
+                range(blocks), max(1, min(cpus, blocks, blocks * seeds * 25 // 300)))]
+            assert sorted(rows) == sorted(seeds * blocks for blocks in shares)
 
 
 # at this coupling many bank filters diverge on the edge fragment, and most
