@@ -32,7 +32,6 @@ from .errors import (
     InsufficientDataError,
     NumericError,
     OscconvError,
-    PolicyError,
 )
 from .hardware import (
     CostEstimate,
@@ -73,7 +72,7 @@ __all__ = [
     "random_initial_state",
     "Fragment", "GaborFilter", "default_bank", "edge_fragment",
     "fsk_encode", "gabor_filter", "normalize_fragment",
-    "OscconvError", "ConfigurationError", "PolicyError", "InputError",
+    "OscconvError", "ConfigurationError", "InputError",
     "InsufficientDataError", "NumericError", "DivergenceError",
     "CostEstimate", "HardwareParams", "inference_cost_estimate",
     "locking_range_fraction", "power_per_oscillator",

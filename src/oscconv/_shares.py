@@ -37,8 +37,9 @@ def run(func, shares: list) -> list:
     An exception is raised here with its type and message: the calling
     process's own first, then the children's in share order. Every child
     is reaped before this returns or raises, and one still running then
-    is killed first.
+    is killed first; the kernel kills them if this process is killed.
     """
+    parent = os.getpid()
     children = {}  # pid: the read end of its pipe, in share order
     try:
         for share in shares[1:]:
@@ -56,7 +57,7 @@ def run(func, shares: list) -> list:
                 raise OscconvError(f"cannot start a worker process: {exc}") from None
             if pid == 0:
                 os.close(read_end)
-                _child(func, share, write_end)
+                _child(func, share, write_end, parent)
             os.close(write_end)
             children[pid] = read_end
         results = [func(shares[0])]
@@ -74,14 +75,23 @@ def run(func, shares: list) -> list:
             os.waitpid(pid, 0)
 
 
-def _child(func, share, write_end: int) -> None:
+def _child(func, share, write_end: int, parent: int) -> None:
     """Send func(share), or the exception it raised, through write_end; then exit.
 
+    The kernel kills the child when the process parent ends, and a child
+    whose parent ended before it asked for that exits at once.
     os._exit skips the parent's exit handlers and buffered output, which
     the child holds copies of.
     """
+    import ctypes  # here, so that a command that forks no child does not load it
+
     code = 1
     try:
+        prctl = ctypes.CDLL(None).prctl  # int prctl(int option, unsigned long arg2, ...)
+        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+        prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG
+        if os.getppid() != parent:
+            return
         try:
             payload = pickle.dumps((True, func(share)))
         except BaseException as exc:  # sent to the parent, which raises it

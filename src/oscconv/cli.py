@@ -44,7 +44,6 @@ from .hardware import (
     power_per_oscillator,
 )
 from .inference import (
-    DOM_METHODS,
     SWEEP_T_END,
     _SWEEP_KEYS,
     DomPolicy,
@@ -123,7 +122,6 @@ _number = _checker("a finite number", lambda v: not isinstance(v, bool) and math
 # the library checks the tighter bound of side (>= 1)
 _natural = _checker("an integer >= 0", lambda v: type(v) is int and v >= 0)
 _boolean = _checker("true or false", lambda v: isinstance(v, bool))
-_string = _checker("a string", lambda v: isinstance(v, str))
 
 
 def _list(check, items: str):
@@ -196,8 +194,6 @@ _SETTINGS = {
     "t_end": (_number, "--t-end", dict(type=float)),
     "side": (_natural, "--side", dict(type=int, help="fragment/filter side in pixels")),
     "spread_tol": (_number, "--spread-tol", dict(type=float)),
-    "method": (_string, "--dom-method", dict(choices=DOM_METHODS)),
-    "sample_time": (_number, "--sample-time", dict(type=float)),
     # a bank file path or an inline list of entries
     "bank": (lambda v, name: v if isinstance(v, str) else _bank_entries(v, name), "--bank",
              dict(help="JSON bank file: list of {theta_deg, k, phase, binarized}")),
@@ -206,14 +202,9 @@ _SETTINGS = {
         help="add one extra oscillator at omega0 that encodes no pixel")),
     "seed": (_natural, None, None),
 }
-# settings that are DomPolicy fields, which a config file sets under
-# dom_policy, and settings that are OscillatorArrayConfig fields
-_POLICY_KEYS = {f.name for f in fields(DomPolicy)} & _SETTINGS.keys()
+# the settings that are OscillatorArrayConfig fields
 _ARRAY_KEYS = {f.name for f in fields(OscillatorArrayConfig)} & _SETTINGS.keys()
-_config_file = _object({
-    **{key: check for key, (check, *_) in _SETTINGS.items() if key not in _POLICY_KEYS},
-    "dom_policy": _object({key: _SETTINGS[key][0] for key in _POLICY_KEYS}),
-})
+_config_file = _object({key: check for key, (check, *_) in _SETTINGS.items()})
 
 
 @dataclass
@@ -228,7 +219,6 @@ class RunConfig:
     seed: int = 0  # sweep-locking's initial phases; match and featuremap use seeds
     side: int = 5
     seeds: tuple | range = range(8)
-    dom_policy: DomPolicy = DomPolicy()
     spread_tol: float | None = None
     reference_oscillator: bool = False
     bank: object = None  # None (default bank), path string, or checked entries
@@ -259,12 +249,11 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     values = {}
     if args.config is not None:
         values = _config_file(_read_json(args.config, "config file"), "config")
-    policy = values.pop("dom_policy", {})
     for key, value in vars(args).items():
         if value is not None and key in _SETTINGS:
-            (policy if key in _POLICY_KEYS else values)[key] = _SETTINGS[key][0](value, key)
+            values[key] = _SETTINGS[key][0](value, key)
     array = {key: values.pop(key) for key in _ARRAY_KEYS & values.keys()}
-    return RunConfig(array=array, dom_policy=DomPolicy(**policy), **values)
+    return RunConfig(array=array, **values)
 
 
 def _parse_origin(text: str) -> tuple[int, int]:
@@ -344,7 +333,7 @@ def cmd_match(args) -> int:
         fragment,
         bank,
         array_cfg,
-        cfg.dom_policy,
+        DomPolicy(),
         cfg.seeds,
         reference_oscillator=cfg.reference_oscillator,
         spread_tol=cfg.spread_tol,
@@ -463,7 +452,7 @@ def cmd_featuremap(args) -> int:
         raise ConfigurationError(f"--filter-index {index} outside bank of {len(bank)} filters")
     filt = bank[index]
     array_cfg = cfg.array_config(cfg.side ** 2)
-    onn = feature_map_onn(img, filt, array_cfg, cfg.dom_policy, cfg.seeds)
+    onn = feature_map_onn(img, filt, array_cfg, DomPolicy(), cfg.seeds)
     oracle_map = convolve_valid(img, filt, mode="correlation")
     out = _out_dir(args)
     _write_map_csv(out / "onn_map.csv", onn)

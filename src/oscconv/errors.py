@@ -9,10 +9,6 @@ class ConfigurationError(OscconvError):
     """A parameter, size, or configuration value violates an invariant."""
 
 
-class PolicyError(ConfigurationError):
-    """A readout policy cannot be applied to the given trace."""
-
-
 class InputError(OscconvError):
     """External input (image file, pixel values, config file) is malformed."""
 

@@ -23,18 +23,14 @@ from .dynamics import (
     _check_block,
     _check_freq_samples,
     _read_only,
-    default_peak_detector,
     integrate,
     random_initial_state,
-    sample_times,
 )
 from .encoding import Fragment, GaborFilter, fsk_encode
-from .errors import ConfigurationError, PolicyError
+from .errors import ConfigurationError
 from .oracle import FeatureMap, Image, dot
 
-# DomPolicy's default first, the order --dom-method lists them in
-DOM_METHODS = ("trailing_mean_envelope", "sample_peak_detector")
-# the share of the run, at its end, whose mean envelope is the default DOM readout
+# the share of the run, at its end, whose mean envelope is the DOM readout
 DOM_TRAILING_FRACTION = 0.2
 # the lock-time envelope threshold, as a fraction of the final plateau
 DOM_THRESHOLD_FRACTION = 0.8
@@ -42,30 +38,12 @@ DOM_THRESHOLD_FRACTION = 0.8
 
 @dataclass(frozen=True)
 class DomPolicy:
-    """How a scalar DOM is read off a trace.
-
-    trailing_mean_envelope averages the envelope over the final
-    DOM_TRAILING_FRACTION of the run (seed-robust, the default).
-    sample_peak_detector samples the peak-detector output at the sample
-    nearest sample_time, mirroring a sampled hardware readout.
-    """
-
-    method: str = "trailing_mean_envelope"
-    sample_time: float | None = None
-
-    def __post_init__(self):
-        if self.method not in DOM_METHODS:
-            raise ConfigurationError(
-                f"method must be one of {DOM_METHODS}, got {self.method!r}"
-            )
-        if self.sample_time is not None and not 0 <= self.sample_time < math.inf:
-            raise ConfigurationError(f"sample_time must be >= 0 and finite, got {self.sample_time}")
-        if self.method == "sample_peak_detector" and self.sample_time is None:
-            raise ConfigurationError("sample_peak_detector needs a nonnegative sample_time")
+    """The DOM readout: the mean envelope over the final DOM_TRAILING_FRACTION
+    of the run, the settled output of the averager. It has no settings."""
 
 
 def dom(trace: SimulationTrace, policy: DomPolicy) -> float | list[float]:
-    """Degree of Match of one run under the given readout policy.
+    """Degree of Match of one run, its mean envelope over the final DOM_TRAILING_FRACTION.
 
     Nonnegative; at most 1 for an uncoupled unit-amplitude array and at
     most sqrt(1 + eps*n/rho) in general (mean-field gain lifts the
@@ -73,27 +51,9 @@ def dom(trace: SimulationTrace, policy: DomPolicy) -> float | list[float]:
     fixed RK4 step's error: at the default dt and rho 0.2 the integrated
     limit cycle lies 2e-6 above the exact one. A block trace gives one
     DOM per row.
-
-    Raises:
-        PolicyError: if sample_time lies beyond the trace.
     """
-    if policy.method == "trailing_mean_envelope":
-        m = max(1, int(round(DOM_TRAILING_FRACTION * trace.num_samples)))
-        return trace.envelope[..., -m:].mean(axis=-1).tolist()
-    # the detector runs up to the sample it reads: it never looks ahead
-    idx = _sample_index(policy, trace.times)
-    return default_peak_detector(trace.envelope[..., :idx + 1], trace.config)[..., -1].tolist()
-
-
-def _sample_index(policy: DomPolicy, times: np.ndarray) -> int:
-    """Index of the sample nearest policy.sample_time on a trace sampled at times.
-
-    Raises:
-        PolicyError: if sample_time lies beyond the trace.
-    """
-    if policy.sample_time > times[-1]:
-        raise PolicyError(f"sample_time {policy.sample_time} beyond trace end {times[-1]}")
-    return int(np.argmin(np.abs(times - policy.sample_time)))
+    m = max(1, int(round(DOM_TRAILING_FRACTION * trace.num_samples)))
+    return trace.envelope[..., -m:].mean(axis=-1).tolist()
 
 
 def _median(values) -> np.ndarray:
@@ -280,7 +240,7 @@ def match_filters(
         bank: nonempty tuple of filters sharing the fragment's side.
         cfg: array configuration; cfg.n must equal side^2 plus one when
             reference_oscillator is set.
-        policy: DOM readout policy.
+        policy: the DOM readout.
         seeds: nonempty initial-phase seeds, one run per seed.
         reference_oscillator: append one extra oscillator at omega0 that
             encodes no pixel.
@@ -290,8 +250,6 @@ def match_filters(
     if not bank:
         raise ConfigurationError("filter bank must be nonempty")
     # the readouts' settings are checked before the first filter is encoded
-    if policy.method == "sample_peak_detector":
-        _sample_index(policy, sample_times(cfg))
     spread_tol = _spread_tol(spread_tol, cfg.delta_omega, "delta_omega")
     _check_freq_samples(cfg.num_samples)  # classify_lock reads final_freq
     # every filter is encoded, and its side checked, before the first run
@@ -356,8 +314,6 @@ def feature_map_onn(
         raise ConfigurationError(
             f"filter side {filt.side} exceeds image {img.height}x{img.width}"
         )
-    if policy.method == "sample_peak_detector":  # before the first window is encoded
-        _sample_index(policy, sample_times(cfg))
     out_h = img.height - filt.side + 1
     out_w = img.width - filt.side + 1
     omegas = [

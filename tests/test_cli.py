@@ -27,7 +27,6 @@ from oscconv import (
 )
 from oscconv.cli import RunConfig, build_parser, load_image, main
 from oscconv.dynamics import default_peak_detector
-from oscconv.inference import DOM_METHODS
 from oscconv.pgm import write_pgm
 
 
@@ -374,16 +373,18 @@ class TestConfigHandling:
     def test_unknown_config_field(self, capsys, tmp_path, white_image):
         # include_self_in_sum is no setting: every run couples through the self-inclusive mean
         # field; the DOM window and the lock-time threshold are fixed readouts; a run records
-        # every step
+        # every step; the DOM readout, the trailing mean envelope, has no settings
         cfg = tmp_path / "cfg.json"
         for config, key, command in [
             ({"bogus": True}, "bogus", ["match", white_image]),
             ({"include_self_in_sum": True}, "include_self_in_sum", ["match", white_image]),
             ({"include_self_in_sum": True}, "include_self_in_sum", ["sweep-locking"]),
             ({"dom_threshold_fraction": 0.8}, "dom_threshold_fraction", ["match", white_image]),
-            ({"dom_policy": {"trailing_fraction": 0.2}}, "trailing_fraction",
-             ["match", white_image]),
+            ({"trailing_fraction": 0.2}, "trailing_fraction", ["match", white_image]),
             ({"stride": 1}, "stride", ["match", white_image]),
+            ({"dom_policy": {"method": "sample_peak_detector", "sample_time": 30.0}},
+             "dom_policy", ["match", white_image]),
+            ({"dom_policy": {}}, "dom_policy", ["featuremap", white_image]),
         ]:
             cfg.write_text(json.dumps(config))
             code, _, err = run_cli(capsys, *command, "--config", str(cfg))
@@ -405,12 +406,14 @@ class TestConfigHandling:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    # the DOM window and the lock-time threshold are fixed readouts, and a run
-    # records every step: none of them is a setting
+    # the DOM window and the lock-time threshold are fixed readouts, a run records
+    # every step, and DOM is read one way, off the envelope: none of them is a setting
     @pytest.mark.parametrize("command", ["match", "featuremap"])
     @pytest.mark.parametrize("flag, value", [("--dom-threshold", "0.8"),
                                              ("--trailing-fraction", "0.2"),
-                                             ("--stride", "3")])
+                                             ("--stride", "3"),
+                                             ("--dom-method", "sample_peak_detector"),
+                                             ("--sample-time", "30")])
     def test_retired_readout_flags_are_not_options(self, capsys, white_image, command, flag,
                                                    value):
         code, _, err = run_cli(capsys, command, white_image, flag, value)
@@ -423,28 +426,6 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "match", white_image, "--config", str(cfg))
         assert code == 1
         assert "invalid JSON" in err
-
-    def test_dom_policy_from_config(self, capsys, tmp_path, white_image):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "dom_policy": {"method": "sample_peak_detector", "sample_time": 150.0},
-            "seeds": [0],
-            "t_end": 200.0,
-        }))
-        bank_file = tmp_path / "bank.json"
-        bank_file.write_text(json.dumps([{"theta_deg": 0, "k": 0.2}]))
-        code, out, _ = run_cli(
-            capsys, "match", white_image, "--config", str(cfg),
-            "--bank", str(bank_file), "--out-dir", str(tmp_path / "o3"),
-        )
-        assert code == 0
-
-    def test_bad_policy_field_in_config(self, capsys, tmp_path, white_image):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"dom_policy": {"window": 3}}))
-        code, _, err = run_cli(capsys, "match", white_image, "--config", str(cfg))
-        assert code == 1
-        assert "dom_policy" in err
 
     def test_bank_entry_validation(self, capsys, tmp_path, white_image):
         bank_file = tmp_path / "bank.json"
@@ -518,10 +499,7 @@ class TestMalformedValues:
             {"bank": [{"theta_deg": 0, "k": "x"}]}, ["--t-end", "2", "--seeds", "0"],
             id="bank-inline-k-string",
         ),
-        pytest.param(
-            {"dom_policy": {"method": "sample_peak_detector", "sample_time": "3"}},
-            ["--t-end", "2", "--seeds", "0"], id="sample_time-string",
-        ),
+        pytest.param({"spread_tol": "3"}, ["--t-end", "2", "--seeds", "0"], id="spread_tol-string"),
         pytest.param({"rho": float("nan")}, ["--t-end", "2", "--seeds", "0"], id="rho-nan"),
     ])
     def test_config_value(self, capsys, tmp_path, white_image, one_filter_bank, config, argv):
@@ -650,13 +628,14 @@ class TestMalformedValues:
 
     @pytest.mark.parametrize("argv, message", [
         (["match", "FRAGMENT", "--spread-tol", "-1"], "spread_tol must be positive and finite"),
-        (["match", "FRAGMENT", "--dom-method", "sample_peak_detector"],
-         "sample_peak_detector needs a nonnegative sample_time"),
+        (["match", "FRAGMENT", "--spread-tol", "0"], "spread_tol must be positive and finite"),
         (["match", "FRAGMENT", "--delta-omega", "0"], "delta_omega is 0: set spread_tol"),
-        (["match", "FRAGMENT", "--dom-method", "sample_peak_detector", "--sample-time", "500"],
-         "sample_time 500.0 beyond trace end 399.95330473519505\n"),
-        (["featuremap", "GRATING", "--dom-method", "sample_peak_detector", "--sample-time",
-          "500"], "sample_time 500.0 beyond trace end 399.95330473519505\n"),
+        # the lock readouts need 3 samples
+        (["match", "FRAGMENT", "--t-end", "0.1", "--dt", "0.1"],
+         "instantaneous frequency needs >= 3 samples, trace has 2\n"),
+        # 5,000 runs of 3,502 samples: past the block cap, before any window's run
+        (["featuremap", "GRATING", "--seeds", "0:5000"],
+         "block of 5000 runs would record 17510000 values, more than 2**24"),
     ])
     def test_a_readout_setting_is_rejected_before_the_first_run(self, capsys, tmp_path,
                                                                monkeypatch, argv, message):
@@ -753,7 +732,7 @@ def test_float_csv_writes_the_bytes_of_csv(tmp_path, columns):
 # Every config key, and values of the wrong JSON type, non-finite or negative
 CONFIG_KEYS = (
     "rho", "omega0", "delta_omega", "epsilon", "dt", "t_end",
-    "seed", "side", "seeds", "dom_policy", "spread_tol",
+    "seed", "side", "seeds", "spread_tol",
     "reference_oscillator", "bank",
 )
 BAD_VALUES = st.one_of(
@@ -1056,11 +1035,6 @@ class TestParser:
         assert lock_flags <= subcommands()["match"]._option_string_actions.keys()
         code, _, err = run_cli(capsys, "featuremap", white_image, "--spread-tol", "0.1")
         assert_one_line_error(code, err)
-
-    def test_dom_method_choices_are_the_dom_methods(self):
-        for name in ("match", "featuremap"):
-            action = subcommands()[name]._option_string_actions["--dom-method"]
-            assert action.choices == DOM_METHODS
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")

@@ -29,6 +29,7 @@ from oscconv import (
     random_initial_state,
     sweep_locking,
 )
+from oscconv.dynamics import default_peak_detector
 
 
 def two_osc_cfg(**kw):
@@ -386,13 +387,13 @@ class TestBatchedIntegrate:
         cfg = BATCH_CONFIGS[config]
         block = integrate(BATCH_OMEGA[rows], cfg, BATCH_INIT[rows])
         assert len(block.failures) == len(block.averager) == len(rows)
-        peak = DomPolicy("sample_peak_detector", sample_time=30.0)
 
         def readouts(trace):
-            return (dom(trace, DomPolicy()), dom(trace, peak), classify_lock(trace),
-                    measure_lock_time(trace))
+            return dom(trace, DomPolicy()), classify_lock(trace), measure_lock_time(trace)
 
         block_values = list(zip(*readouts(block)))
+        # the trace dump's peak-detector column, read off the block at once
+        block_peaks = default_peak_detector(block.envelope, cfg)
         # a block records no states: its rows sum their final frequencies as they run
         assert block.states.shape == (len(rows), 0, cfg.n)
         for i, row in enumerate(rows):
@@ -405,6 +406,7 @@ class TestBatchedIntegrate:
             assert classify_lock(block)[i] == classify_lock(single)
             # the block's readouts give each row its lone run's values
             assert block_values[i] == readouts(single)
+            assert np.array_equal(block_peaks[i], default_peak_detector(single.envelope, cfg))
 
     @pytest.mark.parametrize("kw", [
         dict(t_end=150.0),  # the final tenth, 131 samples, is longer than the 55-sample window

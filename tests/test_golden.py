@@ -33,8 +33,6 @@ CASES = {
     "match_dump": ("match", FRAGMENT, *BANK3, "--dump-traces", *FAST),
     "match_reference": ("match", FRAGMENT, *BANK3, "--reference-oscillator", "--dump-traces",
                         *FAST),
-    "match_peak": ("match", FRAGMENT, *BANK3, "--dom-method", "sample_peak_detector",
-                   "--sample-time", "30", *FAST),
     # 6 of the 18 bank filters diverge
     "match_partial_failure": ("match", FRAGMENT, "--t-end", "40", "--rho", "0.01",
                               "--epsilon", "0.05", "--delta-omega", "0.5", "--seeds", "1,2"),

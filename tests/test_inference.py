@@ -19,7 +19,6 @@ from oscconv import (
     InsufficientDataError,
     MatchReport,
     OscillatorArrayConfig,
-    PolicyError,
     classify_lock,
     default_bank,
     dom,
@@ -34,7 +33,7 @@ from oscconv import (
     random_initial_state,
     winner_take_all,
 )
-from oscconv.dynamics import SimulationTrace, default_peak_detector
+from oscconv.dynamics import SimulationTrace
 from oscconv.errors import DivergenceError
 from oscconv.inference import _seed_blocks
 
@@ -52,29 +51,9 @@ def run_match_trace(fragment, filt, seed=0, t_end=400.0, init=None):
 
 class TestDomPolicy:
     def test_defaults(self):
-        policy = DomPolicy()
-        assert policy.method == "trailing_mean_envelope"
-
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            dict(method="last_sample"),
-            dict(sample_time=-1.0),
-            dict(method="Trailing_Mean_Envelope"),
-            dict(method="sample_peak_detector"),
-            dict(method="sample_peak_detector", sample_time=-1.0),
-        ],
-    )
-    def test_rejects_bad_policy(self, kw):
-        with pytest.raises(ConfigurationError):
-            DomPolicy(**kw)
-
-
-    @pytest.mark.parametrize("method", ["sample_peak_detector", "trailing_mean_envelope"])
-    @pytest.mark.parametrize("sample_time", [math.nan, math.inf])
-    def test_rejects_non_finite_sample_time(self, method, sample_time):
-        with pytest.raises(ConfigurationError, match="sample_time"):
-            DomPolicy(method=method, sample_time=sample_time)
+        # the one readout, the trailing mean envelope, has no settings
+        assert dataclasses.fields(DomPolicy) == ()
+        assert DomPolicy() == DomPolicy()
 
 
 class TestDom:
@@ -106,58 +85,22 @@ class TestDom:
         m = round(0.2 * trace.num_samples)
         assert dom(trace, DomPolicy()) == trace.envelope[-m:].mean()
 
-    def test_sample_peak_detector(self):
-        trace = run_match_trace(MATCH_FRAG, FILTER, t_end=100.0)
-        peak = default_peak_detector(trace.envelope, trace.config)
-        policy = DomPolicy(method="sample_peak_detector", sample_time=trace.times[-1])
-        assert dom(trace, policy) == pytest.approx(peak[-1])
-        start = DomPolicy(method="sample_peak_detector", sample_time=0.0)
-        assert dom(trace, start) == pytest.approx(peak[0])
-
-    def test_sample_peak_detector_reads_a_block_up_to_its_sample(self, monkeypatch):
-        cfg = OscillatorArrayConfig(n=25, t_end=60.0)
-        omegas = [fsk_encode(MATCH_FRAG, filt, cfg) for filt in (FILTER, ANTI_FILTER)]
-        block = integrate(np.array(omegas), cfg, np.array([random_initial_state(25, 0)] * 2))
-        lengths = []
-
-        def recording(envelope, cfg):
-            lengths.append(envelope.shape[-1])
-            return default_peak_detector(envelope, cfg)
-
-        monkeypatch.setattr(oscconv.inference, "default_peak_detector", recording)
-        sample_times = (0.0, 0.05, 7.3, 30.0, block.times[-1])
-        doms = [dom(block, DomPolicy(method="sample_peak_detector", sample_time=sample_time))
-                for sample_time in sample_times]
-        peak = default_peak_detector(block.envelope, cfg)
-        indices = [int(np.argmin(np.abs(block.times - t))) for t in sample_times]
-        # dom runs the detector up to the sample it reads, never over the whole block
-        assert lengths == [idx + 1 for idx in indices]
-        for idx, got in zip(indices, doms):
-            assert got == peak[:, idx].tolist()
-
-    def test_sample_time_beyond_trace(self):
-        trace = run_match_trace(MATCH_FRAG, FILTER, t_end=50.0)
-        policy = DomPolicy(method="sample_peak_detector", sample_time=51.0)
-        with pytest.raises(PolicyError):
-            dom(trace, policy)
-
     # from unit-amplitude initial phases the mean-field gain lifts the
     # coherent amplitude, and so the DOM, to at most sqrt(1 + eps*n/rho)
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(1, 9), rho=st.floats(0.2, 2.0), epsilon=st.floats(0.0, 0.1),
-        seed=st.integers(0, 10**6), peak=st.booleans(), data=st.data(),
+        seed=st.integers(0, 10**6), data=st.data(),
     )
-    def test_bounds_property(self, n, rho, epsilon, seed, peak, data):
+    def test_bounds_property(self, n, rho, epsilon, seed, data):
         detuning = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
         cfg = OscillatorArrayConfig(n=n, rho=rho, epsilon=epsilon, t_end=60.0)
         omega = cfg.omega0 + cfg.delta_omega * np.array(detuning)
         init = np.array([random_initial_state(n, seed + k) for k in range(3)])
-        policy = DomPolicy("sample_peak_detector", 30.0) if peak else DomPolicy()
         # the relative 1e-5 covers the fixed RK4 step, whose limit cycle lies
         # up to 2e-6 above the exact one at the default dt and rho >= 0.2
         bound = math.sqrt(1.0 + epsilon * n / rho) * (1.0 + 1e-5)
-        for value in dom(integrate(np.tile(omega, (3, 1)), cfg, init), policy):
+        for value in dom(integrate(np.tile(omega, (3, 1)), cfg, init), DomPolicy()):
             assert 0.0 <= value <= bound
 
     def test_coupled_match_exceeds_mismatch(self):
@@ -459,8 +402,7 @@ class TestSeedBlocks:
         (dict(spread_tol=math.nan), "spread_tol must be positive and finite", ConfigurationError),
         (dict(cfg=OscillatorArrayConfig(n=25, delta_omega=0.0)), "delta_omega is 0",
          ConfigurationError),
-        (dict(policy=DomPolicy(method="sample_peak_detector", sample_time=500.0)),
-         "sample_time 500\\.0 beyond trace end 399\\.95330473519505$", ConfigurationError),
+        (dict(spread_tol=math.inf), "spread_tol must be positive and finite", ConfigurationError),
         # classify_lock's final frequencies need 3 samples
         (dict(cfg=OscillatorArrayConfig(n=25, dt=0.1, t_end=0.1)),
          "needs >= 3 samples, trace has 2", InsufficientDataError),
@@ -476,10 +418,6 @@ class TestSeedBlocks:
                     policy=DomPolicy(), seeds=(0,))
         with pytest.raises(error, match=message):
             match_filters(**{**args, **kwargs})
-        if "policy" in kwargs:
-            img = Image(width=6, height=6, values=np.zeros(36))
-            with pytest.raises(error, match=message):
-                feature_map_onn(img, FILTER, args["cfg"], kwargs["policy"], seeds=(0,))
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Work split into shares over forked processes: the same results and bytes at any
 CPU count, every failure raised in the calling process, and no process left behind."""
 import contextlib
+import ctypes
 import os
 import pickle
 import signal
@@ -262,3 +263,65 @@ def test_an_interrupted_command_leaves_no_process(tmp_path):
         with contextlib.suppress(ProcessLookupError):
             os.killpg(command.pid, signal.SIGKILL)
         command.communicate()
+
+
+# a caller whose first share, its own, sleeps, and whose second share, a
+# child's, writes the child's pid to the file argv[1] names and sleeps
+SLEEPING_SHARES = """
+import os, sys, time
+from oscconv import _shares
+
+def share(path):
+    if path is not None:
+        with open(path + ".part", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.replace(path + ".part", path)
+    time.sleep(60)
+
+_shares.run(share, [None, sys.argv[1]])
+"""
+
+
+def set_child_subreaper(on: bool) -> None:
+    """Have this process adopt, as its own children, the orphans among its descendants."""
+    prctl = ctypes.CDLL(None, use_errno=True).prctl  # int prctl(int option, unsigned long arg2, ...)
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    if prctl(36, int(on)) != 0:  # 36: PR_SET_CHILD_SUBREAPER
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_CHILD_SUBREAPER) failed")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="adopts orphans through prctl")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_a_killed_caller_takes_its_children_with_it(tmp_path, signum):
+    # neither signal reaches run's finally: the kernel must end the child. Its
+    # orphan comes to this process, which reaps it and reads how it ended.
+    src = str(Path(oscconv._shares.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    pid_file = tmp_path / "child.pid"
+    set_child_subreaper(True)
+    caller = subprocess.Popen([sys.executable, "-c", SLEEPING_SHARES, str(pid_file)], env=env,
+                              start_new_session=True)
+    child = None
+    try:
+        start = time.monotonic()
+        while not pid_file.exists():  # until the child runs its share
+            assert caller.poll() is None and time.monotonic() - start < 30
+            time.sleep(0.01)
+        child = int(pid_file.read_text())
+        caller.send_signal(signum)
+        assert caller.wait(timeout=10) == -signum
+        start = time.monotonic()
+        while (status := os.waitpid(child, os.WNOHANG))[0] == 0:
+            assert time.monotonic() - start < 2, f"child {child} still running"
+            time.sleep(0.01)
+        child = None
+        assert os.waitstatus_to_exitcode(status[1]) == -signal.SIGKILL
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(caller.pid, signal.SIGKILL)  # the child too, which keeps the group
+        caller.wait()
+        if child is not None:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(child, 0)
+        set_child_subreaper(False)
+    assert_no_child_left()
