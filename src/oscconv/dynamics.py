@@ -8,7 +8,8 @@ oscillators
 with a fixed-step classical Runge-Kutta integrator, plus the signals
 used by the readout: the final frequency of each oscillator, the
 averager output S(t), its envelope |S(t)|, and a behavioral
-peak-detector model. The experiments are in oscconv.inference.
+peak-detector model. A run keeps its final state, not its history.
+The experiments are in oscconv.inference.
 
 Time is dimensionless radian-time: with the default center frequency
 omega0 = 1 one oscillation period is 2*pi time units. Physical time is
@@ -36,7 +37,7 @@ from .errors import (
 # trips it, and so does a bounded run with eps*n/rho > 99, as its coherent state
 # has |z_i|**2 = 1 + eps*n/rho (ROADMAP item 3).
 DIVERGENCE_FACTOR = 10.0
-# Complex values one run, or one block of runs, may record: 256 MiB.
+# Averager samples one run, or one block of runs, may record: 256 MiB.
 VALUE_CAP = 2**24
 
 
@@ -123,10 +124,10 @@ class OscillatorArrayConfig:
         if not self.dt <= self.t_end < math.inf:
             raise ConfigurationError(f"t_end must be finite and >= dt={self.dt}, got {self.t_end}")
         # the float test comes first, as round() fails on a t_end/dt that overflows to inf
-        if self.t_end / self.dt > VALUE_CAP or self.n * self.num_samples > VALUE_CAP:
+        if self.t_end / self.dt > VALUE_CAP or self.num_samples > VALUE_CAP:
             raise ConfigurationError(
-                f"t_end={self.t_end:g} and dt={self.dt:g} record more than 2**24 values "
-                f"of the {self.n} oscillators; raise dt or lower t_end"
+                f"t_end={self.t_end:g} and dt={self.dt:g} record more than 2**24 values; "
+                f"raise dt or lower t_end"
             )
         _check_accuracy(self.dt, self.omega_max)
 
@@ -157,13 +158,13 @@ class SimulationTrace:
 
     All arrays are read-only views; the envelope is computed lazily and
     cached, along the sample axis, so that the same code reads one run or
-    a block. times and averager cover every sample, sample k
-    at times[k]. One run has states of shape (samples, n), every sample,
-    averager of shape (samples,), the mean of states, and freq (n,), the
-    final_freq it summed as it ran. A block has a leading row axis:
-    averager (rows, samples), no states (rows, 0, n) and freq (rows, n);
-    its failures[i] is the DivergenceError that stopped row i, or None.
-    A trace built without a freq reads its final_freq as None.
+    a block. times and averager cover every sample, sample k at times[k].
+    One run has averager (samples,), the mean of its states, its final
+    state, states (1, n), and freq (n,), the final_freq it summed as it
+    ran. A block has a leading row axis: averager (rows, samples), states
+    (rows, 1, n), 0 for a failed row, and freq (rows, n); its failures[i]
+    is the DivergenceError that stopped row i, or None. A trace built
+    without a freq reads its final_freq as None.
     """
 
     times: np.ndarray
@@ -391,17 +392,17 @@ def integrate(
 ) -> SimulationTrace:
     """Integrate the array with a classical 4th-order Runge-Kutta scheme.
 
-    The step is fixed at cfg.dt and the trace records the initial state and
-    every step, so runs are deterministic: identical (omega, cfg, init)
-    produce bit-identical traces.
+    The step is fixed at cfg.dt and the trace records the averager at the
+    initial state and after every step, so runs are deterministic:
+    identical (omega, cfg, init) produce bit-identical traces.
 
-    A 1-D omega is one run, and its trace keeps every state. A 2-D omega
-    is a block of runs, one per row, stepped together; the block's trace
-    keeps every row's averager and no states. Every run sums its
-    final_freq from its phase steps as it runs. A row's averager and
-    final_freq are bit-identical to the same row's in any other block and
-    to its 1-D run's. A diverging row stops alone: from then on it holds
-    zeros, and its error is in the trace's failures.
+    A 2-D omega is a block of runs, one per row, stepped together; its
+    trace keeps each row's averager and final state, not its history. A
+    1-D omega is one run, the block of its one row without the row axis.
+    Every run sums its final_freq from its phase steps as it runs. A row's
+    averager, final state and final_freq are bit-identical to the same
+    row's in any other block and to its 1-D run's. A diverging row stops
+    alone: from then on it holds zeros, and its error is in failures.
 
     The loop steps the rows oscillator-major, as the columns of an (n, rows)
     array, so a row's oscillators add up one after the next, in the same
@@ -439,7 +440,6 @@ def integrate(
     omega, init = _checked(omega, init, cfg, "init")
     _check_accuracy(cfg.dt, max(np.abs(omega).max(), cfg.omega_max))
 
-    run = omega.ndim == 1
     rows = len(np.atleast_2d(omega))
     _check_block(rows, cfg)
     first, weights = _final_freq_weights(cfg)
@@ -452,15 +452,12 @@ def integrate(
     guard1 = guard2 / (2 * cfg.n)
     # 0-d complex operands: numpy would cast a float to complex on every call
     half, dt, sixth, two = (np.array(x, dtype=complex) for x in (0.5 * dt, dt, dt / 6.0, 2.0))
-    # per column: the state sums (n times the averager) at every sample, the
-    # weighted phase steps from sample first on, and a run's every state
+    # per column: the state sums (n times the averager) at every sample and
+    # the weighted phase steps from sample first on
     sums = np.zeros((z.shape[1], cfg.num_samples), dtype=np.complex128)
     sample_sums = sums.T
-    states = np.zeros((rows, cfg.num_samples if run else 0, cfg.n), dtype=np.complex128)
     freq = np.zeros(z.shape)
     s = add_reduce(z, 0, None, sample_sums[0])
-    if run:
-        states[0, 0] = z[:, 0]
     slopes = np.empty((4, *z.shape), dtype=complex)
     a2, k2, k3, k4 = slopes  # k1 is computed in a2's buffer
     k23 = slopes[1:3]
@@ -498,8 +495,6 @@ def integrate(
                     if len(failures) == rows:
                         break
             s = add_reduce(z, 0, None, sample_sums[step])
-            if run:
-                states[0, step] = z[:, 0]
             if step >= first:
                 multiply(z, last_conj, phase)
                 arctan2(phase_imag, phase_real, angle)
@@ -509,7 +504,8 @@ def integrate(
     sums /= cfg.n
     times = sample_times(cfg)
     freq = np.ascontiguousarray(freq[:, :rows].T)
-    if run:
+    states = np.ascontiguousarray(z[:, :rows].T)[:, None]
+    if omega.ndim == 1:
         if failures:
             raise failures[0]
         return SimulationTrace(times, states[0], cfg, sums[0], freq=freq[0])
@@ -532,10 +528,10 @@ def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
 
 
 def _check_freq_samples(num_samples: int) -> None:
-    """A frequency readout, instantaneous or final, needs 3 samples of a run."""
+    """final_freq needs 3 samples of a run."""
     if num_samples < 3:
         raise InsufficientDataError(
-            f"instantaneous frequency needs >= 3 samples, trace has {num_samples}"
+            f"final frequency needs >= 3 samples, the run records {num_samples}"
         )
 
 
@@ -546,19 +542,21 @@ def _smoothing_window(cfg: OscillatorArrayConfig, num_samples: int) -> int:
 
 
 def instantaneous_frequency(trace: SimulationTrace) -> np.ndarray:
-    """Per-oscillator instantaneous frequency at each recorded state, states' shape.
+    """Per-oscillator instantaneous frequency at each state of a history, states' shape.
 
     Unwraps the phase of each oscillator, differentiates with central
     differences, and smooths with a moving average over one oscillation
-    period (2*pi/omega0) worth of samples.
+    period (2*pi/omega0) worth of samples. integrate keeps no history; this
+    stays only while perfbench/tracing.py patches it (ROADMAP item 1).
 
     Raises:
-        InsufficientDataError: for traces shorter than 3 samples, or
-            that recorded no states.
+        InsufficientDataError: for a trace without a state at each of
+            at least 3 samples.
     """
-    _check_freq_samples(trace.num_samples)
-    if not trace.states.shape[-2]:
-        raise InsufficientDataError("instantaneous frequency needs states; the trace recorded none")
+    if trace.states.shape[-2] != trace.num_samples or trace.num_samples < 3:
+        raise InsufficientDataError(
+            "instantaneous frequency needs >= 3 states; integrate keeps only final states"
+        )
     phases = np.unwrap(np.angle(trace.states), axis=-2)
     freq = np.gradient(phases, trace.times, axis=-2)
     return _moving_average(freq, _smoothing_window(trace.config, trace.num_samples))

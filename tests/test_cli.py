@@ -632,7 +632,7 @@ class TestMalformedValues:
         (["match", "FRAGMENT", "--delta-omega", "0"], "delta_omega is 0: set spread_tol"),
         # the lock readouts need 3 samples
         (["match", "FRAGMENT", "--t-end", "0.1", "--dt", "0.1"],
-         "instantaneous frequency needs >= 3 samples, trace has 2\n"),
+         "final frequency needs >= 3 samples, the run records 2\n"),
         # 5,000 runs of 3,502 samples: past the block cap, before any window's run
         (["featuremap", "GRATING", "--seeds", "0:5000"],
          "block of 5000 runs would record 17510000 values, more than 2**24"),
@@ -671,7 +671,7 @@ class TestMalformedValues:
         fragment = str(Path(__file__).parent / "golden" / "inputs" / "fragment.pgm")
         code, _, err = run_cli(capsys, *(fragment if a == "FRAGMENT" else a for a in argv),
                                "--t-end", "0.1", "--dt", "0.1", "--out-dir", str(tmp_path / "o"))
-        assert (code, err) == (1, "error: instantaneous frequency needs >= 3 samples, trace has 2\n")
+        assert (code, err) == (1, "error: final frequency needs >= 3 samples, the run records 2\n")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [

@@ -30,6 +30,7 @@ from oscconv import (
     sweep_locking,
 )
 from oscconv.dynamics import default_peak_detector
+from reference import history_trace, rk4_history
 
 
 def two_osc_cfg(**kw):
@@ -38,9 +39,9 @@ def two_osc_cfg(**kw):
     return OscillatorArrayConfig(**base)
 
 
-def unwrapped_phases(trace):
-    """Per-oscillator unwrapped phase arg(z_i) of a run's recorded states."""
-    return np.unwrap(np.angle(trace.states), axis=0)
+def unwrapped_phases(states):
+    """Per-oscillator unwrapped phase arg(z_i) of a state history, samples on axis -2."""
+    return np.unwrap(np.angle(states), axis=-2)
 
 
 class TestConfig:
@@ -97,6 +98,10 @@ class TestConfig:
         assert cfg.num_samples == 2**24
         with pytest.raises(ConfigurationError):
             OscillatorArrayConfig(n=1, delta_omega=0.0, dt=0.125, t_end=2**24 * 0.125)
+        # a run records its averager, not its oscillators' states: a wide
+        # config is held to its samples, not to n times them
+        cfg = OscillatorArrayConfig(n=25, dt=4e-4)
+        assert cfg.num_samples <= 2**24 < cfg.n * cfg.num_samples
 
     def test_dt_accuracy_guard(self):
         limit = 2.0 * math.pi / (25.0 * 1.1)
@@ -159,9 +164,9 @@ class TestIntegrate:
 
     def test_zero_detuning_locks(self):
         cfg = two_osc_cfg()
-        trace = integrate(np.array([1.0, 1.0]), cfg, random_initial_state(2, 3))
+        trace = history_trace(np.array([1.0, 1.0]), cfg, random_initial_state(2, 3))
         tail = trace.num_samples // 10
-        gap = np.diff(unwrapped_phases(trace)[-tail:], axis=1).ravel()
+        gap = np.diff(unwrapped_phases(trace.states)[-tail:], axis=1).ravel()
         assert gap.std() < 1e-9
         freq = instantaneous_frequency(trace)[-tail:].mean(axis=0)
         assert abs(freq[1] - freq[0]) < 1e-9
@@ -169,27 +174,24 @@ class TestIntegrate:
     def test_locking_inside_and_outside(self):
         eps = 0.05
         cfg = two_osc_cfg(t_end=600.0)
-        inside = integrate(
-            np.array([1.0 - 0.25 * eps, 1.0 + 0.25 * eps]), cfg, random_initial_state(2, 0)
+        # row 0 inside the locking range, row 1 outside
+        both = history_trace(
+            np.array([[1.0 - 0.25 * eps, 1.0 + 0.25 * eps], [1.0 - 1.5 * eps, 1.0 + 1.5 * eps]]),
+            cfg, random_initial_state(2, 0),
         )
-        outside = integrate(
-            np.array([1.0 - 1.5 * eps, 1.0 + 1.5 * eps]), cfg, random_initial_state(2, 0)
-        )
-        tail = inside.num_samples // 10
-        gap_in = np.abs(np.diff(instantaneous_frequency(inside)[-tail:].mean(axis=0)))[0]
-        gap_out = np.abs(np.diff(instantaneous_frequency(outside)[-tail:].mean(axis=0)))[0]
+        tail = both.num_samples // 10
+        final = instantaneous_frequency(both)[:, -tail:].mean(axis=1)
+        gap_in, gap_out = np.abs(final[:, 1] - final[:, 0])
         assert gap_in < 0.1 * eps
         assert gap_out > eps
         # locked: the phase difference stops growing; unlocked: it keeps
         # accumulating at roughly the pulled beat frequency
-        half = inside.num_samples // 2
-
-        def gap_growth(tr):
-            phases = unwrapped_phases(tr)
-            return abs((phases[-1, 1] - phases[-1, 0]) - (phases[half, 1] - phases[half, 0]))
-
-        assert gap_growth(inside) < 0.1
-        assert gap_growth(outside) > 4 * math.pi
+        half = both.num_samples // 2
+        phases = unwrapped_phases(both.states)
+        inside, outside = abs((phases[:, -1, 1] - phases[:, -1, 0])
+                              - (phases[:, half, 1] - phases[:, half, 0]))
+        assert inside < 0.1
+        assert outside > 4 * math.pi
 
     def test_divergence_guard_reports_step(self):
         # mean-field gain far above the nonlinear damping pushes the
@@ -264,9 +266,24 @@ class TestIntegrate:
         expected = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         trace = integrate(omega, cfg, z)
         assert trace.num_samples == 2
-        assert np.array_equal(trace.states[1], expected)
+        assert np.array_equal(trace.states[-1], expected)
         block = integrate(np.array([omega, omega[::-1]]), cfg, np.array([z, z[::-1]]))
         assert np.array_equal(block.averager[0], trace.averager)
+
+    # rk4_history, the state history the tests read, ends where integrate's
+    # runs and blocks end, bit for bit
+    @pytest.mark.parametrize("dt", [None, 0.05], ids=["default-dt", "dt-0.05"])
+    @pytest.mark.parametrize("n", [2, 5, 25])
+    def test_rk4_history_ends_at_the_final_state(self, n, dt):
+        cfg = OscillatorArrayConfig(n=n, t_end=60.0, dt=dt)
+        omega = 1.0 + 0.05 * np.random.default_rng(n).uniform(-2.0, 2.0, (3, n))
+        init = np.array([random_initial_state(n, seed) for seed in range(3)])
+        block = rk4_history(omega, cfg, init)
+        assert block.shape == (3, cfg.num_samples, n)
+        assert np.array_equal(block[:, -1:], integrate(omega, cfg, init).states)
+        lone = rk4_history(omega[0], cfg, init[0])
+        assert lone.shape == (cfg.num_samples, n)
+        assert np.array_equal(lone[-1:], integrate(omega[0], cfg, init[0]).states)
 
     def test_leaves_callers_arrays_writeable(self):
         omega = np.array([1.0, 1.02])
@@ -306,19 +323,22 @@ class TestIntegrate:
     def test_records_the_initial_state_and_every_step(self):
         cfg = two_osc_cfg(t_end=50.0)
         trace = integrate(np.array([1.0, 1.01]), cfg, random_initial_state(2, 5))
-        assert trace.num_samples == trace.states.shape[0] == cfg.n_steps + 1
+        assert trace.num_samples == trace.averager.shape[0] == cfg.n_steps + 1
         assert np.allclose(np.diff(trace.times), cfg.dt)
+        # of the states, the run keeps its final one
+        assert trace.states.shape == (1, cfg.n)
 
     def test_envelope_bounds(self):
         # triangle inequality and the coherent-gain amplitude bound
-        for seed in range(5):
-            cfg = OscillatorArrayConfig(n=9, t_end=100.0, epsilon=0.02)
-            omega = 1.0 + 0.05 * np.linspace(-2, 2, 9)
-            trace = integrate(omega, cfg, random_initial_state(9, seed))
-            max_amp = np.abs(trace.states).max(axis=1)
-            assert (trace.envelope <= max_amp + 1e-12).all()
-            bound = math.sqrt(1.0 + cfg.epsilon * cfg.n / cfg.rho)
-            assert trace.envelope.max() <= bound + 1e-9
+        cfg = OscillatorArrayConfig(n=9, t_end=100.0, epsilon=0.02)
+        omega = np.tile(1.0 + 0.05 * np.linspace(-2, 2, 9), (5, 1))
+        init = np.array([random_initial_state(9, seed) for seed in range(5)])
+        block = integrate(omega, cfg, init)
+        max_amp = np.abs(rk4_history(omega, cfg, init)).max(axis=-1)
+        assert max_amp.shape == block.envelope.shape
+        assert (block.envelope <= max_amp + 1e-12).all()
+        bound = math.sqrt(1.0 + cfg.epsilon * cfg.n / cfg.rho)
+        assert block.envelope.max() <= bound + 1e-9
 
 
 # Rows for the batch tests: five oscillators each, frequencies inside the
@@ -394,12 +414,14 @@ class TestBatchedIntegrate:
         block_values = list(zip(*readouts(block)))
         # the trace dump's peak-detector column, read off the block at once
         block_peaks = default_peak_detector(block.envelope, cfg)
-        # a block records no states: its rows sum their final frequencies as they run
-        assert block.states.shape == (len(rows), 0, cfg.n)
+        # a block keeps each row's final state: its rows sum their final
+        # frequencies as they run
+        assert block.states.shape == (len(rows), 1, cfg.n)
         for i, row in enumerate(rows):
             single = single_run(config, row)
             assert block.failures[i] is None
             assert np.array_equal(block.times, single.times)
+            assert np.array_equal(block.states[i], single.states)
             assert np.array_equal(block.averager[i], single.averager)
             assert np.array_equal(block.final_freq[i], single.final_freq)
             assert np.array_equal(block.final_freq[i], reversed_block(config).final_freq[5 - row])
@@ -421,12 +443,13 @@ class TestBatchedIntegrate:
         cfg = OscillatorArrayConfig(**{"n": 5, "t_end": 60.0, **kw})
         block = integrate(BATCH_OMEGA[:3], cfg, BATCH_INIT[:3])
         tail = max(1, block.num_samples // 10)
+        history = history_trace(BATCH_OMEGA[:3], cfg, BATCH_INIT[:3])
+        reference = instantaneous_frequency(history)[:, -tail:].mean(axis=1)
         for row in range(3):
             single = integrate(BATCH_OMEGA[row], cfg, BATCH_INIT[row])
             assert np.array_equal(block.final_freq[row], single.final_freq)
-            reference = instantaneous_frequency(single)[-tail:].mean(axis=0)
-            assert np.abs(single.final_freq - reference).max() <= 1e-12
-        with pytest.raises(InsufficientDataError, match="recorded none"):
+            assert np.abs(single.final_freq - reference[row]).max() <= 1e-12
+        with pytest.raises(InsufficientDataError, match="integrate keeps only final states$"):
             instantaneous_frequency(block)
 
     @settings(max_examples=15, deadline=None)
@@ -455,11 +478,12 @@ class TestBatchedIntegrate:
         cfg = OscillatorArrayConfig(n=25, rho=0.02, epsilon=0.05, t_end=20.0)
         block = integrate(WIDE_OMEGA, cfg, WIDE_INIT)
         assert block.failures == (None,) * len(WIDE_OMEGA)
+        moduli2 = np.abs(rk4_history(WIDE_OMEGA, cfg, WIDE_INIT)) ** 2
+        assert moduli2.shape[1] == cfg.num_samples
+        assert (moduli2[:, 36:].max(axis=-1) > 50.0).all()
+        assert moduli2.sum(axis=-1).max() < 1600.0
         for row in range(len(WIDE_OMEGA)):
             alone = integrate(WIDE_OMEGA[row], cfg, WIDE_INIT[row])
-            moduli2 = np.abs(alone.states) ** 2
-            assert (moduli2[36:].max(axis=1) > 50.0).all()
-            assert moduli2.sum(axis=1).max() < 1600.0
             assert np.array_equal(block.averager[row], alone.averager)
             assert np.array_equal(block.final_freq[row], alone.final_freq)
 
@@ -470,7 +494,8 @@ class TestBatchedIntegrate:
         omega = np.array([0.95, 1.0, 1.02, 1.08])
         init = random_initial_state(4, 1) * [10.5, 1.0, 1.0, 1.0]
         alone = integrate(omega, cfg, init)
-        moduli2 = np.abs(alone.states) ** 2
+        moduli2 = np.abs(rk4_history(omega, cfg, init)) ** 2
+        assert moduli2.shape[0] == cfg.num_samples
         assert moduli2[:, 0].min() > 110.0 and moduli2.sum(axis=1).max() < 120.0
         block = integrate(np.array([omega, omega[::-1]]), cfg, np.array([init, init[::-1]]))
         assert block.failures == (None, None)
@@ -523,29 +548,34 @@ class TestBatchedIntegrate:
 class TestSymmetries:
     def test_rotational_symmetry(self):
         cfg = OscillatorArrayConfig(n=3, t_end=50.0, epsilon=0.02)
-        omega = np.array([0.95, 1.0, 1.05])
-        init = random_initial_state(3, 11)
+        omega = np.tile([0.95, 1.0, 1.05], (2, 1))
         phi = 1.2345
-        a = integrate(omega, cfg, init)
-        b = integrate(omega, cfg, init * np.exp(1j * phi))
-        scale = np.abs(b.states).max()
-        assert np.abs(b.states - a.states * np.exp(1j * phi)).max() / scale < 1e-9
-        assert np.abs(b.envelope - a.envelope).max() < 1e-9
-        assert np.abs(instantaneous_frequency(b) - instantaneous_frequency(a)).max() < 1e-9
+        # row 1 starts at row 0's state turned by phi
+        init = random_initial_state(3, 11) * np.array([[1.0], [np.exp(1j * phi)]])
+        block = integrate(omega, cfg, init)
+        history = history_trace(omega, cfg, init)
+        a, b = history.states
+        scale = np.abs(b).max()
+        assert np.abs(b - a * np.exp(1j * phi)).max() / scale < 1e-9
+        assert np.abs(block.envelope[1] - block.envelope[0]).max() < 1e-9
+        freq_a, freq_b = instantaneous_frequency(history)
+        assert np.abs(freq_b - freq_a).max() < 1e-9
 
     def test_frequency_shift_equivariance(self):
         delta = 0.3
         cfg = OscillatorArrayConfig(
             n=3, delta_omega=0.05, epsilon=0.02, dt=0.005, t_end=2.0
         )
-        omega = np.array([0.95, 1.0, 1.05])
+        # row 1 runs row 0's frequencies shifted by delta
+        omega = np.array([0.95, 1.0, 1.05]) + np.array([[0.0], [delta]])
         init = random_initial_state(3, 5)
-        a = integrate(omega, cfg, init)
-        b = integrate(omega + delta, cfg, init)
-        predicted = a.states * np.exp(1j * delta * a.times)[:, None]
-        scale = np.abs(b.states).max()
-        assert np.abs(b.states - predicted).max() / scale < 1e-9
-        assert np.abs(b.envelope - a.envelope).max() / b.envelope.max() < 1e-9
+        block = integrate(omega, cfg, init)
+        a, b = rk4_history(omega, cfg, init)
+        predicted = a * np.exp(1j * delta * block.times)[:, None]
+        scale = np.abs(b).max()
+        assert np.abs(b - predicted).max() / scale < 1e-9
+        envelope_a, envelope_b = block.envelope
+        assert np.abs(envelope_b - envelope_a).max() / envelope_b.max() < 1e-9
         phases_a, phases_b = unwrapped_phases(a), unwrapped_phases(b)
         diff_a = phases_a[:, 1:] - phases_a[:, :1]
         diff_b = phases_b[:, 1:] - phases_b[:, :1]
@@ -621,7 +651,7 @@ class TestInstantaneousFrequency:
         cfg = OscillatorArrayConfig(
             n=1, omega0=1.0, delta_omega=0.15, epsilon=0.0, t_end=100.0
         )
-        trace = integrate(np.array([1.3]), cfg, random_initial_state(1, 3))
+        trace = history_trace(np.array([1.3]), cfg, random_initial_state(1, 3))
         freq = instantaneous_frequency(trace)
         tail = freq[freq.shape[0] // 2:, 0]
         assert np.all(np.abs(tail - 1.3) < 0.013)
@@ -637,18 +667,19 @@ class TestInstantaneousFrequency:
 
     def test_two_locked_share_final_frequency(self):
         cfg = two_osc_cfg()
-        trace = integrate(np.array([0.98, 1.02]), cfg, random_initial_state(2, 1))
+        trace = history_trace(np.array([0.98, 1.02]), cfg, random_initial_state(2, 1))
         tail = max(1, trace.num_samples // 10)
         final = instantaneous_frequency(trace)[-tail:].mean(axis=0)
         assert abs(final[1] - final[0]) < 0.1 * cfg.epsilon
 
     def test_final_freq_is_the_mean_over_the_final_tenth(self):
         cfg = two_osc_cfg(t_end=100.0)
-        trace = integrate(np.array([0.98, 1.02]), cfg, random_initial_state(2, 1))
+        omega, init = np.array([0.98, 1.02]), random_initial_state(2, 1)
+        trace = integrate(omega, cfg, init)
         tail = trace.num_samples // 10
         # integrate sums the phase steps that the reference unwraps, differentiates
         # and smooths: the two agree to rounding
-        reference = instantaneous_frequency(trace)[-tail:].mean(axis=0)
+        reference = instantaneous_frequency(history_trace(omega, cfg, init))[-tail:].mean(axis=0)
         assert np.abs(trace.final_freq - reference).max() <= 1e-12
 
     # one period of omega0 is 55 samples at the default dt; a shorter run
@@ -656,10 +687,11 @@ class TestInstantaneousFrequency:
     @pytest.mark.parametrize("t_end", [0.4, 1.0, 3.0, 6.0])
     def test_final_freq_of_a_run_shorter_than_a_period_smooths_over_the_run(self, t_end):
         cfg = two_osc_cfg(t_end=t_end)
-        trace = integrate(np.array([0.98, 1.02]), cfg, random_initial_state(2, 1))
+        omega, init = np.array([0.98, 1.02]), random_initial_state(2, 1)
+        trace = integrate(omega, cfg, init)
         num = trace.num_samples
         assert num < 2.0 * math.pi / cfg.dt
-        gradient = np.gradient(unwrapped_phases(trace), trace.times, axis=0)
+        gradient = np.gradient(unwrapped_phases(rk4_history(omega, cfg, init)), trace.times, axis=0)
         # sample k averages samples k - num//2 + [0, num), each clamped into the run
         window = np.clip(np.arange(num)[:, None] + np.arange(num) - num // 2, 0, num - 1)
         reference = gradient[window].mean(axis=1)[-max(1, num // 10):].mean(axis=0)
@@ -684,9 +716,12 @@ class TestInstantaneousFrequency:
         cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, epsilon=0.0, dt=0.1, t_end=0.1)
         trace = integrate(np.array([1.0]), cfg, np.array([1.0 + 0j]))
         assert trace.num_samples == 2
-        with pytest.raises(InsufficientDataError):
-            instantaneous_frequency(trace)
-        with pytest.raises(InsufficientDataError, match="needs >= 3 samples, trace has 2"):
+        # a final state is no history, and two states are too short a one
+        for short in (trace, history_trace(np.array([1.0]), cfg, np.array([1.0 + 0j]))):
+            with pytest.raises(InsufficientDataError, match="needs >= 3 states"):
+                instantaneous_frequency(short)
+        with pytest.raises(InsufficientDataError,
+                           match="^final frequency needs >= 3 samples, the run records 2$"):
             trace.final_freq
 
 
@@ -808,7 +843,7 @@ class TestSweepLocking:
         with pytest.raises(ConfigurationError, match="a sweep of 5000 points"):
             sweep_locking(0.05, np.linspace(0.0, 0.2, 5000))
         # a final frequency needs 3 samples; these runs would record 2
-        with pytest.raises(InsufficientDataError, match="needs >= 3 samples, trace has 2"):
+        with pytest.raises(InsufficientDataError, match="needs >= 3 samples, the run records 2"):
             sweep_locking(0.05, np.array([0.1]), t_end=0.1, dt=0.1)
         assert calls == []
 

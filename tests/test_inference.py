@@ -405,7 +405,7 @@ class TestSeedBlocks:
         (dict(spread_tol=math.inf), "spread_tol must be positive and finite", ConfigurationError),
         # classify_lock's final frequencies need 3 samples
         (dict(cfg=OscillatorArrayConfig(n=25, dt=0.1, t_end=0.1)),
-         "needs >= 3 samples, trace has 2", InsufficientDataError),
+         "final frequency needs >= 3 samples, the run records 2", InsufficientDataError),
     ])
     def test_readout_settings_are_checked_before_any_encoding(self, monkeypatch, kwargs, message,
                                                               error):
@@ -429,7 +429,7 @@ def stub_calls(monkeypatch, process_log):
     def stub(omega, cfg, init):
         rows = len(omega)
         process_log.append(rows)
-        return SimulationTrace(np.zeros(1), np.zeros((rows, 0, cfg.n)), cfg, np.zeros((rows, 1)),
+        return SimulationTrace(np.zeros(1), np.zeros((rows, 1, cfg.n)), cfg, np.zeros((rows, 1)),
                                (DivergenceError(1, math.inf),) * rows, np.zeros((rows, cfg.n)))
 
     monkeypatch.setattr(oscconv.inference, "integrate", stub)
@@ -503,12 +503,12 @@ class TestChunks:
     @staticmethod
     def recording_calls():
         """A patch of the inference module's integrate that lists, per call,
-        the oscillator states it steps and its recorded state samples."""
+        the oscillator states it steps and the final states it keeps."""
         calls = []
 
         def recording(omega, *args, **kwargs):
             trace = integrate(omega, *args, **kwargs)
-            calls.append((omega.size, trace.states.shape[1]))
+            calls.append((omega.size, trace.states))
             return trace
 
         return calls, mock.patch.object(oscconv.inference, "integrate", recording)
@@ -548,16 +548,21 @@ class TestChunks:
         with patch, mock.patch.object(oscconv.inference, "_CALL_STATES", budget):
             fmap = feature_map_onn(img, filt, CHUNK_CFG, DomPolicy(), CHUNK_SEEDS)
         assert max(states for states, _ in calls) <= budget
-        # a block records no states
-        assert [states for _, states in calls] == [0] * len(calls)
+        # a block keeps each run's final state, window by window and seed by seed
+        final = np.concatenate([states for _, states in calls])
+        assert final.shape == (fmap.values.size * len(CHUNK_SEEDS), 1, CHUNK_CFG.n)
+        calls.clear()
         errors = []
-        for cell in range(fmap.width * fmap.height):
-            row, col = divmod(cell, fmap.width)
-            alone = feature_map_onn(Image(5, 5, img.window(row, col, 5).values), filt,
-                                    CHUNK_CFG, DomPolicy(), CHUNK_SEEDS)
-            assert np.array_equal(fmap.values[cell], alone.values[0], equal_nan=True)
-            errors += [(row, col, message) for _, _, message in alone.errors]
+        with patch:
+            for cell in range(fmap.width * fmap.height):
+                row, col = divmod(cell, fmap.width)
+                alone = feature_map_onn(Image(5, 5, img.window(row, col, 5).values), filt,
+                                        CHUNK_CFG, DomPolicy(), CHUNK_SEEDS)
+                assert np.array_equal(fmap.values[cell], alone.values[0], equal_nan=True)
+                errors += [(row, col, message) for _, _, message in alone.errors]
         assert fmap.errors == tuple(errors)
+        # and each run ends where it ends in its window's call alone, a failed one at 0
+        assert np.array_equal(final, np.concatenate([states for _, states in calls]))
 
 
 class TestWinnerTakeAll:
