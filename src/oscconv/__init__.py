@@ -41,7 +41,6 @@ from .hardware import (
     power_per_oscillator,
 )
 from .inference import (
-    DomPolicy,
     FilterError,
     FilterResult,
     MatchReport,
@@ -76,7 +75,7 @@ __all__ = [
     "InsufficientDataError", "NumericError", "DivergenceError",
     "CostEstimate", "HardwareParams", "inference_cost_estimate",
     "locking_range_fraction", "power_per_oscillator",
-    "DomPolicy", "FilterError", "FilterResult", "MatchReport", "SweepPoint",
+    "FilterError", "FilterResult", "MatchReport", "SweepPoint",
     "classify_lock", "dom", "feature_map_onn", "match_filters",
     "measure_lock_time", "sweep_locking", "winner_take_all",
     "FeatureMap", "Image", "convolve_valid", "distance_identity_check", "dot",

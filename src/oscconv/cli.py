@@ -46,7 +46,6 @@ from .hardware import (
 from .inference import (
     SWEEP_T_END,
     _SWEEP_KEYS,
-    DomPolicy,
     MatchReport,
     _sweep,
     _sweep_config,
@@ -333,7 +332,6 @@ def cmd_match(args) -> int:
         fragment,
         bank,
         array_cfg,
-        DomPolicy(),
         cfg.seeds,
         reference_oscillator=cfg.reference_oscillator,
         spread_tol=cfg.spread_tol,
@@ -452,7 +450,7 @@ def cmd_featuremap(args) -> int:
         raise ConfigurationError(f"--filter-index {index} outside bank of {len(bank)} filters")
     filt = bank[index]
     array_cfg = cfg.array_config(cfg.side ** 2)
-    onn = feature_map_onn(img, filt, array_cfg, DomPolicy(), cfg.seeds)
+    onn = feature_map_onn(img, filt, array_cfg, cfg.seeds)
     oracle_map = convolve_valid(img, filt, mode="correlation")
     out = _out_dir(args)
     _write_map_csv(out / "onn_map.csv", onn)

@@ -62,6 +62,8 @@ def default_timestep(omega_max: float) -> float:
     """Default integration step: 50 samples per period of the fastest oscillator."""
     if not 0 < omega_max < math.inf:
         raise ConfigurationError(f"omega_max must be positive and finite, got {omega_max}")
+    if 50.0 * omega_max == math.inf:  # and the step 2*pi over it would be 0.0
+        raise ConfigurationError(f"omega_max={omega_max:g} is too large for a positive default dt")
     return 2.0 * math.pi / (50.0 * omega_max)
 
 
@@ -129,6 +131,10 @@ class OscillatorArrayConfig:
                 f"t_end={self.t_end:g} and dt={self.dt:g} record more than 2**24 values; "
                 f"raise dt or lower t_end"
             )
+        if self.n_steps < 2:  # final_freq reads 3 samples of every run
+            raise ConfigurationError(
+                f"t_end={self.t_end:g} and dt={self.dt:g} make 1 step; a run needs 2 or more"
+            )
         _check_accuracy(self.dt, self.omega_max)
 
     @property
@@ -160,11 +166,13 @@ class SimulationTrace:
     cached, along the sample axis, so that the same code reads one run or
     a block. times and averager cover every sample, sample k at times[k].
     One run has averager (samples,), the mean of its states, its final
-    state, states (1, n), and freq (n,), the final_freq it summed as it
-    ran. A block has a leading row axis: averager (rows, samples), states
-    (rows, 1, n), 0 for a failed row, and freq (rows, n); its failures[i]
-    is the DivergenceError that stopped row i, or None. A trace built
-    without a freq reads its final_freq as None.
+    state, states (1, n), and final_freq (n,): each oscillator's
+    instantaneous frequency averaged over the final 10% of the run, which
+    integrate sums from the run's phase steps. The accuracy guard holds
+    dt*|omega| to 2*pi/25, far below the half turn at which a step wraps.
+    A block has a leading row axis: averager (rows, samples), states
+    (rows, 1, n), 0 for a failed row, and final_freq (rows, n); its
+    failures[i] is the DivergenceError that stopped row i, or None.
     """
 
     times: np.ndarray
@@ -172,11 +180,11 @@ class SimulationTrace:
     config: OscillatorArrayConfig
     averager: np.ndarray
     failures: tuple[DivergenceError | None, ...] = ()
-    freq: np.ndarray | None = None
+    final_freq: np.ndarray | None = None
 
     def __post_init__(self):
         # read-only views: the caller's own arrays stay writeable
-        for name in ("times", "states", "averager", "freq"):
+        for name in ("times", "states", "averager", "final_freq"):
             if getattr(self, name) is not None:
                 setattr(self, name, _read_only(getattr(self, name).view()))
 
@@ -185,21 +193,11 @@ class SimulationTrace:
         if self.averager.ndim == 1:
             raise ConfigurationError("rows() reads a block of runs; this trace is one run")
         return SimulationTrace(self.times, self.states[rows], self.config, self.averager[rows],
-                               self.failures[rows], self.freq[rows])
+                               self.failures[rows], self.final_freq[rows])
 
     @property
     def num_samples(self) -> int:
         return self.times.size
-
-    @property
-    def final_freq(self) -> np.ndarray:
-        """Per-oscillator instantaneous frequency averaged over the final 10% of the trace.
-
-        integrate sums it from the run's phase steps. The accuracy guard holds
-        dt*|omega| to 2*pi/25, far below the half turn at which a step wraps.
-        """
-        _check_freq_samples(self.num_samples)
-        return self.freq
 
     @cached_property
     def envelope(self) -> np.ndarray:
@@ -508,7 +506,7 @@ def integrate(
     if omega.ndim == 1:
         if failures:
             raise failures[0]
-        return SimulationTrace(times, states[0], cfg, sums[0], freq=freq[0])
+        return SimulationTrace(times, states[0], cfg, sums[0], final_freq=freq[0])
     failed = tuple(failures.get(row) for row in range(rows))
     return SimulationTrace(times, states, cfg, sums[:rows], failed, freq)
 
@@ -527,16 +525,8 @@ def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     return sliding_window_view(padded, window, axis=-2) @ kernel
 
 
-def _check_freq_samples(num_samples: int) -> None:
-    """final_freq needs 3 samples of a run."""
-    if num_samples < 3:
-        raise InsufficientDataError(
-            f"final frequency needs >= 3 samples, the run records {num_samples}"
-        )
-
-
 def _smoothing_window(cfg: OscillatorArrayConfig, num_samples: int) -> int:
-    """Samples in instantaneous_frequency's moving average: one period of omega0."""
+    """Samples in final_freq's moving average, and instantaneous_frequency's: a period of omega0."""
     period = 2.0 * math.pi / cfg.omega0
     return min(max(1, int(round(period / cfg.dt))), num_samples)
 

@@ -21,7 +21,6 @@ from .dynamics import (
     OscillatorArrayConfig,
     SimulationTrace,
     _check_block,
-    _check_freq_samples,
     _read_only,
     integrate,
     random_initial_state,
@@ -36,13 +35,7 @@ DOM_TRAILING_FRACTION = 0.2
 DOM_THRESHOLD_FRACTION = 0.8
 
 
-@dataclass(frozen=True)
-class DomPolicy:
-    """The DOM readout: the mean envelope over the final DOM_TRAILING_FRACTION
-    of the run, the settled output of the averager. It has no settings."""
-
-
-def dom(trace: SimulationTrace, policy: DomPolicy) -> float | list[float]:
+def dom(trace: SimulationTrace) -> float | list[float]:
     """Degree of Match of one run, its mean envelope over the final DOM_TRAILING_FRACTION.
 
     Nonnegative; at most 1 for an uncoupled unit-amplitude array and at
@@ -219,7 +212,6 @@ def match_filters(
     fragment: Fragment,
     bank: tuple[GaborFilter, ...],
     cfg: OscillatorArrayConfig,
-    policy: DomPolicy,
     seeds: tuple[int, ...],
     reference_oscillator: bool = False,
     spread_tol: float | None = None,
@@ -240,7 +232,6 @@ def match_filters(
         bank: nonempty tuple of filters sharing the fragment's side.
         cfg: array configuration; cfg.n must equal side^2 plus one when
             reference_oscillator is set.
-        policy: the DOM readout.
         seeds: nonempty initial-phase seeds, one run per seed.
         reference_oscillator: append one extra oscillator at omega0 that
             encodes no pixel.
@@ -249,16 +240,15 @@ def match_filters(
     """
     if not bank:
         raise ConfigurationError("filter bank must be nonempty")
-    # the readouts' settings are checked before the first filter is encoded
+    # the lock tolerance is checked before the first filter is encoded
     spread_tol = _spread_tol(spread_tol, cfg.delta_omega, "delta_omega")
-    _check_freq_samples(cfg.num_samples)  # classify_lock reads final_freq
     # every filter is encoded, and its side checked, before the first run
     omegas = [fsk_encode(fragment, filt, cfg) for filt in bank]
     if reference_oscillator:
         omegas = [np.append(omega, cfg.omega0) for omega in omegas]
 
     def read(trace: SimulationTrace) -> dict:
-        doms = dom(trace, policy)
+        doms = dom(trace)
         locked = sum(classify_lock(trace, spread_tol)) * 2 > len(seeds)
         finite = [t for t in measure_lock_time(trace) if t is not None]
         lock_time = _median(finite).item() if locked and finite else None
@@ -300,7 +290,6 @@ def feature_map_onn(
     img: Image,
     filt: GaborFilter,
     cfg: OscillatorArrayConfig,
-    policy: DomPolicy,
     seeds: tuple[int, ...],
 ) -> FeatureMap:
     """Mean DOM of (window, filter) matches over every valid window.
@@ -321,7 +310,7 @@ def feature_map_onn(
         for cell in range(out_h * out_w)
     ]
     values, errors = [], []
-    blocks = _seed_blocks(omegas, cfg, seeds, lambda trace: float(np.mean(dom(trace, policy))))
+    blocks = _seed_blocks(omegas, cfg, seeds, lambda trace: float(np.mean(dom(trace))))
     for cell, (value, failure) in enumerate(blocks):
         if failure is not None:
             value = math.nan
@@ -426,7 +415,6 @@ def _sweep(
     """sweep_locking over a nonempty float grid, with cfg the grid's _sweep_config."""
     # the config has checked epsilon before the default spread_tol is derived from it
     spread_tol = _spread_tol(spread_tol, cfg.epsilon, "epsilon")
-    _check_freq_samples(cfg.num_samples)  # read takes final_freq
     omega = np.column_stack([cfg.omega0 - 0.5 * detunings, cfg.omega0 + 0.5 * detunings])
 
     def read(trace: SimulationTrace) -> tuple[bool, float, float]:

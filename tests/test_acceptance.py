@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from oscconv import (
-    DomPolicy,
     Fragment,
     HardwareParams,
     Image,
@@ -41,7 +40,7 @@ def bank_report():
     fragment = edge_fragment()
     bank = default_bank()
     cfg = OscillatorArrayConfig(n=25)
-    return match_filters(fragment, bank, cfg, DomPolicy(), seeds=tuple(range(8)))
+    return match_filters(fragment, bank, cfg, seeds=tuple(range(8)))
 
 
 def test_criterion_01_limit_cycle():
@@ -89,7 +88,7 @@ def test_criterion_04_match_separation():
     fragment = Fragment(side=5, values=filt.values.copy())
     cfg = OscillatorArrayConfig(n=25)
     report = match_filters(
-        fragment, (filt, anti), cfg, DomPolicy(), seeds=tuple(range(50))
+        fragment, (filt, anti), cfg, seeds=tuple(range(50))
     )
     good, bad = report.results
     wins = sum(g > b for g, b in zip(good.doms, bad.doms))
@@ -232,7 +231,7 @@ def test_criterion_11_feature_map_fidelity():
     img = Image(width=16, height=16, values=grating)
     filt = gabor_filter(5, 30.0, 0.35)
     cfg = OscillatorArrayConfig(n=25)
-    onn = feature_map_onn(img, filt, cfg, DomPolicy(), seeds=(0, 1, 2, 3))
+    onn = feature_map_onn(img, filt, cfg, seeds=(0, 1, 2, 3))
     oracle = convolve_valid(img, filt, mode="correlation")
     assert onn.errors == ()
     r = float(np.corrcoef(onn.values, oracle.values)[0, 1])

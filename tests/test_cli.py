@@ -482,6 +482,7 @@ BLAMED = {
     "sweep-zero-epsilon": "epsilon is 0: set spread_tol (default 0.1*epsilon)",
     "sweep-negative-spread-tol": "spread_tol must be positive and finite, got -1",
     "sweep-grid-negative": "detunings must be >= 0",
+    "match-omega0-overflows-dt": "omega_max=4e+306 is too large for a positive default dt",
 }
 
 
@@ -571,6 +572,10 @@ class TestMalformedValues:
         # a grid that starts with a minus sign is a value, not a flag
         pytest.param(["sweep-locking", "--grid", "-0.2:-0.1:0.1"], id="sweep-grid-negative"),
         pytest.param(["match", "IMAGE", "--seeds", "0:10000000000"], id="match-huge-seed-range"),
+        # 50 * omega_max overflows, and the default dt would be 0: the error names
+        # omega_max, not a dt that was never set
+        pytest.param(["match", "IMAGE", "--omega0", "4e306", "--seeds", "0"],
+                     id="match-omega0-overflows-dt"),
         # a side of 400 digits parses, and is rejected against the image
         pytest.param(["match", "IMAGE", "--side", "9" * 400, "--seeds", "0"],
                      id="match-side-400-digits"),
@@ -627,15 +632,19 @@ class TestMalformedValues:
         assert_one_line_error(code, err)
 
     @pytest.mark.parametrize("argv, message", [
-        (["match", "FRAGMENT", "--spread-tol", "-1"], "spread_tol must be positive and finite"),
-        (["match", "FRAGMENT", "--spread-tol", "0"], "spread_tol must be positive and finite"),
-        (["match", "FRAGMENT", "--delta-omega", "0"], "delta_omega is 0: set spread_tol"),
-        # the lock readouts need 3 samples
-        (["match", "FRAGMENT", "--t-end", "0.1", "--dt", "0.1"],
-         "final frequency needs >= 3 samples, the run records 2\n"),
+        pytest.param(["match", "FRAGMENT", "--spread-tol", "-1"],
+                     "spread_tol must be positive and finite", id="tol-neg"),
+        pytest.param(["match", "FRAGMENT", "--spread-tol", "0"],
+                     "spread_tol must be positive and finite", id="tol-0"),
+        pytest.param(["match", "FRAGMENT", "--delta-omega", "0"],
+                     "delta_omega is 0: set spread_tol", id="delta-0"),
+        # the lock readouts need 3 samples: the config takes no 1-step run
+        pytest.param(["match", "FRAGMENT", "--t-end", "0.1", "--dt", "0.1"],
+                     "t_end=0.1 and dt=0.1 make 1 step; a run needs 2 or more\n", id="1-step"),
         # 5,000 runs of 3,502 samples: past the block cap, before any window's run
-        (["featuremap", "GRATING", "--seeds", "0:5000"],
-         "block of 5000 runs would record 17510000 values, more than 2**24"),
+        pytest.param(["featuremap", "GRATING", "--seeds", "0:5000"],
+                     "block of 5000 runs would record 17510000 values, more than 2**24",
+                     id="cap"),
     ])
     def test_a_readout_setting_is_rejected_before_the_first_run(self, capsys, tmp_path,
                                                                monkeypatch, argv, message):
@@ -662,16 +671,28 @@ class TestMalformedValues:
         code, _, err = run_cli(capsys, *argv, "--spread-tol", "0.01")
         assert code == 0 and err == ""
 
-    # the lock readouts need 3 samples; a block of 2 has no final frequencies either
+    # the lock readouts need 3 samples: every command refuses a run of 1 step,
+    # before any run, and runs one of 2 steps
     @pytest.mark.parametrize("argv", [
         pytest.param(["match", "FRAGMENT", "--seeds", "0,1"], id="match"),
         pytest.param(["sweep-locking"], id="sweep"),
+        pytest.param(["featuremap", "GRATING", "--seeds", "0"], id="featuremap"),
     ])
-    def test_two_samples_are_too_few_to_read_a_lock(self, capsys, tmp_path, argv):
-        fragment = str(Path(__file__).parent / "golden" / "inputs" / "fragment.pgm")
-        code, _, err = run_cli(capsys, *(fragment if a == "FRAGMENT" else a for a in argv),
-                               "--t-end", "0.1", "--dt", "0.1", "--out-dir", str(tmp_path / "o"))
-        assert (code, err) == (1, "error: final frequency needs >= 3 samples, the run records 2\n")
+    def test_two_samples_are_too_few_to_read_a_lock(self, capsys, tmp_path, monkeypatch, argv):
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        paths = {"FRAGMENT": str(inputs / "fragment.pgm"), "GRATING": str(inputs / "grating7.pgm")}
+        argv = [paths.get(a, a) for a in argv] + ["--dt", "0.1", "--out-dir", str(tmp_path / "o")]
+
+        def never(*args, **kwargs):
+            raise AssertionError("integrate was called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oscconv.inference, "integrate", never)
+            code, _, err = run_cli(capsys, *argv, "--t-end", "0.1")
+        assert (code, err) == (1, "error: t_end=0.1 and dt=0.1 make 1 step; "
+                                  "a run needs 2 or more\n")
+        code, _, err = run_cli(capsys, *argv, "--t-end", "0.2")
+        assert (code, err) == (0, "")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [

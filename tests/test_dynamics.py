@@ -12,7 +12,6 @@ import oscconv.inference
 from oscconv import (
     ConfigurationError,
     DivergenceError,
-    DomPolicy,
     InsufficientDataError,
     NumericError,
     OscillatorArrayConfig,
@@ -29,7 +28,7 @@ from oscconv import (
     random_initial_state,
     sweep_locking,
 )
-from oscconv.dynamics import default_peak_detector
+from oscconv.dynamics import default_peak_detector, sample_times
 from reference import history_trace, rk4_history
 
 
@@ -86,6 +85,23 @@ class TestConfig:
             default_timestep(value)
         with pytest.raises(ConfigurationError, match="delta_omega must be >= 0 and finite"):
             default_coupling(25, value)
+
+    def test_default_timestep_rejects_an_omega_max_whose_step_rounds_to_zero(self):
+        # 50 * omega_max overflows past about 3.6e306, and 2*pi over it is 0.0
+        assert default_timestep(3.5e306) > 0
+        for omega_max in (3.6e306, 1e308):
+            message = re.escape(f"omega_max={omega_max:g} is too large for a positive default dt")
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                default_timestep(omega_max)
+
+    # final_freq reads 3 samples, so a run takes 2 steps or more
+    def test_a_run_takes_at_least_two_steps(self):
+        assert OscillatorArrayConfig(n=2, t_end=0.2, dt=0.1).num_samples == 3
+        # 0.15/0.1 is 1.4999999999999998, which rounds to 1 step
+        for t_end in (0.1, 0.15):
+            with pytest.raises(ConfigurationError,
+                               match=f"^t_end={t_end:g} and dt=0.1 make 1 step; a run needs 2"):
+                OscillatorArrayConfig(n=2, t_end=t_end, dt=0.1)
 
     def test_caps_recorded_values(self):
         with pytest.raises(ConfigurationError, match="t_end.*dt.*raise dt or lower t_end$"):
@@ -253,19 +269,21 @@ class TestIntegrate:
     # n=25: past the 8 values at which numpy sums pairwise
     @pytest.mark.parametrize("n", [3, 25])
     def test_one_step_is_rk4_over_derivative(self, n):
-        # integrate and derivative evaluate one vector field, and the row's
-        # step is the same in a block
+        # integrate and derivative evaluate one vector field: each step of the
+        # shortest run, 2 steps, is one RK4 step over derivative, and the row's
+        # steps are the same in a block
         dt = 0.1
-        cfg = OscillatorArrayConfig(n=n, epsilon=0.02, dt=dt, t_end=dt)
+        cfg = OscillatorArrayConfig(n=n, epsilon=0.02, dt=dt, t_end=2 * dt)
         omega = np.resize([0.95, 1.0, 1.08], n)
-        z = random_initial_state(n, 4)
-        k1 = derivative(z, omega, cfg)
-        k2 = derivative(z + 0.5 * dt * k1, omega, cfg)
-        k3 = derivative(z + 0.5 * dt * k2, omega, cfg)
-        k4 = derivative(z + dt * k3, omega, cfg)
-        expected = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z = expected = random_initial_state(n, 4)
+        for _ in range(2):
+            k1 = derivative(expected, omega, cfg)
+            k2 = derivative(expected + 0.5 * dt * k1, omega, cfg)
+            k3 = derivative(expected + 0.5 * dt * k2, omega, cfg)
+            k4 = derivative(expected + dt * k3, omega, cfg)
+            expected = expected + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         trace = integrate(omega, cfg, z)
-        assert trace.num_samples == 2
+        assert trace.num_samples == 3
         assert np.array_equal(trace.states[-1], expected)
         block = integrate(np.array([omega, omega[::-1]]), cfg, np.array([z, z[::-1]]))
         assert np.array_equal(block.averager[0], trace.averager)
@@ -303,9 +321,9 @@ class TestIntegrate:
         a = integrate(omega, cfg, init)
         b = integrate(omega, cfg, init)
         assert np.array_equal(omega, given[0]) and np.array_equal(init, given[1])
-        for name in ("times", "states", "averager", "freq"):
+        for name in ("times", "states", "averager", "final_freq"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-            for other in (omega, init, b.times, b.states, b.averager, b.freq):
+            for other in (omega, init, b.times, b.states, b.averager, b.final_freq):
                 assert not np.shares_memory(getattr(a, name), other)
 
     def test_trace_leaves_callers_arrays_writeable(self):
@@ -398,7 +416,7 @@ class TestBatchedIntegrate:
                 assert trace.failures == (None,)
                 assert np.array_equal(trace.averager[0], alone.averager)
                 assert np.array_equal(trace.final_freq[0], alone.final_freq)
-                assert dom(trace, DomPolicy()) == [dom(alone, DomPolicy())]
+                assert dom(trace) == [dom(alone)]
 
     @settings(max_examples=25, deadline=None)
     @given(config=st.sampled_from(range(len(BATCH_CONFIGS))),
@@ -409,7 +427,7 @@ class TestBatchedIntegrate:
         assert len(block.failures) == len(block.averager) == len(rows)
 
         def readouts(trace):
-            return dom(trace, DomPolicy()), classify_lock(trace), measure_lock_time(trace)
+            return dom(trace), classify_lock(trace), measure_lock_time(trace)
 
         block_values = list(zip(*readouts(block)))
         # the trace dump's peak-detector column, read off the block at once
@@ -713,16 +731,15 @@ class TestInstantaneousFrequency:
         assert trace.final_freq[0] == pytest.approx(omega, rel=4e-5)
 
     def test_needs_three_samples(self):
-        cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, epsilon=0.0, dt=0.1, t_end=0.1)
+        cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, epsilon=0.0, dt=0.1, t_end=0.2)
         trace = integrate(np.array([1.0]), cfg, np.array([1.0 + 0j]))
-        assert trace.num_samples == 2
-        # a final state is no history, and two states are too short a one
-        for short in (trace, history_trace(np.array([1.0]), cfg, np.array([1.0 + 0j]))):
+        # a final state is no history, and two states are too short a one; no
+        # config makes a run of 2 samples, so that history is built here
+        history = np.array([[1.0 + 0j], [np.exp(0.1j)]])
+        short = SimulationTrace(sample_times(cfg)[:2], history, cfg, history[:, 0])
+        for run in (trace, short):
             with pytest.raises(InsufficientDataError, match="needs >= 3 states"):
-                instantaneous_frequency(short)
-        with pytest.raises(InsufficientDataError,
-                           match="^final frequency needs >= 3 samples, the run records 2$"):
-            trace.final_freq
+                instantaneous_frequency(run)
 
 
 class TestPeakDetector:
@@ -842,8 +859,8 @@ class TestSweepLocking:
         monkeypatch.setattr(oscconv.inference, "integrate", counting)
         with pytest.raises(ConfigurationError, match="a sweep of 5000 points"):
             sweep_locking(0.05, np.linspace(0.0, 0.2, 5000))
-        # a final frequency needs 3 samples; these runs would record 2
-        with pytest.raises(InsufficientDataError, match="needs >= 3 samples, the run records 2"):
+        # a final frequency needs 3 samples; the config takes no run of 2
+        with pytest.raises(ConfigurationError, match="make 1 step; a run needs 2 or more$"):
             sweep_locking(0.05, np.array([0.1]), t_end=0.1, dt=0.1)
         assert calls == []
 

@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 import oscconv.inference
 from oscconv import (
     ConfigurationError,
-    DomPolicy,
     Fragment,
     GaborFilter,
     Image,
-    InsufficientDataError,
     MatchReport,
     OscillatorArrayConfig,
     classify_lock,
@@ -49,13 +47,6 @@ def run_match_trace(fragment, filt, seed=0, t_end=400.0, init=None):
     return integrate(omega, cfg, random_initial_state(25, seed) if init is None else init)
 
 
-class TestDomPolicy:
-    def test_defaults(self):
-        # the one readout, the trailing mean envelope, has no settings
-        assert dataclasses.fields(DomPolicy) == ()
-        assert DomPolicy() == DomPolicy()
-
-
 class TestDom:
     def test_identical_oscillators_reach_unity(self):
         # uncoupled, equal frequencies, one shared initial state: all
@@ -66,15 +57,14 @@ class TestDom:
         init = np.full(4, 0.2 * np.exp(0.3j))
         trace = integrate(np.ones(4), cfg, init)
         assert np.array_equal(trace.states[:, 1:], trace.states[:, :1].repeat(3, axis=1))
-        assert dom(trace, DomPolicy()) == pytest.approx(1.0, abs=1e-5)
+        assert dom(trace) == pytest.approx(1.0, abs=1e-5)
 
     def test_incoherent_phases_scale_as_root_n(self):
         # frozen random phases: |mean of n unit phasors| averages to
         # ~0.886/sqrt(n), far below the coherent value
         cfg = OscillatorArrayConfig(n=25, delta_omega=0.0, epsilon=0.0, t_end=20.0)
-        policy = DomPolicy()
         values = [
-            dom(integrate(np.ones(25), cfg, random_initial_state(25, seed)), policy)
+            dom(integrate(np.ones(25), cfg, random_initial_state(25, seed)))
             for seed in range(200)
         ]
         assert 0.12 < np.mean(values) < 0.24
@@ -83,7 +73,7 @@ class TestDom:
         # the default DOM is the mean envelope over the final fifth of the run
         trace = run_match_trace(MATCH_FRAG, FILTER, t_end=100.0)
         m = round(0.2 * trace.num_samples)
-        assert dom(trace, DomPolicy()) == trace.envelope[-m:].mean()
+        assert dom(trace) == trace.envelope[-m:].mean()
 
     # from unit-amplitude initial phases the mean-field gain lifts the
     # coherent amplitude, and so the DOM, to at most sqrt(1 + eps*n/rho)
@@ -100,7 +90,7 @@ class TestDom:
         # the relative 1e-5 covers the fixed RK4 step, whose limit cycle lies
         # up to 2e-6 above the exact one at the default dt and rho >= 0.2
         bound = math.sqrt(1.0 + epsilon * n / rho) * (1.0 + 1e-5)
-        for value in dom(integrate(np.tile(omega, (3, 1)), cfg, init), DomPolicy()):
+        for value in dom(integrate(np.tile(omega, (3, 1)), cfg, init)):
             assert 0.0 <= value <= bound
 
     def test_coupled_match_exceeds_mismatch(self):
@@ -109,9 +99,8 @@ class TestDom:
         # to the fully coherent match is still wide
         match = run_match_trace(MATCH_FRAG, FILTER)
         anti = run_match_trace(ANTI_FRAG, FILTER)
-        policy = DomPolicy()
-        assert dom(match, policy) > 1.25 * dom(anti, policy)
-        assert dom(match, policy) - dom(anti, policy) > 0.25
+        assert dom(match) > 1.25 * dom(anti)
+        assert dom(match) - dom(anti) > 0.25
 
 
 class TestClassifyLock:
@@ -149,7 +138,7 @@ class TestClassifyLock:
         cfg = OscillatorArrayConfig(n=3, delta_omega=0.05, dt=0.2, t_end=20.0)
         freq = 1.0 + np.array([0.0, 0.0, fraction * cfg.delta_omega])
         trace = SimulationTrace(0.2 * np.arange(101), np.zeros((101, 3)), cfg,
-                                np.ones(101, dtype=complex), freq=freq)
+                                np.ones(101, dtype=complex), final_freq=freq)
         assert classify_lock(trace) is locked
 
 
@@ -226,7 +215,7 @@ class TestMeasureLockTime:
 def polar_report():
     bank = (FILTER, gabor_filter(5, 30.0, 0.35, phase=math.pi))
     cfg = OscillatorArrayConfig(n=25, t_end=400.0)
-    return match_filters(MATCH_FRAG, bank, cfg, DomPolicy(), seeds=(0, 1, 2))
+    return match_filters(MATCH_FRAG, bank, cfg, seeds=(0, 1, 2))
 
 
 class TestMatchFilters:
@@ -256,14 +245,14 @@ class TestMatchFilters:
     def test_tie_breaks_toward_lower_index(self):
         bank = (FILTER, FILTER)
         cfg = OscillatorArrayConfig(n=25, t_end=200.0)
-        report = match_filters(MATCH_FRAG, bank, cfg, DomPolicy(), seeds=(0,))
+        report = match_filters(MATCH_FRAG, bank, cfg, seeds=(0,))
         assert report.results[0].dom_mean == report.results[1].dom_mean
         assert report.ranking == (0, 1)
         assert report.results[0].dom_std == 0.0
 
     def test_single_seed_std_is_zero(self):
         cfg = OscillatorArrayConfig(n=25, t_end=200.0)
-        report = match_filters(MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=(5,))
+        report = match_filters(MATCH_FRAG, (FILTER,), cfg, seeds=(5,))
         assert report.results[0].dom_std == 0.0
         assert report.ranking == (0,)
         assert report.dynamic_range == 0.0
@@ -271,14 +260,14 @@ class TestMatchFilters:
     def test_reference_oscillator_adds_unit(self):
         cfg = OscillatorArrayConfig(n=26, t_end=200.0)
         report = match_filters(
-            MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=(0,),
+            MATCH_FRAG, (FILTER,), cfg, seeds=(0,),
             reference_oscillator=True,
         )
         assert report.results[0].locked
 
     def test_divergent_runs_become_error_entries(self):
         cfg = OscillatorArrayConfig(n=25, rho=1e-3, epsilon=0.5, t_end=50.0, dt=0.1)
-        report = match_filters(MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=(0,))
+        report = match_filters(MATCH_FRAG, (FILTER,), cfg, seeds=(0,))
         assert report.results == ()
         assert len(report.errors) == 1
         assert report.errors[0].filter_index == 0
@@ -289,16 +278,16 @@ class TestMatchFilters:
     def test_validation(self):
         cfg = OscillatorArrayConfig(n=25, t_end=50.0)
         with pytest.raises(ConfigurationError):
-            match_filters(MATCH_FRAG, (), cfg, DomPolicy(), seeds=(0,))
+            match_filters(MATCH_FRAG, (), cfg, seeds=(0,))
         with pytest.raises(ConfigurationError):
-            match_filters(MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=())
+            match_filters(MATCH_FRAG, (FILTER,), cfg, seeds=())
         with pytest.raises(ConfigurationError):
             match_filters(
-                MATCH_FRAG, (gabor_filter(4, 0.0, 0.2),), cfg, DomPolicy(), seeds=(0,)
+                MATCH_FRAG, (gabor_filter(4, 0.0, 0.2),), cfg, seeds=(0,)
             )
         bad_n = OscillatorArrayConfig(n=24, t_end=50.0)
         with pytest.raises(ConfigurationError):
-            match_filters(MATCH_FRAG, (FILTER,), bad_n, DomPolicy(), seeds=(0,))
+            match_filters(MATCH_FRAG, (FILTER,), bad_n, seeds=(0,))
 
     @pytest.mark.parametrize(
         "seeds, named", [((0.5, 0.7), "0.5"), ((0, 1.0), "1.0"), ((2, -1), "-1")]
@@ -308,13 +297,13 @@ class TestMatchFilters:
         cfg = OscillatorArrayConfig(n=25, t_end=50.0)
         message = f"^seed must be a non-negative integer, got {re.escape(named)}$"
         with pytest.raises(ConfigurationError, match=message):
-            match_filters(MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=seeds)
+            match_filters(MATCH_FRAG, (FILTER,), cfg, seeds=seeds)
 
     def test_numpy_integer_seeds_run_as_their_ints(self):
         cfg = OscillatorArrayConfig(n=25, t_end=50.0)
-        ints = match_filters(MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=(0, 1))
+        ints = match_filters(MATCH_FRAG, (FILTER,), cfg, seeds=(0, 1))
         numpys = match_filters(
-            MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=(np.int64(0), np.uint32(1))
+            MATCH_FRAG, (FILTER,), cfg, seeds=(np.int64(0), np.uint32(1))
         )
         assert numpys.results[0].doms == ints.results[0].doms
 
@@ -351,14 +340,14 @@ class TestSeedBlocks:
         bank = (FILTER, FILTER, gabor_filter(4, 0.0, 0.2))
         cfg = OscillatorArrayConfig(n=25, t_end=50.0)
         with pytest.raises(ConfigurationError, match="side"):
-            match_filters(MATCH_FRAG, bank, cfg, DomPolicy(), seeds=(0,))
+            match_filters(MATCH_FRAG, bank, cfg, seeds=(0,))
         assert integrate_calls() == []
 
     def test_a_wrong_n_raises_before_any_map_run(self, integrate_calls):
         img = Image(width=6, height=6, values=np.zeros(36))
         cfg = OscillatorArrayConfig(n=24, t_end=50.0)
         with pytest.raises(ConfigurationError, match="n=25"):
-            feature_map_onn(img, FILTER, cfg, DomPolicy(), seeds=(0,))
+            feature_map_onn(img, FILTER, cfg, seeds=(0,))
         assert integrate_calls() == []
 
     def test_block_cap_is_checked_before_the_seeds_are_built(self, monkeypatch):
@@ -372,7 +361,7 @@ class TestSeedBlocks:
         # at this t_end a block holds at most 47 runs
         cfg = OscillatorArrayConfig(n=25, t_end=40000.0)
         with pytest.raises(ConfigurationError, match="2\\*\\*24"):
-            match_filters(MATCH_FRAG, (FILTER,), cfg, DomPolicy(), seeds=tuple(range(60)))
+            match_filters(MATCH_FRAG, (FILTER,), cfg, seeds=tuple(range(60)))
         assert built == []
 
     def test_one_block_is_alive_at_a_time(self, integrate_calls, monkeypatch, use_cpus):
@@ -388,8 +377,8 @@ class TestSeedBlocks:
                   3: [100, 200, 200, 400, 500, 500, 300, 400, 400]}
         for cpus, expected in shares.items():
             use_cpus(cpus)
-            match_filters(MATCH_FRAG, bank, cfg, DomPolicy(), seeds)
-            feature_map_onn(img, FILTER, cfg, DomPolicy(), seeds)
+            match_filters(MATCH_FRAG, bank, cfg, seeds)
+            feature_map_onn(img, FILTER, cfg, seeds)
             calls = integrate_calls()
             assert sorted(rows for rows, _ in calls) == sorted(expected)
             assert cpus > 1 or [rows for rows, _ in calls] == expected
@@ -397,27 +386,29 @@ class TestSeedBlocks:
             # trace of an earlier call is alive in any process
             assert [held for _, held in calls] == [0] * len(expected)
 
-    @pytest.mark.parametrize("kwargs, message, error", [
-        (dict(spread_tol=-1.0), "spread_tol must be positive and finite", ConfigurationError),
-        (dict(spread_tol=math.nan), "spread_tol must be positive and finite", ConfigurationError),
-        (dict(cfg=OscillatorArrayConfig(n=25, delta_omega=0.0)), "delta_omega is 0",
-         ConfigurationError),
-        (dict(spread_tol=math.inf), "spread_tol must be positive and finite", ConfigurationError),
-        # classify_lock's final frequencies need 3 samples
-        (dict(cfg=OscillatorArrayConfig(n=25, dt=0.1, t_end=0.1)),
-         "final frequency needs >= 3 samples, the run records 2", InsufficientDataError),
+    # array: the config's settings besides n=25; kwargs: match_filters' own
+    @pytest.mark.parametrize("array, kwargs, message", [
+        pytest.param({}, dict(spread_tol=-1.0), "spread_tol must be positive and finite",
+                     id="tol-neg"),
+        pytest.param({}, dict(spread_tol=math.nan), "spread_tol must be positive and finite",
+                     id="tol-nan"),
+        pytest.param(dict(delta_omega=0.0), {}, "delta_omega is 0", id="delta-0"),
+        pytest.param({}, dict(spread_tol=math.inf), "spread_tol must be positive and finite",
+                     id="tol-inf"),
+        # classify_lock's final frequencies need 3 samples: the config takes no 1-step run
+        pytest.param(dict(dt=0.1, t_end=0.1), {}, "make 1 step; a run needs 2 or more",
+                     id="1-step"),
     ])
-    def test_readout_settings_are_checked_before_any_encoding(self, monkeypatch, kwargs, message,
-                                                              error):
+    def test_readout_settings_are_checked_before_any_encoding(self, monkeypatch, array, kwargs,
+                                                              message):
         def never(*args, **kwargs):
             raise AssertionError("called before the readout settings were checked")
 
         monkeypatch.setattr(oscconv.inference, "fsk_encode", never)
         monkeypatch.setattr(oscconv.inference, "integrate", never)
-        args = dict(fragment=MATCH_FRAG, bank=(FILTER,), cfg=OscillatorArrayConfig(n=25),
-                    policy=DomPolicy(), seeds=(0,))
-        with pytest.raises(error, match=message):
-            match_filters(**{**args, **kwargs})
+        with pytest.raises(ConfigurationError, match=message):
+            match_filters(MATCH_FRAG, (FILTER,), OscillatorArrayConfig(n=25, **array), seeds=(0,),
+                          **kwargs)
 
 
 @pytest.fixture
@@ -445,8 +436,7 @@ class TestCallSize:
         cfg = OscillatorArrayConfig(n=25, t_end=2000.0)
         for cpus, shares in [(1, [144]), (2, [72, 72]), (3, [48, 48, 48])]:
             use_cpus(cpus)
-            report = match_filters(edge_fragment(), default_bank(), cfg, DomPolicy(),
-                                   tuple(range(8)))
+            report = match_filters(edge_fragment(), default_bank(), cfg, tuple(range(8)))
             assert len(report.errors) == 18
             assert sorted(stub_calls()) == shares
 
@@ -492,7 +482,7 @@ CHUNK_SEEDS = (1, 0, 2)
 def lone_filters():
     """Each bank filter matched alone against the edge fragment."""
     return [
-        match_filters(edge_fragment(), (filt,), CHUNK_CFG, DomPolicy(), CHUNK_SEEDS)
+        match_filters(edge_fragment(), (filt,), CHUNK_CFG, CHUNK_SEEDS)
         for filt in default_bank()
     ]
 
@@ -522,7 +512,7 @@ class TestChunks:
         calls, patch = self.recording_calls()
         bank = tuple(default_bank()[p] for p in picks)
         with patch, mock.patch.object(oscconv.inference, "_CALL_STATES", budget):
-            report = match_filters(edge_fragment(), bank, CHUNK_CFG, DomPolicy(), CHUNK_SEEDS)
+            report = match_filters(edge_fragment(), bank, CHUNK_CFG, CHUNK_SEEDS)
         assert len(calls) == -(-len(bank) // int(blocks))
         assert max(states for states, _ in calls) <= budget
         results = {r.filter_index: r for r in report.results}
@@ -546,7 +536,7 @@ class TestChunks:
         budget = int(blocks * len(CHUNK_SEEDS) * CHUNK_CFG.n)
         calls, patch = self.recording_calls()
         with patch, mock.patch.object(oscconv.inference, "_CALL_STATES", budget):
-            fmap = feature_map_onn(img, filt, CHUNK_CFG, DomPolicy(), CHUNK_SEEDS)
+            fmap = feature_map_onn(img, filt, CHUNK_CFG, CHUNK_SEEDS)
         assert max(states for states, _ in calls) <= budget
         # a block keeps each run's final state, window by window and seed by seed
         final = np.concatenate([states for _, states in calls])
@@ -557,7 +547,7 @@ class TestChunks:
             for cell in range(fmap.width * fmap.height):
                 row, col = divmod(cell, fmap.width)
                 alone = feature_map_onn(Image(5, 5, img.window(row, col, 5).values), filt,
-                                        CHUNK_CFG, DomPolicy(), CHUNK_SEEDS)
+                                        CHUNK_CFG, CHUNK_SEEDS)
                 assert np.array_equal(fmap.values[cell], alone.values[0], equal_nan=True)
                 errors += [(row, col, message) for _, _, message in alone.errors]
         assert fmap.errors == tuple(errors)
@@ -594,7 +584,7 @@ class TestDominance:
         ) + (FILTER,)
         cfg = OscillatorArrayConfig(n=25, t_end=200.0)
         seeds = tuple(range(12))
-        report = match_filters(MATCH_FRAG, bank, cfg, DomPolicy(), seeds=seeds)
+        report = match_filters(MATCH_FRAG, bank, cfg, seeds=seeds)
         true_doms = report.results[3].doms
         wins = sum(
             all(true_doms[s] > report.results[j].doms[s] for j in range(3))
@@ -608,9 +598,8 @@ class TestFeatureMapOnn:
     def test_single_window_equals_match(self):
         img = Image(width=5, height=5, values=MATCH_FRAG.values.copy())
         cfg = OscillatorArrayConfig(n=25, t_end=200.0)
-        policy = DomPolicy()
-        fmap = feature_map_onn(img, FILTER, cfg, policy, seeds=(0, 1))
-        report = match_filters(MATCH_FRAG, (FILTER,), cfg, policy, seeds=(0, 1))
+        fmap = feature_map_onn(img, FILTER, cfg, seeds=(0, 1))
+        report = match_filters(MATCH_FRAG, (FILTER,), cfg, seeds=(0, 1))
         assert fmap.values.shape == (1,)
         assert fmap.width == fmap.height == 1
         assert fmap.values[0] == report.results[0].dom_mean
@@ -621,7 +610,7 @@ class TestFeatureMapOnn:
         grid[1:6, 1:6] = FILTER.values.reshape(5, 5)
         img = Image(width=6, height=6, values=grid.ravel())
         cfg = OscillatorArrayConfig(n=25, t_end=200.0)
-        fmap = feature_map_onn(img, FILTER, cfg, DomPolicy(), seeds=(0, 1))
+        fmap = feature_map_onn(img, FILTER, cfg, seeds=(0, 1))
         assert fmap.grid().shape == (2, 2)
         peak = np.unravel_index(np.argmax(fmap.grid()), (2, 2))
         assert peak == (1, 1)
@@ -629,7 +618,7 @@ class TestFeatureMapOnn:
     def test_divergent_windows_hold_nan(self):
         img = Image(width=5, height=5, values=MATCH_FRAG.values.copy())
         cfg = OscillatorArrayConfig(n=25, rho=1e-3, epsilon=0.5, t_end=50.0, dt=0.1)
-        fmap = feature_map_onn(img, FILTER, cfg, DomPolicy(), seeds=(0,))
+        fmap = feature_map_onn(img, FILTER, cfg, seeds=(0,))
         assert np.isnan(fmap.values[0])
         assert len(fmap.errors) == 1
         assert fmap.errors[0][:2] == (0, 0)
@@ -638,10 +627,10 @@ class TestFeatureMapOnn:
         img = Image(width=4, height=4, values=np.zeros(16))
         cfg = OscillatorArrayConfig(n=25, t_end=50.0)
         with pytest.raises(ConfigurationError):
-            feature_map_onn(img, FILTER, cfg, DomPolicy(), seeds=(0,))
+            feature_map_onn(img, FILTER, cfg, seeds=(0,))
         img5 = Image(width=5, height=5, values=np.zeros(25))
         with pytest.raises(ConfigurationError):
-            feature_map_onn(img5, FILTER, cfg, DomPolicy(), seeds=())
+            feature_map_onn(img5, FILTER, cfg, seeds=())
         bad_n = OscillatorArrayConfig(n=24, t_end=50.0)
         with pytest.raises(ConfigurationError):
-            feature_map_onn(img5, FILTER, bad_n, DomPolicy(), seeds=(0,))
+            feature_map_onn(img5, FILTER, bad_n, seeds=(0,))
