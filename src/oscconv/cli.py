@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _shares
-# integrate, fsk_encode and sweep_locking are not called here: perfbench/tracing.py
-# patches them under these names, and fails on a name that is missing.
+# integrate and fsk_encode are not called here: perfbench/tracing.py patches
+# them under these names, and fails on a name that is missing.
 from .dynamics import (  # noqa: F401
     OscillatorArrayConfig,
     default_peak_detector,
@@ -47,11 +47,10 @@ from .inference import (
     SWEEP_T_END,
     _SWEEP_KEYS,
     MatchReport,
-    _sweep,
     _sweep_config,
     feature_map_onn,
     match_filters,
-    sweep_locking,  # noqa: F401
+    sweep_locking,
     winner_take_all,
 )
 from .oracle import FeatureMap, Image, convolve_valid
@@ -412,9 +411,10 @@ def cmd_sweep_locking(args) -> int:
     start, step, count = _parse_grid(args.grid)
     epsilon = cfg.array.get("epsilon", SWEEP_EPSILON)
     run = {k: v for k, v in cfg.array.items() if k in _SWEEP_KEYS}
-    # the grid's last point is its largest; its config checks the block cap before it is built
-    sweep_cfg = _sweep_config(epsilon, count, start, start + step * (count - 1), **run)
-    points = _sweep(sweep_cfg, start + step * np.arange(count), cfg.seed, cfg.spread_tol)
+    # the block cap is checked before the grid is built, by its size and its last, largest point
+    _sweep_config(epsilon, count, start, start + step * (count - 1), **run)
+    points = sweep_locking(epsilon, start + step * np.arange(count), seed=cfg.seed,
+                           spread_tol=cfg.spread_tol, **run)
     out = _out_dir(args)
     _write_csv(
         out / "sweep.csv",

@@ -55,7 +55,10 @@ def default_coupling(n: int, delta_omega: float) -> float:
         raise ConfigurationError(f"n must be >= 1, got {n}")
     if not 0 <= delta_omega < math.inf:  # negated, so NaN fails too
         raise ConfigurationError(f"delta_omega must be >= 0 and finite, got {delta_omega}")
-    return 3.0 * delta_omega / n
+    coupling = 3.0 * delta_omega / n
+    if coupling == math.inf:  # 3 * delta_omega overflows past about 6e307
+        raise ConfigurationError(f"delta_omega={delta_omega:g} makes the default epsilon infinite")
+    return coupling
 
 
 def default_timestep(omega_max: float) -> float:
@@ -353,13 +356,13 @@ def random_initial_state(n: int, seed: int) -> np.ndarray:
     return np.exp(1j * np.array([math.tau * ((x >> 11) * 2.0**-53) for x in _pcg64(index, n)]))
 
 
-def _check_block(rows: int, cfg: OscillatorArrayConfig) -> None:
-    """Hold a block of rows to the VALUE_CAP values OscillatorArrayConfig lets one run record."""
+def _check_block(rows: int, cfg: OscillatorArrayConfig, what: str = "runs") -> None:
+    """Hold a block of rows, the runs, seeds or sweep points what names, to VALUE_CAP values."""
     recorded = rows * cfg.num_samples
     if recorded > VALUE_CAP:
         raise ConfigurationError(
-            f"a block of {rows} runs would record {recorded} values, more than 2**24; "
-            f"integrate fewer rows at a time, raise dt or lower t_end"
+            f"{rows} {what} would record {recorded} values, more than 2**24; "
+            f"use fewer {what}, raise dt or lower t_end"
         )
 
 

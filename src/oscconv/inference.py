@@ -187,7 +187,7 @@ def _seed_blocks(omegas, cfg: OscillatorArrayConfig, seeds: tuple[int, ...], rea
     if cfg.n != len(omegas[0]):
         raise ConfigurationError(f"cfg.n={cfg.n} but the runs need n={len(omegas[0])} oscillators")
     runs = len(seeds)
-    _check_block(runs, cfg)
+    _check_block(runs, cfg, "seeds")
     inits = np.array([random_initial_state(cfg.n, seed) for seed in seeds])
     per_call = max(1, min(_CALL_STATES // (runs * cfg.n), VALUE_CAP // (runs * cfg.num_samples)))
     cpus = _shares.cpus()
@@ -346,8 +346,9 @@ def _sweep_config(
     """Array config of a locking sweep over points detunings from lowest to highest;
     array holds those of rho, omega0 and dt that were set.
 
-    The whole grid is held to VALUE_CAP recorded values here, so a caller
-    can check a grid by its size and ends before it builds it.
+    sweep_locking builds its config here. The CLI calls it only to check a
+    grid against the VALUE_CAP block cap, by its size and ends, before it
+    builds the grid.
     """
     unknown = sorted(set(array) - set(_SWEEP_KEYS))
     if unknown:
@@ -361,12 +362,7 @@ def _sweep_config(
     cfg = OscillatorArrayConfig(
         n=2, delta_omega=0.25 * highest, epsilon=epsilon, t_end=t_end, **array
     )
-    recorded = points * cfg.num_samples
-    if recorded > VALUE_CAP:
-        raise ConfigurationError(
-            f"a sweep of {points} points would record {recorded} values, more than 2**24; "
-            f"sweep fewer points, raise dt or lower t_end"
-        )
+    _check_block(points, cfg, "sweep points")
     return cfg
 
 
@@ -406,13 +402,6 @@ def sweep_locking(
         raise ConfigurationError("detuning grid must be nonempty")
     cfg = _sweep_config(epsilon, detunings.size, float(detunings.min()), float(detunings.max()),
                         **array)
-    return _sweep(cfg, detunings, seed, spread_tol)
-
-
-def _sweep(
-    cfg: OscillatorArrayConfig, detunings: np.ndarray, seed: int, spread_tol: float | None
-) -> tuple[SweepPoint, ...]:
-    """sweep_locking over a nonempty float grid, with cfg the grid's _sweep_config."""
     # the config has checked epsilon before the default spread_tol is derived from it
     spread_tol = _spread_tol(spread_tol, cfg.epsilon, "epsilon")
     omega = np.column_stack([cfg.omega0 - 0.5 * detunings, cfg.omega0 + 0.5 * detunings])

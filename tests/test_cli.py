@@ -467,14 +467,19 @@ class TestConfigHandling:
         assert check(seeds, "seeds") is seeds
 
     @pytest.mark.parametrize("seeds, message", [
-        ("0:16000000", "a block of 16000000 runs would record"),
-        ("0:100000000000000000000", "expects 'a,b,c' or 'start:stop'"),  # too long for len()
+        pytest.param("0:16000000", "16000000 seeds would record", id="past-cap"),
+        # too long for len()
+        pytest.param("0:100000000000000000000", "expects 'a,b,c' or 'start:stop'",
+                     id="past-len"),
     ])
     def test_an_oversized_seed_range_is_one_line(self, capsys, white_image, seeds, message):
         code, _, err = run_cli(capsys, "match", white_image, "--seeds", seeds)
         assert_one_line_error(code, err)
         assert message in err
 
+
+SEEDS_PAST_CAP = ("error: 5000 seeds would record 17510000 values, more than 2**24; "
+                  "use fewer seeds, raise dt or lower t_end\n")
 
 # rejected inputs whose error line must name what to change, by test id
 BLAMED = {
@@ -483,6 +488,7 @@ BLAMED = {
     "sweep-negative-spread-tol": "spread_tol must be positive and finite, got -1",
     "sweep-grid-negative": "detunings must be >= 0",
     "match-omega0-overflows-dt": "omega_max=4e+306 is too large for a positive default dt",
+    "match-delta-omega-overflows-epsilon": "delta_omega=1e+308 makes the default epsilon infinite",
 }
 
 
@@ -576,6 +582,9 @@ class TestMalformedValues:
         # omega_max, not a dt that was never set
         pytest.param(["match", "IMAGE", "--omega0", "4e306", "--seeds", "0"],
                      id="match-omega0-overflows-dt"),
+        # 3 * delta_omega overflows: the error names delta_omega, not an epsilon never set
+        pytest.param(["match", "IMAGE", "--delta-omega", "1e308", "--seeds", "0"],
+                     id="match-delta-omega-overflows-epsilon"),
         # a side of 400 digits parses, and is rejected against the image
         pytest.param(["match", "IMAGE", "--side", "9" * 400, "--seeds", "0"],
                      id="match-side-400-digits"),
@@ -641,10 +650,13 @@ class TestMalformedValues:
         # the lock readouts need 3 samples: the config takes no 1-step run
         pytest.param(["match", "FRAGMENT", "--t-end", "0.1", "--dt", "0.1"],
                      "t_end=0.1 and dt=0.1 make 1 step; a run needs 2 or more\n", id="1-step"),
-        # 5,000 runs of 3,502 samples: past the block cap, before any window's run
-        pytest.param(["featuremap", "GRATING", "--seeds", "0:5000"],
-                     "block of 5000 runs would record 17510000 values, more than 2**24",
-                     id="cap"),
+        # 5,000 runs of 3,502 samples, or 2,001 sweep points of 10,505: past the
+        # block cap, before any window's, filter's or point's run
+        pytest.param(["featuremap", "GRATING", "--seeds", "0:5000"], SEEDS_PAST_CAP, id="cap"),
+        pytest.param(["match", "FRAGMENT", "--seeds", "0:5000"], SEEDS_PAST_CAP, id="cap-match"),
+        pytest.param(["sweep-locking", "--grid", "0:0.2:0.0001"],
+                     "error: 2001 sweep points would record 21020505 values, more than 2**24; "
+                     "use fewer sweep points, raise dt or lower t_end\n", id="cap-sweep"),
     ])
     def test_a_readout_setting_is_rejected_before_the_first_run(self, capsys, tmp_path,
                                                                monkeypatch, argv, message):
@@ -835,7 +847,12 @@ class TestSweep:
         assert code == 0
         assert "no locked point" in out
 
-    def test_an_oversized_grid_is_rejected_before_it_is_built(self, capsys, tmp_path):
+    def test_an_oversized_grid_is_rejected_before_it_is_built(self, capsys, tmp_path,
+                                                              monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("sweep_locking was called")
+
+        monkeypatch.setattr(oscconv.cli, "sweep_locking", never)
         # 10,000,001 points: the grid alone would take 80 MB
         tracemalloc.start()
         try:
@@ -845,8 +862,8 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert_one_line_error(code, err)
-        assert err == ("error: a sweep of 10000001 points would record 105050010505 values, "
-                       "more than 2**24; sweep fewer points, raise dt or lower t_end\n")
+        assert err == ("error: 10000001 sweep points would record 105050010505 values, "
+                       "more than 2**24; use fewer sweep points, raise dt or lower t_end\n")
         assert peak < 16e6
 
     def test_bad_grid(self, capsys, tmp_path):
@@ -882,12 +899,14 @@ class TestSweep:
     ):
         received = []
 
-        def recorder(cfg, grid, seed, spread_tol):
-            # the span of the config the sweep runs with, its default included
+        # one call a command; the span of the config it runs with, its default included
+        def recorder(epsilon, detunings, *, seed, spread_tol, **array):
+            cfg = oscconv.inference._sweep_config(epsilon, detunings.size, detunings.min(),
+                                                  detunings.max(), **array)
             received.append((cfg.epsilon, cfg.t_end, seed))
             return ()
 
-        monkeypatch.setattr(oscconv.cli, "_sweep", recorder)
+        monkeypatch.setattr(oscconv.cli, "sweep_locking", recorder)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code, _, _ = run_cli(

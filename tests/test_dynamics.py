@@ -28,7 +28,7 @@ from oscconv import (
     random_initial_state,
     sweep_locking,
 )
-from oscconv.dynamics import default_peak_detector, sample_times
+from oscconv.dynamics import _check_block, default_peak_detector, sample_times
 from reference import history_trace, rk4_history
 
 
@@ -93,6 +93,17 @@ class TestConfig:
             message = re.escape(f"omega_max={omega_max:g} is too large for a positive default dt")
             with pytest.raises(ConfigurationError, match=f"^{message}$"):
                 default_timestep(omega_max)
+
+    def test_default_coupling_rejects_a_delta_omega_whose_coupling_overflows(self):
+        # 3 * delta_omega overflows past about 6e307; the error names delta_omega,
+        # not the epsilon it defaults
+        assert default_coupling(25, 5.9e307) == 3.0 * 5.9e307 / 25
+        for delta_omega in (6e307, 1e308):
+            message = re.escape(f"delta_omega={delta_omega:g} makes the default epsilon infinite")
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                default_coupling(25, delta_omega)
+        with pytest.raises(ConfigurationError, match="^delta_omega=1e\\+308 makes"):
+            OscillatorArrayConfig(n=25, delta_omega=1e308)
 
     # final_freq reads 3 samples, so a run takes 2 steps or more
     def test_a_run_takes_at_least_two_steps(self):
@@ -539,6 +550,14 @@ class TestBatchedIntegrate:
         cfg = OscillatorArrayConfig(n=25)
         with pytest.raises(ConfigurationError, match="4800 runs.*2\\*\\*24"):
             integrate(np.ones((4800, 25)), cfg, random_initial_state(25, 0))
+        # at 4,096 samples a run, 4,096 rows record exactly 2**24 values and fit
+        cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, dt=0.125, t_end=4095 * 0.125)
+        assert cfg.num_samples == 2**12
+        _check_block(2**12, cfg)
+        message = re.escape("4097 runs would record 16781312 values, more than 2**24; "
+                            "use fewer runs, raise dt or lower t_end")
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            _check_block(2**12 + 1, cfg)
 
     def test_a_block_whose_rows_all_fail_holds_zeros(self):
         # the rows fail at steps 14-16 of 350 and the loop stops at the last;
@@ -730,6 +749,23 @@ class TestInstantaneousFrequency:
         # RK4's phase error at the guard, 25 steps a period, is 3.25e-5 of omega
         assert trace.final_freq[0] == pytest.approx(omega, rel=4e-5)
 
+    # the moving average spans a period of omega0, 2*pi/(omega0*dt) samples; the
+    # frequencies of a beating pair vary, so a window of another length reads another
+    # final_freq. At omega0 1, 2*pi/omega0 and 2*pi*omega0 are the same period.
+    @pytest.mark.parametrize("omega0, dt, window", [(2.0, 0.05, 63), (0.5, 0.1, 126)])
+    def test_final_freq_smooths_over_a_period_of_omega0(self, omega0, dt, window):
+        assert window == round(2.0 * math.pi / (omega0 * dt))
+        # a detuning of 0.1 against 2*eps = 0.02: the pair beats
+        cfg = OscillatorArrayConfig(n=2, omega0=omega0, epsilon=0.01, dt=dt, t_end=60.0)
+        omega, init = omega0 + np.array([-0.05, 0.05]), random_initial_state(2, 1)
+        trace = integrate(omega, cfg, init)
+        num = trace.num_samples
+        gradient = np.gradient(unwrapped_phases(rk4_history(omega, cfg, init)), trace.times, axis=0)
+        # sample k averages samples k - window//2 + [0, window), each clamped into the run
+        taps = np.clip(np.arange(num)[:, None] + np.arange(window) - window // 2, 0, num - 1)
+        reference = gradient[taps].mean(axis=1)[-max(1, num // 10):].mean(axis=0)
+        assert np.abs(trace.final_freq - reference).max() <= 1e-12
+
     def test_needs_three_samples(self):
         cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, epsilon=0.0, dt=0.1, t_end=0.2)
         trace = integrate(np.array([1.0]), cfg, np.array([1.0 + 0j]))
@@ -857,12 +893,40 @@ class TestSweepLocking:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(oscconv.inference, "integrate", counting)
-        with pytest.raises(ConfigurationError, match="a sweep of 5000 points"):
+        with pytest.raises(ConfigurationError, match="^5000 sweep points would record"):
             sweep_locking(0.05, np.linspace(0.0, 0.2, 5000))
         # a final frequency needs 3 samples; the config takes no run of 2
         with pytest.raises(ConfigurationError, match="make 1 step; a run needs 2 or more$"):
             sweep_locking(0.05, np.array([0.1]), t_end=0.1, dt=0.1)
         assert calls == []
+
+    # 4,096 samples a run: 4,096 seeds or sweep points record exactly the cap
+    @pytest.mark.parametrize("rows", [2**12, 2**12 + 1])
+    def test_seeds_and_sweep_points_are_held_to_the_cap(self, monkeypatch, use_cpus, rows):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(oscconv.inference, "integrate", reached)
+        use_cpus(1)
+        run = dict(dt=0.125, t_end=4095 * 0.125)
+        cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, **run)
+        calls = {
+            "seeds": lambda: next(oscconv.inference._seed_blocks(
+                [np.ones(1)], cfg, tuple(range(rows)), None)),
+            "sweep points": lambda: sweep_locking(0.05, np.linspace(0.0, 0.1, rows), **run),
+        }
+        for what, call in calls.items():
+            if rows == 2**12:
+                with pytest.raises(Reached):
+                    call()
+            else:
+                message = re.escape(f"{rows} {what} would record {rows * 2**12} values, more "
+                                    f"than 2**24; use fewer {what}, raise dt or lower t_end")
+                with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                    call()
 
     def test_divergence_is_the_first_failing_detunings(self):
         # every detuning diverges, the later ones at earlier steps; the sweep
