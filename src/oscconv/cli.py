@@ -26,15 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _shares
-# integrate and fsk_encode are not called here: perfbench/tracing.py patches
-# them under these names, and fails on a name that is missing.
-from .dynamics import (  # noqa: F401
-    OscillatorArrayConfig,
-    default_peak_detector,
-    integrate,
-    sample_times,
-)
+# dynamics.peak_detector is called through its module, where perfbench/tracing.py
+# patches it. integrate and fsk_encode are not called here: the tracer patches them
+# under these names, and fails on a name that is missing.
+from . import _shares, dynamics
+from .dynamics import OscillatorArrayConfig, integrate, sample_times  # noqa: F401
 from .encoding import GaborFilter, default_bank, fsk_encode, gabor_filter  # noqa: F401
 from .errors import ConfigurationError, InputError, NumericError, OscconvError
 from .hardware import (
@@ -191,7 +187,6 @@ _SETTINGS = {
     "dt": (_number, "--dt", dict(type=float)),
     "t_end": (_number, "--t-end", dict(type=float)),
     "side": (_natural, "--side", dict(type=int, help="fragment/filter side in pixels")),
-    "spread_tol": (_number, "--spread-tol", dict(type=float)),
     # a bank file path or an inline list of entries
     "bank": (lambda v, name: v if isinstance(v, str) else _bank_entries(v, name), "--bank",
              dict(help="JSON bank file: list of {theta_deg, k, phase, binarized}")),
@@ -217,7 +212,6 @@ class RunConfig:
     seed: int = 0  # sweep-locking's initial phases; match and featuremap use seeds
     side: int = 5
     seeds: tuple | range = range(8)
-    spread_tol: float | None = None
     reference_oscillator: bool = False
     bank: object = None  # None (default bank), path string, or checked entries
 
@@ -328,12 +322,7 @@ def cmd_match(args) -> int:
     n = cfg.side ** 2 + (1 if cfg.reference_oscillator else 0)
     array_cfg = cfg.array_config(n)
     report = match_filters(
-        fragment,
-        bank,
-        array_cfg,
-        cfg.seeds,
-        reference_oscillator=cfg.reference_oscillator,
-        spread_tol=cfg.spread_tol,
+        fragment, bank, array_cfg, cfg.seeds, reference_oscillator=cfg.reference_oscillator
     )
     out = _out_dir(args)
     _write_csv(
@@ -379,7 +368,7 @@ def _dump_traces(out: Path, report: MatchReport, array_cfg: OscillatorArrayConfi
     are written in as many shares as there are CPUs this process may use, or fewer."""
     averagers = np.array([result.averager for result in report.results])
     envelopes = np.abs(averagers)
-    peaks = default_peak_detector(envelopes, array_cfg)
+    peaks = dynamics.peak_detector(envelopes, array_cfg)
     times = list(_cells(sample_times(array_cfg)))  # every file has the same sample times
 
     def write(indices: range) -> None:
@@ -413,8 +402,7 @@ def cmd_sweep_locking(args) -> int:
     run = {k: v for k, v in cfg.array.items() if k in _SWEEP_KEYS}
     # the block cap is checked before the grid is built, by its size and its last, largest point
     _sweep_config(epsilon, count, start, start + step * (count - 1), **run)
-    points = sweep_locking(epsilon, start + step * np.arange(count), seed=cfg.seed,
-                           spread_tol=cfg.spread_tol, **run)
+    points = sweep_locking(epsilon, start + step * np.arange(count), seed=cfg.seed, **run)
     out = _out_dir(args)
     _write_csv(
         out / "sweep.csv",
@@ -498,8 +486,8 @@ def cmd_hw(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-# the setting flags of match but --reference-oscillator, which it lists first;
-# featuremap takes them less --spread-tol, as it reads no lock
+# the setting flags of match and featuremap but --reference-oscillator, which
+# match lists first
 _RUN_FLAGS = [key for key, (_, flag, _) in _SETTINGS.items()
               if flag and key != "reference_oscillator"]
 
@@ -532,11 +520,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep-locking", help="two-oscillator locking sweep")
     _add_flags(p, "epsilon", epsilon=f"coupling coefficient (default {SWEEP_EPSILON:g})")
     p.add_argument("--grid", default="0:0.2:0.01", help="detuning grid 'start:stop:step'")
-    _add_flags(
-        p, *_SWEEP_KEYS, "spread_tol",
-        t_end=f"span per run (default {SWEEP_T_END:g})",
-        spread_tol="locked threshold on the final frequency gap (default 0.1*epsilon)",
-    )
+    _add_flags(p, *_SWEEP_KEYS, t_end=f"span per run (default {SWEEP_T_END:g})")
     _add_io_flags(p)
     p.set_defaults(func=cmd_sweep_locking)
 
@@ -548,7 +532,7 @@ def build_parser() -> _Parser:
     p.add_argument("--phase", type=float, help="filter phase offset (default 0)")
     p.add_argument("--raw-filter", action="store_true", help="skip binarization")
     _add_io_flags(p)
-    _add_flags(p, *(key for key in _RUN_FLAGS if key != "spread_tol"))
+    _add_flags(p, *_RUN_FLAGS)
     p.set_defaults(func=cmd_featuremap)
 
     p = sub.add_parser("hw", help="hardware locking range, power, and cost")

@@ -39,6 +39,8 @@ from .errors import (
 DIVERGENCE_FACTOR = 10.0
 # Averager samples one run, or one block of runs, may record: 256 MiB.
 VALUE_CAP = 2**24
+# The peak detector's decay time constant, in carrier periods of omega0.
+PEAK_DECAY_PERIODS = 10.0
 
 
 def default_coupling(n: int, delta_omega: float) -> float:
@@ -555,35 +557,23 @@ def instantaneous_frequency(trace: SimulationTrace) -> np.ndarray:
     return _moving_average(freq, _smoothing_window(trace.config, trace.num_samples))
 
 
-def peak_detector(envelope: np.ndarray, tau_decay: float, dt: float) -> np.ndarray:
+def peak_detector(envelope: np.ndarray, cfg: OscillatorArrayConfig) -> np.ndarray:
     """Behavioral peak detector: decaying running maximum of the envelope.
 
-    v[0] = envelope[0]; v[k] = max(envelope[k], v[k-1] * exp(-dt/tau_decay)),
-    along the last axis, so a block of envelopes is one pass.
-
-    Args:
-        envelope: sampled non-negative signal, shape (..., samples).
-        tau_decay: decay time constant, radian-time.
-        dt: sample spacing of the envelope.
+    v[0] = envelope[0]; v[k] = max(envelope[k], v[k-1] * exp(-dt/tau)),
+    along the last axis, so a block of envelopes is one pass. The envelope
+    is sampled every cfg.dt, and tau spans PEAK_DECAY_PERIODS carrier
+    periods, 2*pi/omega0 each.
 
     Raises:
         InsufficientDataError: for an empty envelope.
     """
-    for name, value in (("tau_decay", tau_decay), ("dt", dt)):
-        if not 0 < value < math.inf:
-            raise ConfigurationError(f"{name} must be positive and finite, got {value}")
     envelope = np.asarray(envelope, dtype=np.float64)
     if envelope.size == 0:
         raise InsufficientDataError("peak detector needs at least one envelope sample")
-    decay = math.exp(-dt / tau_decay)
+    decay = math.exp(-cfg.dt / (PEAK_DECAY_PERIODS * 2.0 * math.pi / cfg.omega0))
     out = np.empty_like(envelope)
     held = out[..., 0] = envelope[..., 0]
     for k in range(1, envelope.shape[-1]):
         held = out[..., k] = np.maximum(envelope[..., k], held * decay)
     return out
-
-
-def default_peak_detector(envelope: np.ndarray, cfg: OscillatorArrayConfig) -> np.ndarray:
-    """Peak detector on a trace envelope, decaying over ten carrier periods."""
-    tau = 10.0 * 2.0 * math.pi / cfg.omega0
-    return peak_detector(envelope, tau, cfg.dt)

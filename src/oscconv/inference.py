@@ -33,6 +33,9 @@ from .oracle import FeatureMap, Image, dot
 DOM_TRAILING_FRACTION = 0.2
 # the lock-time envelope threshold, as a fraction of the final plateau
 DOM_THRESHOLD_FRACTION = 0.8
+# the lock tolerance on final frequencies, as a fraction of the array's frequency
+# scale: delta_omega for a match, epsilon for a locking sweep
+LOCK_SPREAD_FRACTION = 0.1
 
 
 def dom(trace: SimulationTrace) -> float | list[float]:
@@ -65,31 +68,26 @@ def _median(values) -> np.ndarray:
     return np.where(np.isnan(last), last, median)
 
 
-def classify_lock(trace: SimulationTrace, spread_tol: float | None = None) -> bool | list[bool]:
+def classify_lock(trace: SimulationTrace) -> bool | list[bool]:
     """Whether the array has synchronized to a common frequency.
 
-    True iff max_i |f_i - median(f)| < spread_tol, with f_i the
-    per-oscillator instantaneous frequency averaged over the final 10%
-    of the trace and median(f) their median as np.median takes it (the
-    middle f_i, or the mean of the two middle ones; NaN if any f_i is).
-    spread_tol defaults to 0.1 * delta_omega. A block trace gives one
-    flag per row.
+    True iff max_i |f_i - median(f)| < LOCK_SPREAD_FRACTION * delta_omega,
+    with f_i the per-oscillator instantaneous frequency averaged over the
+    final 10% of the trace and median(f) their median as np.median takes
+    it (the middle f_i, or the mean of the two middle ones; NaN if any f_i
+    is). A block trace gives one flag per row.
     """
-    spread_tol = _spread_tol(spread_tol, trace.config.delta_omega, "delta_omega")
+    tolerance = _lock_tolerance(trace.config.delta_omega, "delta_omega")
     final = trace.final_freq
     spread = np.abs(final - _median(final)).max(axis=-1)
-    return (spread < spread_tol).tolist()
+    return (spread < tolerance).tolist()
 
 
-def _spread_tol(spread_tol: float | None, scale: float, name: str) -> float:
-    """spread_tol, or its default 0.1 * scale, checked; name is scale's setting, for errors."""
-    if spread_tol is None:
-        if scale == 0:
-            raise ConfigurationError(f"{name} is 0: set spread_tol (default 0.1*{name})")
-        spread_tol = 0.1 * scale
-    if not 0 < spread_tol < math.inf:
-        raise ConfigurationError(f"spread_tol must be positive and finite, got {spread_tol}")
-    return spread_tol
+def _lock_tolerance(scale: float, name: str) -> float:
+    """LOCK_SPREAD_FRACTION * scale; name is scale's setting, which a 0 tolerance blames."""
+    if scale == 0:  # a 0 tolerance would read every row as unlocked
+        raise ConfigurationError(f"{name} is 0, and so is the lock tolerance; set {name} above 0")
+    return LOCK_SPREAD_FRACTION * scale
 
 
 def measure_lock_time(trace: SimulationTrace) -> float | None | list[float | None]:
@@ -214,7 +212,6 @@ def match_filters(
     cfg: OscillatorArrayConfig,
     seeds: tuple[int, ...],
     reference_oscillator: bool = False,
-    spread_tol: float | None = None,
 ) -> MatchReport:
     """Match a fragment against every filter in the bank.
 
@@ -235,13 +232,11 @@ def match_filters(
         seeds: nonempty initial-phase seeds, one run per seed.
         reference_oscillator: append one extra oscillator at omega0 that
             encodes no pixel.
-        spread_tol: lock-classification frequency tolerance
-            (None: 0.1 * delta_omega).
     """
     if not bank:
         raise ConfigurationError("filter bank must be nonempty")
     # the lock tolerance is checked before the first filter is encoded
-    spread_tol = _spread_tol(spread_tol, cfg.delta_omega, "delta_omega")
+    _lock_tolerance(cfg.delta_omega, "delta_omega")
     # every filter is encoded, and its side checked, before the first run
     omegas = [fsk_encode(fragment, filt, cfg) for filt in bank]
     if reference_oscillator:
@@ -249,7 +244,7 @@ def match_filters(
 
     def read(trace: SimulationTrace) -> dict:
         doms = dom(trace)
-        locked = sum(classify_lock(trace, spread_tol)) * 2 > len(seeds)
+        locked = sum(classify_lock(trace)) * 2 > len(seeds)
         finite = [t for t in measure_lock_time(trace) if t is not None]
         lock_time = _median(finite).item() if locked and finite else None
         return dict(dom_mean=float(np.mean(doms)), dom_std=float(np.std(doms)), doms=tuple(doms),
@@ -371,7 +366,6 @@ def sweep_locking(
     detunings: np.ndarray,
     *,
     seed: int = 0,
-    spread_tol: float | None = None,
     **array: float | None,
 ) -> tuple[SweepPoint, ...]:
     """Two-oscillator locking sweep over a detuning grid.
@@ -379,14 +373,13 @@ def sweep_locking(
     For each detuning d, a one-run block of _seed_blocks, the oscillators
     run at omega0 -/+ d/2 under coupling epsilon. A point is locked
     when the gap between the two final instantaneous frequencies
-    (averaged over the last 10% of the trace) is below spread_tol.
+    (averaged over the last 10% of the trace) is below
+    LOCK_SPREAD_FRACTION * epsilon.
 
     Args:
         epsilon: coupling coefficient.
         detunings: grid of detuning values, each >= 0.
         seed: initial-phase seed shared by all points.
-        spread_tol: locked threshold on the final frequency gap;
-            None selects 0.1 * epsilon.
         array: any of the array settings t_end, rho, omega0 and dt, with
             OscillatorArrayConfig's defaults; t_end defaults to SWEEP_T_END,
             and dt to the default for the fastest frequency on the grid.
@@ -402,14 +395,14 @@ def sweep_locking(
         raise ConfigurationError("detuning grid must be nonempty")
     cfg = _sweep_config(epsilon, detunings.size, float(detunings.min()), float(detunings.max()),
                         **array)
-    # the config has checked epsilon before the default spread_tol is derived from it
-    spread_tol = _spread_tol(spread_tol, cfg.epsilon, "epsilon")
+    # the config has checked epsilon before the lock tolerance is derived from it
+    tolerance = _lock_tolerance(cfg.epsilon, "epsilon")
     omega = np.column_stack([cfg.omega0 - 0.5 * detunings, cfg.omega0 + 0.5 * detunings])
 
     def read(trace: SimulationTrace) -> tuple[bool, float, float]:
         gap = abs(trace.final_freq[0, 1] - trace.final_freq[0, 0])
         window = trace.envelope[0, -max(1, trace.num_samples // 5):]
-        return bool(gap < spread_tol), float(gap), float((window.max() - window.min()) / 2.0)
+        return bool(gap < tolerance), float(gap), float((window.max() - window.min()) / 2.0)
 
     outcomes = list(_seed_blocks(omega, cfg, (seed,), read))
     failure = next((f for _, f in outcomes if f is not None), None)

@@ -71,11 +71,13 @@ def write_pgm(path: str | os.PathLike, raw: np.ndarray, maxval: int = 255) -> No
         raise InputError(f"PGM data must be 2-D, got shape {raw.shape}")
     if not 1 <= maxval <= 255:
         raise InputError(f"only 8-bit PGM supported, maxval {maxval}")
-    if not np.isfinite(raw).all():  # before the int cast, which would warn on NaN
+    # both checks come before the int cast, which would warn on NaN or a value past int64
+    if not np.isfinite(raw).all():
         raise InputError("pixel values must be finite")
-    pixels = np.rint(raw).astype(np.int64)
-    if pixels.min() < 0 or pixels.max() > maxval:
+    rounded = np.rint(raw)
+    if rounded.min() < 0 or rounded.max() > maxval:
         raise InputError(f"pixel values outside [0, {maxval}]")
+    pixels = rounded.astype(np.int64)
     lines = ["P2", f"{raw.shape[1]} {raw.shape[0]}", f"{maxval}"]
     lines += [" ".join(str(v) for v in row) for row in pixels]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -26,7 +26,7 @@ from oscconv import (
     random_initial_state,
 )
 from oscconv.cli import RunConfig, build_parser, load_image, main
-from oscconv.dynamics import default_peak_detector
+from oscconv.dynamics import peak_detector
 from oscconv.pgm import write_pgm
 
 
@@ -222,7 +222,7 @@ class TestMatch:
             dumped = np.array(rows, dtype=np.float64)
             expected = np.column_stack([
                 trace.times, trace.averager.real, trace.averager.imag,
-                trace.envelope, default_peak_detector(trace.envelope, trace.config),
+                trace.envelope, peak_detector(trace.envelope, trace.config),
             ])
             assert np.array_equal(dumped, expected)
 
@@ -242,7 +242,7 @@ class TestMatch:
         for index, entry in enumerate(entries):
             omega = fsk_encode(fragment, gabor_filter(5, entry["theta_deg"], entry["k"]), cfg)
             trace = integrate(omega, cfg, random_initial_state(cfg.n, 0))
-            peak = default_peak_detector(trace.envelope, trace.config)
+            peak = peak_detector(trace.envelope, trace.config)
             held += int((peak != trace.envelope).sum())
             name = f"trace_filter_{index:02d}.csv"
             oscconv.cli._write_csv(
@@ -364,7 +364,7 @@ class TestConfigHandling:
                                                                white_image):
         # only match adds the reference oscillator and reads a lock
         plain, configured = runs_without_and_with_config(
-            capsys, tmp_path, {"reference_oscillator": True, "spread_tol": -1.0}, "featuremap",
+            capsys, tmp_path, {"reference_oscillator": True}, "featuremap",
             white_image, "--seeds", "0,1", "--t-end", "20",
         )
         assert plain == configured
@@ -372,8 +372,9 @@ class TestConfigHandling:
 
     def test_unknown_config_field(self, capsys, tmp_path, white_image):
         # include_self_in_sum is no setting: every run couples through the self-inclusive mean
-        # field; the DOM window and the lock-time threshold are fixed readouts; a run records
-        # every step; the DOM readout, the trailing mean envelope, has no settings
+        # field; the DOM window, the lock-time threshold and the lock tolerance are fixed
+        # readouts; a run records every step; the DOM readout, the trailing mean envelope, has
+        # no settings
         cfg = tmp_path / "cfg.json"
         for config, key, command in [
             ({"bogus": True}, "bogus", ["match", white_image]),
@@ -385,6 +386,8 @@ class TestConfigHandling:
             ({"dom_policy": {"method": "sample_peak_detector", "sample_time": 30.0}},
              "dom_policy", ["match", white_image]),
             ({"dom_policy": {}}, "dom_policy", ["featuremap", white_image]),
+            ({"spread_tol": 0.1}, "spread_tol", ["match", white_image]),
+            ({"spread_tol": 0.1}, "spread_tol", ["sweep-locking"]),
         ]:
             cfg.write_text(json.dumps(config))
             code, _, err = run_cli(capsys, *command, "--config", str(cfg))
@@ -406,17 +409,20 @@ class TestConfigHandling:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    # the DOM window and the lock-time threshold are fixed readouts, a run records
-    # every step, and DOM is read one way, off the envelope: none of them is a setting
-    @pytest.mark.parametrize("command", ["match", "featuremap"])
+    # the DOM window, the lock-time threshold and the lock tolerance are fixed readouts,
+    # a run records every step, and DOM is read one way, off the envelope: none of them
+    # is a setting
+    @pytest.mark.parametrize("command", ["match", "featuremap", "sweep-locking"])
     @pytest.mark.parametrize("flag, value", [("--dom-threshold", "0.8"),
                                              ("--trailing-fraction", "0.2"),
                                              ("--stride", "3"),
                                              ("--dom-method", "sample_peak_detector"),
-                                             ("--sample-time", "30")])
+                                             ("--sample-time", "30"),
+                                             ("--spread-tol", "0.1")])
     def test_retired_readout_flags_are_not_options(self, capsys, white_image, command, flag,
                                                    value):
-        code, _, err = run_cli(capsys, command, white_image, flag, value)
+        image = [] if command == "sweep-locking" else [white_image]
+        code, _, err = run_cli(capsys, command, *image, flag, value)
         assert_one_line_error(code, err)
         assert f"unrecognized arguments: {flag} {value}" in err
 
@@ -484,8 +490,8 @@ SEEDS_PAST_CAP = ("error: 5000 seeds would record 17510000 values, more than 2**
 # rejected inputs whose error line must name what to change, by test id
 BLAMED = {
     "sweep-negative-epsilon": "epsilon must be >= 0 and finite, got -1",
-    "sweep-zero-epsilon": "epsilon is 0: set spread_tol (default 0.1*epsilon)",
-    "sweep-negative-spread-tol": "spread_tol must be positive and finite, got -1",
+    "sweep-zero-epsilon": "epsilon is 0, and so is the lock tolerance; set epsilon above 0",
+    "sweep-negative-spread-tol": "unrecognized arguments: --spread-tol -1",
     "sweep-grid-negative": "detunings must be >= 0",
     "match-omega0-overflows-dt": "omega_max=4e+306 is too large for a positive default dt",
     "match-delta-omega-overflows-epsilon": "delta_omega=1e+308 makes the default epsilon infinite",
@@ -506,6 +512,7 @@ class TestMalformedValues:
             {"bank": [{"theta_deg": 0, "k": "x"}]}, ["--t-end", "2", "--seeds", "0"],
             id="bank-inline-k-string",
         ),
+        # the lock tolerance is no setting: its retired key is refused whatever its value
         pytest.param({"spread_tol": "3"}, ["--t-end", "2", "--seeds", "0"], id="spread_tol-string"),
         pytest.param({"rho": float("nan")}, ["--t-end", "2", "--seeds", "0"], id="rho-nan"),
     ])
@@ -610,11 +617,12 @@ class TestMalformedValues:
                      id="featuremap-phase-overflows-the-phase"),
         pytest.param(["match", "IMAGE", "--bank", "HUGE_K_BANK", "--seeds", "0", "--t-end", "20"],
                      id="match-bank-k-overflows-the-phase"),
-        # the sweep's coupling is checked before its default gap tolerance is derived from it
+        # the sweep's coupling is checked before its gap tolerance is derived from it
         pytest.param(["sweep-locking", "--epsilon", "-1", "--grid", "0:0.2:0.1", "--t-end", "20"],
                      id="sweep-negative-epsilon"),
         pytest.param(["sweep-locking", "--epsilon", "0", "--grid", "0:0.2:0.1", "--t-end", "20"],
                      id="sweep-zero-epsilon"),
+        # the lock tolerance is no setting
         pytest.param(["sweep-locking", "--spread-tol", "-1", "--grid", "0:0.2:0.1", "--t-end",
                       "20"], id="sweep-negative-spread-tol"),
     ])
@@ -641,12 +649,16 @@ class TestMalformedValues:
         assert_one_line_error(code, err)
 
     @pytest.mark.parametrize("argv, message", [
+        # the lock tolerance is no setting, and a scale of 0 would make it 0, which
+        # would read every row as unlocked
         pytest.param(["match", "FRAGMENT", "--spread-tol", "-1"],
-                     "spread_tol must be positive and finite", id="tol-neg"),
-        pytest.param(["match", "FRAGMENT", "--spread-tol", "0"],
-                     "spread_tol must be positive and finite", id="tol-0"),
+                     "error: unrecognized arguments: --spread-tol -1\n", id="tol-neg"),
+        pytest.param(["sweep-locking", "--epsilon", "0"],
+                     "error: epsilon is 0, and so is the lock tolerance; set epsilon above 0\n",
+                     id="tol-0"),
         pytest.param(["match", "FRAGMENT", "--delta-omega", "0"],
-                     "delta_omega is 0: set spread_tol", id="delta-0"),
+                     "error: delta_omega is 0, and so is the lock tolerance; "
+                     "set delta_omega above 0\n", id="delta-0"),
         # the lock readouts need 3 samples: the config takes no 1-step run
         pytest.param(["match", "FRAGMENT", "--t-end", "0.1", "--dt", "0.1"],
                      "t_end=0.1 and dt=0.1 make 1 step; a run needs 2 or more\n", id="1-step"),
@@ -671,16 +683,16 @@ class TestMalformedValues:
         assert_one_line_error(code, err)
         assert message in err
 
-    def test_zero_delta_omega_names_spread_tol(self, capsys, tmp_path, white_image,
-                                               one_filter_bank):
+    def test_zero_delta_omega_names_delta_omega(self, capsys, tmp_path, white_image,
+                                                one_filter_bank):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"delta_omega": 0}))
         argv = ["match", white_image, "--config", str(cfg), "--bank", one_filter_bank,
                 "--seeds", "0", "--t-end", "20", "--out-dir", str(tmp_path / "o")]
         code, _, err = run_cli(capsys, *argv)
         assert_one_line_error(code, err)
-        assert "delta_omega is 0: set spread_tol" in err
-        code, _, err = run_cli(capsys, *argv, "--spread-tol", "0.01")
+        assert "delta_omega is 0, and so is the lock tolerance; set delta_omega above 0" in err
+        code, _, err = run_cli(capsys, *argv, "--delta-omega", "0.01")
         assert code == 0 and err == ""
 
     # the lock readouts need 3 samples: every command refuses a run of 1 step,
@@ -765,7 +777,7 @@ def test_float_csv_writes_the_bytes_of_csv(tmp_path, columns):
 # Every config key, and values of the wrong JSON type, non-finite or negative
 CONFIG_KEYS = (
     "rho", "omega0", "delta_omega", "epsilon", "dt", "t_end",
-    "seed", "side", "seeds", "spread_tol",
+    "seed", "side", "seeds",
     "reference_oscillator", "bank",
 )
 BAD_VALUES = st.one_of(
@@ -900,7 +912,7 @@ class TestSweep:
         received = []
 
         # one call a command; the span of the config it runs with, its default included
-        def recorder(epsilon, detunings, *, seed, spread_tol, **array):
+        def recorder(epsilon, detunings, *, seed, **array):
             cfg = oscconv.inference._sweep_config(epsilon, detunings.size, detunings.min(),
                                                   detunings.max(), **array)
             received.append((cfg.epsilon, cfg.t_end, seed))
@@ -1056,11 +1068,11 @@ class TestParser:
         assert_one_line_error(code, err)
         assert f"{key} must be" in err
 
-    def test_sweep_settings_are_its_array_keys_epsilon_and_spread_tol(self):
+    def test_sweep_settings_are_epsilon_and_its_array_keys(self):
         # cmd_sweep_locking passes on exactly the array settings its flags set
         dests = [a.dest for a in subcommands()["sweep-locking"]._actions
                  if a.dest in oscconv.cli._SETTINGS]
-        assert dests == ["epsilon", *oscconv.cli._SWEEP_KEYS, "spread_tol"]
+        assert dests == ["epsilon", *oscconv.cli._SWEEP_KEYS]
 
     def test_the_cli_states_and_runs_the_library_defaults(self):
         # the sweep span --help states
@@ -1069,11 +1081,11 @@ class TestParser:
         assert f"span per run (default {span:g})" in help_text
 
     def test_featuremap_offers_no_lock_flag(self, capsys, white_image):
-        # featuremap reads no lock: --spread-tol and --reference-oscillator are match's own
-        lock_flags = {"--spread-tol", "--reference-oscillator"}
-        assert not lock_flags & subcommands()["featuremap"]._option_string_actions.keys()
-        assert lock_flags <= subcommands()["match"]._option_string_actions.keys()
-        code, _, err = run_cli(capsys, "featuremap", white_image, "--spread-tol", "0.1")
+        # featuremap reads no lock: --reference-oscillator is match's own
+        flag = "--reference-oscillator"
+        assert flag not in subcommands()["featuremap"]._option_string_actions
+        assert flag in subcommands()["match"]._option_string_actions
+        code, _, err = run_cli(capsys, "featuremap", white_image, flag)
         assert_one_line_error(code, err)
 
     def test_unknown_subcommand(self, capsys):

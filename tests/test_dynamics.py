@@ -28,7 +28,7 @@ from oscconv import (
     random_initial_state,
     sweep_locking,
 )
-from oscconv.dynamics import _check_block, default_peak_detector, sample_times
+from oscconv.dynamics import PEAK_DECAY_PERIODS, _check_block, sample_times
 from reference import history_trace, rk4_history
 
 
@@ -442,7 +442,7 @@ class TestBatchedIntegrate:
 
         block_values = list(zip(*readouts(block)))
         # the trace dump's peak-detector column, read off the block at once
-        block_peaks = default_peak_detector(block.envelope, cfg)
+        block_peaks = peak_detector(block.envelope, cfg)
         # a block keeps each row's final state: its rows sum their final
         # frequencies as they run
         assert block.states.shape == (len(rows), 1, cfg.n)
@@ -457,7 +457,7 @@ class TestBatchedIntegrate:
             assert classify_lock(block)[i] == classify_lock(single)
             # the block's readouts give each row its lone run's values
             assert block_values[i] == readouts(single)
-            assert np.array_equal(block_peaks[i], default_peak_detector(single.envelope, cfg))
+            assert np.array_equal(block_peaks[i], peak_detector(single.envelope, cfg))
 
     @pytest.mark.parametrize("kw", [
         dict(t_end=150.0),  # the final tenth, 131 samples, is longer than the 55-sample window
@@ -778,41 +778,49 @@ class TestInstantaneousFrequency:
                 instantaneous_frequency(run)
 
 
+def decaying_over(tau: float, dt: float) -> OscillatorArrayConfig:
+    """A config whose peak detector decays with time constant tau, PEAK_DECAY_PERIODS
+    carrier periods, sampled every dt; the accuracy guard needs dt below about tau/250."""
+    return OscillatorArrayConfig(n=1, omega0=PEAK_DECAY_PERIODS * 2.0 * math.pi / tau, dt=dt,
+                                 t_end=2 * dt)
+
+
 class TestPeakDetector:
     def test_no_decay_is_running_max(self):
         env = np.array([0.1, 0.5, 0.2, 0.8, 0.3])
-        out = peak_detector(env, tau_decay=1e12, dt=0.1)
+        out = peak_detector(env, decaying_over(1e12, 0.1))
         assert np.allclose(out, np.maximum.accumulate(env))
 
     def test_constant_input(self):
         env = np.full(50, 0.7)
-        assert np.allclose(peak_detector(env, 5.0, 0.1), 0.7)
+        assert np.allclose(peak_detector(env, decaying_over(5.0, 0.01)), 0.7)
 
     def test_pulse_decays_exponentially(self):
-        dt, tau = 0.1, 3.0
+        dt, tau = 0.1, 30.0
         env = np.zeros(100)
         env[:20] = 1.0
-        out = peak_detector(env, tau, dt)
+        out = peak_detector(env, decaying_over(tau, dt))
         t_after = dt * np.arange(80)
         assert np.allclose(out[20:], np.exp(-(t_after + dt) / tau))
 
     def test_never_below_input(self):
         rng = np.random.default_rng(0)
         env = rng.uniform(0, 1, 200)
-        out = peak_detector(env, 2.0, 0.05)
+        out = peak_detector(env, decaying_over(2.0, 0.005))
         assert (out >= env - 1e-15).all()
 
     def test_empty_envelope(self):
         with pytest.raises(InsufficientDataError):
-            peak_detector(np.array([]), tau_decay=1.0, dt=0.1)
+            peak_detector(np.array([]), decaying_over(1.0, 0.001))
 
     def test_rejects_bad_params(self):
-        # NaN and inf too: a NaN tau_decay or dt made every sample after the first NaN
+        # its decay reads omega0 and dt, which the config holds positive and finite;
+        # a NaN in either would make every sample after the first NaN
         for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ConfigurationError, match=f"tau_decay must be .* finite, got {bad}"):
-                peak_detector(np.ones(3), tau_decay=bad, dt=0.1)
+            with pytest.raises(ConfigurationError, match=f"^omega0 must be .* finite, got {bad}"):
+                peak_detector(np.ones(3), OscillatorArrayConfig(n=1, omega0=bad))
             with pytest.raises(ConfigurationError, match=f"^dt must be .* finite, got {bad}"):
-                peak_detector(np.ones(3), tau_decay=1.0, dt=bad)
+                peak_detector(np.ones(3), OscillatorArrayConfig(n=1, dt=bad))
 
 
 class TestSweepLocking:
@@ -830,7 +838,9 @@ class TestSweepLocking:
             sweep_locking(0.05, np.array([]))
         with pytest.raises(ConfigurationError):
             sweep_locking(0.05, np.array([-0.1]))
-        with pytest.raises(ConfigurationError):
+        # a tolerance of 0 would read every point as unlocked
+        message = "^epsilon is 0, and so is the lock tolerance; set epsilon above 0$"
+        with pytest.raises(ConfigurationError, match=message):
             sweep_locking(0.0, np.array([0.1]))
         # the sweep sets n, delta_omega and epsilon itself and takes no other array setting
         for key in ("n", "delta_omega"):
@@ -838,13 +848,29 @@ class TestSweepLocking:
             with pytest.raises(ConfigurationError, match=message):
                 sweep_locking(0.05, np.array([0.1]), **{key: 1})
 
-    @pytest.mark.parametrize("spread_tol", [math.nan, math.inf])
-    def test_rejects_non_finite_spread_tol(self, spread_tol):
-        with pytest.raises(ConfigurationError, match="spread_tol must be positive and finite"):
-            sweep_locking(0.05, np.array([0.1]), spread_tol=spread_tol)
-        # a non-finite coupling is blamed on epsilon, not on the spread_tol derived from it
-        with pytest.raises(ConfigurationError, match="epsilon"):
-            sweep_locking(spread_tol, np.array([0.1]))
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_a_non_finite_epsilon_is_blamed_on_epsilon(self, epsilon):
+        # by the config, before the lock tolerance is derived from it
+        with pytest.raises(ConfigurationError, match="^epsilon must be >= 0 and finite"):
+            sweep_locking(epsilon, np.array([0.1]))
+
+    # the lock tolerance is LOCK_SPREAD_FRACTION = 0.1 of epsilon, which a final
+    # frequency gap of 0.105 of it passes
+    @pytest.mark.parametrize("fraction, locked", [(0.095, True), (0.105, False)])
+    def test_the_tolerance_is_a_tenth_of_epsilon(self, monkeypatch, fraction, locked):
+        epsilon = 0.05
+
+        def gapped(omega, cfg, init):  # every row's final frequencies fraction*epsilon apart
+            rows = len(omega)
+            freq = np.tile([1.0, 1.0 + fraction * epsilon], (rows, 1))
+            return SimulationTrace(sample_times(cfg), np.zeros((rows, 1, 2)), cfg,
+                                   np.ones((rows, cfg.num_samples), dtype=complex),
+                                   (None,) * rows, freq)
+
+        monkeypatch.setattr(oscconv.inference, "integrate", gapped)
+        (point,) = sweep_locking(epsilon, np.array([0.1]), t_end=20.0)
+        assert math.isclose(point.final_freq_gap, fraction * epsilon)
+        assert point.locked is locked
 
     def test_default_dt_covers_the_fastest_grid_frequency(self):
         grid = np.array([0.0, 0.06, 0.1])

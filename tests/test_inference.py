@@ -110,29 +110,16 @@ class TestClassifyLock:
     def test_anti_match_stays_unlocked(self):
         assert classify_lock(run_match_trace(ANTI_FRAG, FILTER)) is False
 
-    def test_wide_tolerance_accepts_anything(self):
-        trace = run_match_trace(ANTI_FRAG, FILTER)
-        assert classify_lock(trace, spread_tol=1.0) is True
-
-    def test_rejects_bad_tolerance(self):
-        trace = run_match_trace(MATCH_FRAG, FILTER, t_end=50.0)
-        with pytest.raises(ConfigurationError):
-            classify_lock(trace, spread_tol=0.0)
-
-    @pytest.mark.parametrize("spread_tol", [math.nan, math.inf])
-    def test_rejects_non_finite_tolerance(self, spread_tol):
-        trace = run_match_trace(MATCH_FRAG, FILTER, t_end=50.0)
-        with pytest.raises(ConfigurationError, match="spread_tol"):
-            classify_lock(trace, spread_tol=spread_tol)
-
     def test_zero_delta_omega_needs_a_tolerance(self):
+        # a tolerance of 0 would read every row as unlocked
         cfg = OscillatorArrayConfig(n=2, delta_omega=0.0, epsilon=0.05, t_end=20.0)
         trace = integrate(np.ones(2), cfg, random_initial_state(2, 0))
-        with pytest.raises(ConfigurationError, match="delta_omega is 0: set spread_tol"):
+        message = "^delta_omega is 0, and so is the lock tolerance; set delta_omega above 0$"
+        with pytest.raises(ConfigurationError, match=message):
             classify_lock(trace)
-        assert classify_lock(trace, spread_tol=0.01) in (True, False)
 
-    # the default tolerance is 0.1 * delta_omega, which a spread of 0.105 of it passes
+    # the tolerance is LOCK_SPREAD_FRACTION = 0.1 of delta_omega, which a spread of
+    # 0.105 of it passes
     @pytest.mark.parametrize("fraction, locked", [(0.095, True), (0.105, False)])
     def test_the_default_tolerance_is_a_tenth_of_delta_omega(self, fraction, locked):
         cfg = OscillatorArrayConfig(n=3, delta_omega=0.05, dt=0.2, t_end=20.0)
@@ -386,29 +373,22 @@ class TestSeedBlocks:
             # trace of an earlier call is alive in any process
             assert [held for _, held in calls] == [0] * len(expected)
 
-    # array: the config's settings besides n=25; kwargs: match_filters' own
-    @pytest.mark.parametrize("array, kwargs, message", [
-        pytest.param({}, dict(spread_tol=-1.0), "spread_tol must be positive and finite",
-                     id="tol-neg"),
-        pytest.param({}, dict(spread_tol=math.nan), "spread_tol must be positive and finite",
-                     id="tol-nan"),
-        pytest.param(dict(delta_omega=0.0), {}, "delta_omega is 0", id="delta-0"),
-        pytest.param({}, dict(spread_tol=math.inf), "spread_tol must be positive and finite",
-                     id="tol-inf"),
+    # array: the config's settings besides n=25
+    @pytest.mark.parametrize("array, message", [
+        # the lock tolerance, 0.1 * delta_omega, would be 0
+        pytest.param(dict(delta_omega=0.0), "delta_omega is 0", id="delta-0"),
         # classify_lock's final frequencies need 3 samples: the config takes no 1-step run
-        pytest.param(dict(dt=0.1, t_end=0.1), {}, "make 1 step; a run needs 2 or more",
+        pytest.param(dict(dt=0.1, t_end=0.1), "make 1 step; a run needs 2 or more",
                      id="1-step"),
     ])
-    def test_readout_settings_are_checked_before_any_encoding(self, monkeypatch, array, kwargs,
-                                                              message):
+    def test_readout_settings_are_checked_before_any_encoding(self, monkeypatch, array, message):
         def never(*args, **kwargs):
             raise AssertionError("called before the readout settings were checked")
 
         monkeypatch.setattr(oscconv.inference, "fsk_encode", never)
         monkeypatch.setattr(oscconv.inference, "integrate", never)
         with pytest.raises(ConfigurationError, match=message):
-            match_filters(MATCH_FRAG, (FILTER,), OscillatorArrayConfig(n=25, **array), seeds=(0,),
-                          **kwargs)
+            match_filters(MATCH_FRAG, (FILTER,), OscillatorArrayConfig(n=25, **array), seeds=(0,))
 
 
 @pytest.fixture

@@ -154,8 +154,9 @@ def test_write_rejects_bad_data(tmp_path):
         write_pgm(path, np.full((2, 2), -1.0), maxval=255)
 
 
+# and finite values outside int64, which the int cast would warn on
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300, -1e300, 2.0**63])
 def test_write_rejects_non_finite(tmp_path, bad):
     with pytest.raises(InputError):
         write_pgm(tmp_path / "n.pgm", np.array([[0.0, bad]]))
