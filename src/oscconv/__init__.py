@@ -29,7 +29,6 @@ from .errors import (
     ConfigurationError,
     DivergenceError,
     InputError,
-    InsufficientDataError,
     NumericError,
     OscconvError,
 )
@@ -72,7 +71,7 @@ __all__ = [
     "Fragment", "GaborFilter", "default_bank", "edge_fragment",
     "fsk_encode", "gabor_filter", "normalize_fragment",
     "OscconvError", "ConfigurationError", "InputError",
-    "InsufficientDataError", "NumericError", "DivergenceError",
+    "NumericError", "DivergenceError",
     "CostEstimate", "HardwareParams", "inference_cost_estimate",
     "locking_range_fraction", "power_per_oscillator",
     "FilterError", "FilterResult", "MatchReport", "SweepPoint",

@@ -9,8 +9,9 @@ Subcommands:
 Configuration comes from built-in defaults, overridden by a JSON config
 file (--config), overridden by flags. All CSV output has a header row
 and locale-independent number formatting; runs are deterministic given
-the config and seeds. Exit codes: 0 success, 1 usage or config error,
-2 runtime numeric error.
+the config and seeds. Exit codes: 0 success, 1 usage or config error
+or an output directory or file that cannot be made or written, 2 runtime
+numeric error.
 """
 from __future__ import annotations
 
@@ -53,10 +54,6 @@ from .oracle import FeatureMap, Image, convolve_valid
 from .pgm import read_pgm
 
 
-class _UsageError(Exception):
-    """Command-line usage problem; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -66,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):  # argparse would exit(2); usage errors are exit 1 here
-        raise _UsageError(message)
+        raise InputError(message)
 
 
 _ENG_PREFIXES = ((1e-15, "f"), (1e-12, "p"), (1e-9, "n"), (1e-6, "u"), (1e-3, "m"), (1.0, ""))
@@ -232,7 +229,8 @@ def _read_json(path: str, what: str):
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON, bad UTF-8, an integer too long to parse
+    # malformed JSON, bad UTF-8, an integer too long to parse, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{what} {path}: invalid JSON: {exc}") from exc
 
 
@@ -253,7 +251,7 @@ def _parse_origin(text: str) -> tuple[int, int]:
         row, col = (int(p) for p in text.split(","))
         return row, col
     except ValueError:
-        raise _UsageError(f"--origin expects 'row,col', got {text!r}") from None
+        raise InputError(f"--origin expects 'row,col', got {text!r}") from None
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -264,10 +262,10 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         if not (start <= stop and 0 < step and abs(start) + abs(stop) + step < math.inf):
             raise ValueError
     except ValueError:
-        raise _UsageError(f"--grid expects 'start:stop:step', got {text!r}") from None
+        raise InputError(f"--grid expects 'start:stop:step', got {text!r}") from None
     points = (stop - start) / step + 0.5
     if points == math.inf:  # floor() fails on it; no such grid passes the block cap
-        raise _UsageError(f"--grid {text!r} holds more points than a float counts")
+        raise InputError(f"--grid {text!r} holds more points than a float counts")
     return start, step, int(math.floor(points)) + 1
 
 
@@ -425,11 +423,11 @@ def cmd_featuremap(args) -> int:
     # the filter flags make a one-entry bank, in place of any other
     if any(v is not None for v in (args.theta_deg, args.k, args.phase)) or args.raw_filter:
         if args.theta_deg is None or args.k is None:
-            raise _UsageError(
+            raise InputError(
                 "--theta-deg and --k must be given together; --phase and --raw-filter need both"
             )
         if args.filter_index is not None:
-            raise _UsageError("--filter-index picks a bank filter; --theta-deg and --k build one")
+            raise InputError("--filter-index picks a bank filter; --theta-deg and --k build one")
         cfg.bank = ({"theta_deg": args.theta_deg, "k": args.k, "phase": args.phase or 0.0,
                      "binarized": not args.raw_filter},)
     bank = cfg.resolve_bank()
@@ -556,7 +554,8 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, OscconvError) as exc:
+    # an output directory or file that cannot be made or written is one line too
+    except (OscconvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

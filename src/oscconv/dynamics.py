@@ -26,12 +26,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    ConfigurationError,
-    DivergenceError,
-    InsufficientDataError,
-    NumericError,
-)
+from .errors import ConfigurationError, DivergenceError, NumericError
 
 # Divergence guard: a run stops once ||z|| passes 10*sqrt(n). Integrator blow-up
 # trips it, and so does a bounded run with eps*n/rho > 99, as its coherent state
@@ -545,11 +540,11 @@ def instantaneous_frequency(trace: SimulationTrace) -> np.ndarray:
     stays only while perfbench/tracing.py patches it (ROADMAP item 1).
 
     Raises:
-        InsufficientDataError: for a trace without a state at each of
+        ConfigurationError: for a trace without a state at each of
             at least 3 samples.
     """
     if trace.states.shape[-2] != trace.num_samples or trace.num_samples < 3:
-        raise InsufficientDataError(
+        raise ConfigurationError(
             "instantaneous frequency needs >= 3 states; integrate keeps only final states"
         )
     phases = np.unwrap(np.angle(trace.states), axis=-2)
@@ -566,11 +561,11 @@ def peak_detector(envelope: np.ndarray, cfg: OscillatorArrayConfig) -> np.ndarra
     periods, 2*pi/omega0 each.
 
     Raises:
-        InsufficientDataError: for an empty envelope.
+        ConfigurationError: for an empty envelope.
     """
     envelope = np.asarray(envelope, dtype=np.float64)
     if envelope.size == 0:
-        raise InsufficientDataError("peak detector needs at least one envelope sample")
+        raise ConfigurationError("peak detector needs at least one envelope sample")
     decay = math.exp(-cfg.dt / (PEAK_DECAY_PERIODS * 2.0 * math.pi / cfg.omega0))
     out = np.empty_like(envelope)
     held = out[..., 0] = envelope[..., 0]

@@ -10,11 +10,7 @@ class ConfigurationError(OscconvError):
 
 
 class InputError(OscconvError):
-    """External input (image file, pixel values, config file) is malformed."""
-
-
-class InsufficientDataError(OscconvError):
-    """A trace is too short for the requested analysis."""
+    """External input (command line, image file, pixel values, config file) is malformed."""
 
 
 class NumericError(OscconvError):

@@ -67,8 +67,8 @@ def read_pgm(path: str | os.PathLike) -> tuple[np.ndarray, int]:
 def write_pgm(path: str | os.PathLike, raw: np.ndarray, maxval: int = 255) -> None:
     """Write a (height, width) array of integers in [0, maxval] as ASCII PGM."""
     raw = np.asarray(raw)
-    if raw.ndim != 2:
-        raise InputError(f"PGM data must be 2-D, got shape {raw.shape}")
+    if raw.ndim != 2 or raw.size == 0:  # read_pgm refuses a 0 dimension too
+        raise InputError(f"PGM data must be a nonempty 2-D array, got shape {raw.shape}")
     if not 1 <= maxval <= 255:
         raise InputError(f"only 8-bit PGM supported, maxval {maxval}")
     # both checks come before the int cast, which would warn on NaN or a value past int64

@@ -807,6 +807,70 @@ class TestConfigFuzz:
             assert_one_line_error(code, err)
 
 
+# a list nested 100,000 deep: json.loads passes the recursion limit on it
+DEEP_LIST = "[" * 100_000 + "]" * 100_000
+
+
+def assert_one_line_naming(code, err, *names):
+    """One `error: ` line, exit 1, that names each of names."""
+    assert_one_line_error(code, err)
+    assert err.startswith("error: ")
+    for name in names:
+        assert str(name) in err
+
+
+class TestOneLineFailures:
+    """An output that cannot be made or written, and JSON nested past the
+    recursion limit, exit 1 with one line like any other bad input."""
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_an_out_dir_that_cannot_be_made(self, capsys, tmp_path, white_image,
+                                            one_filter_bank, under):
+        out_dir = tmp_path / "file"
+        out_dir.write_text("")
+        if under:
+            out_dir = out_dir / "sub"
+        code, _, err = run_cli(capsys, "match", white_image, "--bank", one_filter_bank,
+                               "--seeds", "0", "--t-end", "20", "--out-dir", str(out_dir))
+        assert_one_line_naming(code, err, out_dir)
+
+    @pytest.mark.parametrize("argv, name", [
+        (["match", "IMAGE", "--seeds", "0"], "report.csv"),
+        (["featuremap", "IMAGE", "--seeds", "0"], "onn_map.csv"),
+        (["sweep-locking", "--grid", "0:0.1:0.05"], "sweep.csv"),
+    ], ids=["match", "featuremap", "sweep-locking"])
+    def test_a_csv_path_that_is_a_directory(self, capsys, tmp_path, white_image, argv, name):
+        (tmp_path / name).mkdir()
+        argv = [white_image if arg == "IMAGE" else arg for arg in argv]
+        code, _, err = run_cli(capsys, *argv, "--t-end", "20", "--out-dir", str(tmp_path))
+        assert_one_line_naming(code, err, tmp_path / name)
+
+    def test_a_trace_file_of_a_forked_share_that_is_a_directory(self, capsys, tmp_path,
+                                                                 white_image, use_cpus):
+        # two filters on 2 CPUs: the calling process writes trace 00, a child trace 01
+        bank_file = tmp_path / "bank.json"
+        bank_file.write_text(json.dumps([{"theta_deg": 0, "k": 0.2}, {"theta_deg": 90, "k": 0.2}]))
+        (tmp_path / "trace_filter_01.csv").mkdir()
+        use_cpus(2)
+        code, _, err = run_cli(capsys, "match", white_image, "--bank", str(bank_file),
+                               "--seeds", "0", "--t-end", "20", "--dump-traces",
+                               "--out-dir", str(tmp_path))
+        assert_one_line_naming(code, err, tmp_path / "trace_filter_01.csv")
+        assert (tmp_path / "trace_filter_00.csv").is_file()
+
+    @pytest.mark.parametrize("flag, text, what", [
+        ("--bank", DEEP_LIST, "bank file"),
+        ("--config", '{"bank": ' + DEEP_LIST + "}", "config file"),
+    ], ids=["bank", "config"])
+    def test_json_nested_past_the_recursion_limit(self, capsys, tmp_path, white_image,
+                                                  flag, text, what):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "match", white_image, flag, str(path), "--seeds", "0",
+                               "--t-end", "20", "--out-dir", str(tmp_path / "o"))
+        assert_one_line_naming(code, err, f"{what} {path}: invalid JSON: maximum recursion depth")
+
+
 class TestSweep:
     def test_sweep_csv_and_boundary(self, capsys, tmp_path):
         out_dir = tmp_path / "s"

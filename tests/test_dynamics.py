@@ -12,7 +12,6 @@ import oscconv.inference
 from oscconv import (
     ConfigurationError,
     DivergenceError,
-    InsufficientDataError,
     NumericError,
     OscillatorArrayConfig,
     SimulationTrace,
@@ -478,7 +477,7 @@ class TestBatchedIntegrate:
             single = integrate(BATCH_OMEGA[row], cfg, BATCH_INIT[row])
             assert np.array_equal(block.final_freq[row], single.final_freq)
             assert np.abs(single.final_freq - reference[row]).max() <= 1e-12
-        with pytest.raises(InsufficientDataError, match="integrate keeps only final states$"):
+        with pytest.raises(ConfigurationError, match="integrate keeps only final states$"):
             instantaneous_frequency(block)
 
     @settings(max_examples=15, deadline=None)
@@ -774,7 +773,7 @@ class TestInstantaneousFrequency:
         history = np.array([[1.0 + 0j], [np.exp(0.1j)]])
         short = SimulationTrace(sample_times(cfg)[:2], history, cfg, history[:, 0])
         for run in (trace, short):
-            with pytest.raises(InsufficientDataError, match="needs >= 3 states"):
+            with pytest.raises(ConfigurationError, match="needs >= 3 states"):
                 instantaneous_frequency(run)
 
 
@@ -810,7 +809,7 @@ class TestPeakDetector:
         assert (out >= env - 1e-15).all()
 
     def test_empty_envelope(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ConfigurationError):
             peak_detector(np.array([]), decaying_over(1.0, 0.001))
 
     def test_rejects_bad_params(self):

@@ -52,6 +52,16 @@ class TestFragment:
         with pytest.raises(ConfigurationError):
             Fragment(side=0, values=np.zeros(0))
 
+    @pytest.mark.parametrize("value, accepted", [
+        (-1.0 - 5e-13, True), (1.0 + 5e-13, True), (-1.0 - 2e-12, False), (1.0 + 2e-12, False),
+    ], ids=["below-by-5e-13", "above-by-5e-13", "below-by-2e-12", "above-by-2e-12"])
+    def test_values_may_pass_plus_or_minus_one_by_1e_12(self, value, accepted):
+        if accepted:
+            assert Fragment(side=1, values=[value]).values[0] == value
+        else:
+            with pytest.raises(ConfigurationError, match=r"must lie in \[-1, \+1\]"):
+                Fragment(side=1, values=[value])
+
     def test_fragment_rejects_nan(self):
         with pytest.raises(ConfigurationError, match="fragment values"):
             Fragment(side=1, values=[math.nan])

@@ -276,6 +276,14 @@ class TestMatchFilters:
         with pytest.raises(ConfigurationError):
             match_filters(MATCH_FRAG, (FILTER,), bad_n, seeds=(0,))
 
+    @pytest.mark.parametrize("votes, locked", [([True, False], False), ([True, True], True)],
+                             ids=["1-of-2", "2-of-2"])
+    def test_the_lock_flag_is_a_strict_majority_of_the_seeds(self, monkeypatch, votes, locked):
+        monkeypatch.setattr(oscconv.inference, "classify_lock", lambda trace: votes)
+        cfg = OscillatorArrayConfig(n=25, t_end=20.0)
+        report = match_filters(MATCH_FRAG, (FILTER,), cfg, seeds=(0, 1))
+        assert report.results[0].locked is locked
+
     @pytest.mark.parametrize(
         "seeds, named", [((0.5, 0.7), "0.5"), ((0, 1.0), "1.0"), ((2, -1), "-1")]
     )

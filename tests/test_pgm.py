@@ -154,6 +154,20 @@ def test_write_rejects_bad_data(tmp_path):
         write_pgm(path, np.full((2, 2), -1.0), maxval=255)
 
 
+@pytest.mark.parametrize("shape, maxval, message", [
+    ((0, 3), 255, r"nonempty 2-D array, got shape \(0, 3\)"),
+    ((3, 0), 255, r"nonempty 2-D array, got shape \(3, 0\)"),
+    ((2, 2), 256, "only 8-bit PGM supported, maxval 256"),
+    ((2, 2), 0, "only 8-bit PGM supported, maxval 0"),
+], ids=["0x3", "3x0", "maxval-256", "maxval-0"])
+def test_write_refuses_an_empty_array_and_a_maxval_outside_8_bits(tmp_path, shape, maxval,
+                                                                   message):
+    path = tmp_path / "w.pgm"
+    with pytest.raises(InputError, match=message):
+        write_pgm(path, np.zeros(shape), maxval=maxval)
+    assert not path.exists()
+
+
 # and finite values outside int64, which the int cast would warn on
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300, -1e300, 2.0**63])
