@@ -178,7 +178,6 @@ _SETTINGS = {
     "seeds": (_seeds, "--seeds", dict(
         type=_parse_seeds, help="seed list 'a,b,c' or range 'start:stop'")),
     "rho": (_number, "--rho", dict(type=float)),
-    "omega0": (_number, "--omega0", dict(type=float)),
     "delta_omega": (_number, "--delta-omega", dict(type=float)),
     "epsilon": (_number, "--epsilon", dict(type=float)),
     "dt": (_number, "--dt", dict(type=float)),
@@ -319,10 +318,10 @@ def cmd_match(args) -> int:
     bank = cfg.resolve_bank()
     n = cfg.side ** 2 + (1 if cfg.reference_oscillator else 0)
     array_cfg = cfg.array_config(n)
+    out = _out_dir(args)
     report = match_filters(
         fragment, bank, array_cfg, cfg.seeds, reference_oscillator=cfg.reference_oscillator
     )
-    out = _out_dir(args)
     _write_csv(
         out / "report.csv",
         ["filter_index", "theta_deg", "k", "dot", "dom_mean", "dom_std", "locked", "lock_time"],
@@ -400,8 +399,8 @@ def cmd_sweep_locking(args) -> int:
     run = {k: v for k, v in cfg.array.items() if k in _SWEEP_KEYS}
     # the block cap is checked before the grid is built, by its size and its last, largest point
     _sweep_config(epsilon, count, start, start + step * (count - 1), **run)
-    points = sweep_locking(epsilon, start + step * np.arange(count), seed=cfg.seed, **run)
     out = _out_dir(args)
+    points = sweep_locking(epsilon, start + step * np.arange(count), seed=cfg.seed, **run)
     _write_csv(
         out / "sweep.csv",
         ["detuning", "locked", "final_freq_gap", "beat_amplitude"],
@@ -436,9 +435,9 @@ def cmd_featuremap(args) -> int:
         raise ConfigurationError(f"--filter-index {index} outside bank of {len(bank)} filters")
     filt = bank[index]
     array_cfg = cfg.array_config(cfg.side ** 2)
+    out = _out_dir(args)
     onn = feature_map_onn(img, filt, array_cfg, cfg.seeds)
     oracle_map = convolve_valid(img, filt, mode="correlation")
-    out = _out_dir(args)
     _write_map_csv(out / "onn_map.csv", onn)
     _write_map_csv(out / "oracle_map.csv", oracle_map)
     if onn.errors:

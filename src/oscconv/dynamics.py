@@ -11,9 +11,9 @@ averager output S(t), its envelope |S(t)|, and a behavioral
 peak-detector model. A run keeps its final state, not its history.
 The experiments are in oscconv.inference.
 
-Time is dimensionless radian-time: with the default center frequency
-omega0 = 1 one oscillation period is 2*pi time units. Physical time is
-a presentation-layer multiplication by a carrier frequency.
+Time is radian-time of the carrier omega0 = 1, the unit of frequency, so
+one period is 2*pi; a carrier c is the run with the rates over c and dt
+and t_end times c. Physical time is that over the carrier in rad/s.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,7 +35,7 @@ from .errors import ConfigurationError, DivergenceError, NumericError
 DIVERGENCE_FACTOR = 10.0
 # Averager samples one run, or one block of runs, may record: 256 MiB.
 VALUE_CAP = 2**24
-# The peak detector's decay time constant, in carrier periods of omega0.
+# The peak detector's decay time constant, in carrier periods.
 PEAK_DECAY_PERIODS = 10.0
 
 
@@ -83,7 +84,6 @@ class OscillatorArrayConfig:
     Attributes:
         n: number of oscillators.
         rho: nonlinear gain (sets the limit-cycle relaxation rate).
-        omega0: center angular frequency, radians per unit time.
         delta_omega: FSK full-scale detuning; encoded frequencies stay
             within omega0 +/- 2*delta_omega.
         epsilon: coupling coefficient. None selects
@@ -93,9 +93,9 @@ class OscillatorArrayConfig:
         t_end: total integration span in radian-time.
     """
 
+    omega0: ClassVar[float] = 1.0  # the carrier, the unit of frequency: no setting
     n: int
     rho: float = 1.0
-    omega0: float = 1.0
     delta_omega: float = 0.05
     epsilon: float | None = None
     dt: float | None = None
@@ -111,8 +111,6 @@ class OscillatorArrayConfig:
         # the negated comparisons also reject NaN and +inf
         if not 0 < self.rho < math.inf:
             raise ConfigurationError(f"rho must be positive and finite, got {self.rho}")
-        if not 0 < self.omega0 < math.inf:
-            raise ConfigurationError(f"omega0 must be positive and finite, got {self.omega0}")
         if not 0 <= self.delta_omega < math.inf:
             raise ConfigurationError(f"delta_omega must be >= 0 and finite, got {self.delta_omega}")
         if self.epsilon is None:
@@ -120,6 +118,8 @@ class OscillatorArrayConfig:
         if not 0 <= self.epsilon < math.inf:
             raise ConfigurationError(f"epsilon must be >= 0 and finite, got {self.epsilon}")
         if self.dt is None:
+            if 50.0 * self.omega_max == math.inf:  # 2*pi over it, the default dt, is 0.0
+                raise ConfigurationError(f"delta_omega={self.delta_omega:g} makes the default dt 0")
             object.__setattr__(self, "dt", default_timestep(self.omega_max))
         if not 0 < self.dt < math.inf:
             raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")

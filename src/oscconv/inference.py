@@ -327,7 +327,7 @@ class SweepPoint:
 # Span of each locking-sweep run when none is set: long runs sharpen the boundary.
 SWEEP_T_END = 1200.0
 # The array settings a locking sweep takes besides epsilon, in sweep-locking --help order.
-_SWEEP_KEYS = ("t_end", "rho", "omega0", "dt")
+_SWEEP_KEYS = ("t_end", "rho", "dt")
 
 
 def _sweep_config(
@@ -339,7 +339,7 @@ def _sweep_config(
     **array: float | None,
 ) -> OscillatorArrayConfig:
     """Array config of a locking sweep over points detunings from lowest to highest;
-    array holds those of rho, omega0 and dt that were set.
+    array holds those of rho and dt that were set.
 
     sweep_locking builds its config here. The CLI calls it only to check a
     grid against the VALUE_CAP block cap, by its size and ends, before it
@@ -380,7 +380,7 @@ def sweep_locking(
         epsilon: coupling coefficient.
         detunings: grid of detuning values, each >= 0.
         seed: initial-phase seed shared by all points.
-        array: any of the array settings t_end, rho, omega0 and dt, with
+        array: any of the array settings t_end, rho and dt, with
             OscillatorArrayConfig's defaults; t_end defaults to SWEEP_T_END,
             and dt to the default for the fastest frequency on the grid.
 

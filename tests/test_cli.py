@@ -374,7 +374,7 @@ class TestConfigHandling:
         # include_self_in_sum is no setting: every run couples through the self-inclusive mean
         # field; the DOM window, the lock-time threshold and the lock tolerance are fixed
         # readouts; a run records every step; the DOM readout, the trailing mean envelope, has
-        # no settings
+        # no settings; the carrier omega0 is the unit of frequency
         cfg = tmp_path / "cfg.json"
         for config, key, command in [
             ({"bogus": True}, "bogus", ["match", white_image]),
@@ -388,6 +388,9 @@ class TestConfigHandling:
             ({"dom_policy": {}}, "dom_policy", ["featuremap", white_image]),
             ({"spread_tol": 0.1}, "spread_tol", ["match", white_image]),
             ({"spread_tol": 0.1}, "spread_tol", ["sweep-locking"]),
+            ({"omega0": 1.2}, "omega0", ["match", white_image]),
+            ({"omega0": 1.2}, "omega0", ["featuremap", white_image]),
+            ({"omega0": 1.2}, "omega0", ["sweep-locking"]),
         ]:
             cfg.write_text(json.dumps(config))
             code, _, err = run_cli(capsys, *command, "--config", str(cfg))
@@ -410,15 +413,16 @@ class TestConfigHandling:
         assert "Traceback" not in err
 
     # the DOM window, the lock-time threshold and the lock tolerance are fixed readouts,
-    # a run records every step, and DOM is read one way, off the envelope: none of them
-    # is a setting
+    # a run records every step, DOM is read one way, off the envelope, and the carrier
+    # omega0 is the unit of frequency: none of them is a setting
     @pytest.mark.parametrize("command", ["match", "featuremap", "sweep-locking"])
     @pytest.mark.parametrize("flag, value", [("--dom-threshold", "0.8"),
                                              ("--trailing-fraction", "0.2"),
                                              ("--stride", "3"),
                                              ("--dom-method", "sample_peak_detector"),
                                              ("--sample-time", "30"),
-                                             ("--spread-tol", "0.1")])
+                                             ("--spread-tol", "0.1"),
+                                             ("--omega0", "1.2")])
     def test_retired_readout_flags_are_not_options(self, capsys, white_image, command, flag,
                                                    value):
         image = [] if command == "sweep-locking" else [white_image]
@@ -493,7 +497,8 @@ BLAMED = {
     "sweep-zero-epsilon": "epsilon is 0, and so is the lock tolerance; set epsilon above 0",
     "sweep-negative-spread-tol": "unrecognized arguments: --spread-tol -1",
     "sweep-grid-negative": "detunings must be >= 0",
-    "match-omega0-overflows-dt": "omega_max=4e+306 is too large for a positive default dt",
+    "match-delta-omega-overflows-dt": "delta_omega=2e+306 makes the default dt 0",
+    "match-delta-omega-overflows-omega-max": "delta_omega=1e+308 makes the default dt 0",
     "match-delta-omega-overflows-epsilon": "delta_omega=1e+308 makes the default epsilon infinite",
 }
 
@@ -585,10 +590,13 @@ class TestMalformedValues:
         # a grid that starts with a minus sign is a value, not a flag
         pytest.param(["sweep-locking", "--grid", "-0.2:-0.1:0.1"], id="sweep-grid-negative"),
         pytest.param(["match", "IMAGE", "--seeds", "0:10000000000"], id="match-huge-seed-range"),
-        # 50 * omega_max overflows, and the default dt would be 0: the error names
-        # omega_max, not a dt that was never set
-        pytest.param(["match", "IMAGE", "--omega0", "4e306", "--seeds", "0"],
-                     id="match-omega0-overflows-dt"),
+        # 50 * omega_max, omega_max = 1 + 2*delta_omega, overflows, or omega_max does,
+        # and the default dt would be 0: the error names delta_omega, not a dt that was
+        # never set or an omega_max that no setting names
+        pytest.param(["match", "IMAGE", "--delta-omega", "2e306", "--epsilon", "0.1",
+                      "--seeds", "0"], id="match-delta-omega-overflows-dt"),
+        pytest.param(["match", "IMAGE", "--delta-omega", "1e308", "--epsilon", "0.1",
+                      "--seeds", "0"], id="match-delta-omega-overflows-omega-max"),
         # 3 * delta_omega overflows: the error names delta_omega, not an epsilon never set
         pytest.param(["match", "IMAGE", "--delta-omega", "1e308", "--seeds", "0"],
                      id="match-delta-omega-overflows-epsilon"),
@@ -776,7 +784,7 @@ def test_float_csv_writes_the_bytes_of_csv(tmp_path, columns):
 
 # Every config key, and values of the wrong JSON type, non-finite or negative
 CONFIG_KEYS = (
-    "rho", "omega0", "delta_omega", "epsilon", "dt", "t_end",
+    "rho", "delta_omega", "epsilon", "dt", "t_end",
     "seed", "side", "seeds",
     "reference_oscillator", "bank",
 )
@@ -823,15 +831,34 @@ class TestOneLineFailures:
     """An output that cannot be made or written, and JSON nested past the
     recursion limit, exit 1 with one line like any other bad input."""
 
-    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
-    def test_an_out_dir_that_cannot_be_made(self, capsys, tmp_path, white_image,
-                                            one_filter_bank, under):
+    # the directory is made after the command's own input checks, before any run
+    @pytest.mark.parametrize("argv, runs, under", [
+        pytest.param(["match", "IMAGE", "--bank", "BANK", "--seeds", "0"], "match_filters", False,
+                     id="a-file"),
+        pytest.param(["match", "IMAGE", "--bank", "BANK", "--seeds", "0"], "match_filters", True,
+                     id="under-a-file"),
+        pytest.param(["featuremap", "IMAGE", "--seeds", "0"], "feature_map_onn", False,
+                     id="featuremap-a-file"),
+        pytest.param(["featuremap", "IMAGE", "--seeds", "0"], "feature_map_onn", True,
+                     id="featuremap-under-a-file"),
+        pytest.param(["sweep-locking", "--grid", "0:0.1:0.05"], "sweep_locking", False,
+                     id="sweep-locking-a-file"),
+        pytest.param(["sweep-locking", "--grid", "0:0.1:0.05"], "sweep_locking", True,
+                     id="sweep-locking-under-a-file"),
+    ])
+    def test_an_out_dir_that_cannot_be_made(self, capsys, monkeypatch, tmp_path, white_image,
+                                            one_filter_bank, argv, runs, under):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{runs} ran before the output directory was made")
+
+        monkeypatch.setattr(oscconv.cli, runs, never)
         out_dir = tmp_path / "file"
         out_dir.write_text("")
         if under:
             out_dir = out_dir / "sub"
-        code, _, err = run_cli(capsys, "match", white_image, "--bank", one_filter_bank,
-                               "--seeds", "0", "--t-end", "20", "--out-dir", str(out_dir))
+        paths = {"IMAGE": white_image, "BANK": one_filter_bank}
+        code, _, err = run_cli(capsys, *(paths.get(a, a) for a in argv), "--t-end", "20",
+                               "--out-dir", str(out_dir))
         assert_one_line_naming(code, err, out_dir)
 
     @pytest.mark.parametrize("argv, name", [

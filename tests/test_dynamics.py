@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import re
@@ -56,7 +57,8 @@ class TestConfig:
             dict(n=0),
             dict(n=2, rho=0.0),
             dict(n=2, rho=-1.0),
-            dict(n=2, omega0=0.0),
+            # 50 * omega_max overflows, and the default dt would be 0
+            dict(n=2, delta_omega=2e306, epsilon=0.1),
             dict(n=2, delta_omega=-0.1),
             dict(n=2, epsilon=-0.01),
             dict(n=2, dt=-0.1),
@@ -72,7 +74,7 @@ class TestConfig:
             OscillatorArrayConfig(**kw)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["rho", "omega0", "delta_omega", "epsilon", "dt", "t_end"])
+    @pytest.mark.parametrize("name", ["rho", "delta_omega", "epsilon", "dt", "t_end"])
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ConfigurationError, match=name):
             OscillatorArrayConfig(n=2, **{name: value})
@@ -92,6 +94,13 @@ class TestConfig:
             message = re.escape(f"omega_max={omega_max:g} is too large for a positive default dt")
             with pytest.raises(ConfigurationError, match=f"^{message}$"):
                 default_timestep(omega_max)
+
+    def test_the_carrier_is_a_constant_and_not_a_setting(self):
+        names = [f.name for f in dataclasses.fields(OscillatorArrayConfig)]
+        assert names == ["n", "rho", "delta_omega", "epsilon", "dt", "t_end"]
+        assert OscillatorArrayConfig(n=25).omega0 == OscillatorArrayConfig.omega0 == 1.0
+        with pytest.raises(TypeError, match="omega0"):
+            OscillatorArrayConfig(n=2, omega0=1.2)
 
     def test_default_coupling_rejects_a_delta_omega_whose_coupling_overflows(self):
         # 3 * delta_omega overflows past about 6e307; the error names delta_omega,
@@ -684,9 +693,7 @@ class TestRandomInitialState:
 
 class TestInstantaneousFrequency:
     def test_free_oscillator_recovers_omega(self):
-        cfg = OscillatorArrayConfig(
-            n=1, omega0=1.0, delta_omega=0.15, epsilon=0.0, t_end=100.0
-        )
+        cfg = OscillatorArrayConfig(n=1, delta_omega=0.15, epsilon=0.0, t_end=100.0)
         trace = history_trace(np.array([1.3]), cfg, random_initial_state(1, 3))
         freq = instantaneous_frequency(trace)
         tail = freq[freq.shape[0] // 2:, 0]
@@ -734,29 +741,29 @@ class TestInstantaneousFrequency:
         assert np.abs(trace.final_freq - reference).max() <= 1e-12
 
     # a free oscillator on its limit cycle turns dt*omega per step, at most 2*pi/25
-    # inside the accuracy guard: far below the half turn at which a phase step
-    # wraps, and an alias would read 2*pi/dt, at least 25*omega, away. Below omega
-    # 0.5 the guard's dt would put the amplitude past RK4's stability limit.
+    # inside the accuracy guard, which bounds dt by the larger of omega and the
+    # carrier 1: far below the half turn at which a phase step wraps, and an alias
+    # would read 2*pi/dt, at least 25*omega, away
     @settings(max_examples=15, deadline=None)
     @given(omega=st.floats(0.5, 2.0), fraction=st.floats(0.05, 1.0))
     @example(omega=2.0, fraction=1.0)
     def test_final_freq_cannot_alias_inside_the_accuracy_guard(self, omega, fraction):
-        dt = fraction * 2.0 * math.pi / (25.0 * omega)
-        cfg = OscillatorArrayConfig(n=1, omega0=omega, delta_omega=0.0, epsilon=0.0, dt=dt,
-                                    t_end=40 * dt)
+        dt = fraction * 2.0 * math.pi / (25.0 * max(omega, 1.0))
+        cfg = OscillatorArrayConfig(n=1, delta_omega=0.0, epsilon=0.0, dt=dt, t_end=40 * dt)
         trace = integrate(np.array([omega]), cfg, np.array([1.0 + 0j]))
         # RK4's phase error at the guard, 25 steps a period, is 3.25e-5 of omega
         assert trace.final_freq[0] == pytest.approx(omega, rel=4e-5)
 
-    # the moving average spans a period of omega0, 2*pi/(omega0*dt) samples; the
-    # frequencies of a beating pair vary, so a window of another length reads another
-    # final_freq. At omega0 1, 2*pi/omega0 and 2*pi*omega0 are the same period.
-    @pytest.mark.parametrize("omega0, dt, window", [(2.0, 0.05, 63), (0.5, 0.1, 126)])
-    def test_final_freq_smooths_over_a_period_of_omega0(self, omega0, dt, window):
-        assert window == round(2.0 * math.pi / (omega0 * dt))
-        # a detuning of 0.1 against 2*eps = 0.02: the pair beats
-        cfg = OscillatorArrayConfig(n=2, omega0=omega0, epsilon=0.01, dt=dt, t_end=60.0)
-        omega, init = omega0 + np.array([-0.05, 0.05]), random_initial_state(2, 1)
+    # the moving average spans a period of the carrier omega0 = 1, 2*pi/dt samples;
+    # the frequencies of a beating pair vary, so a window of another length reads
+    # another final_freq. Each case is a pair at carrier c, at dt 0.05*c and 0.1*c,
+    # on the carrier 1: the rates over c, dt and t_end times c.
+    @pytest.mark.parametrize("c, dt, window", [(2.0, 0.1, 63), (0.5, 0.05, 126)])
+    def test_final_freq_smooths_over_a_period_of_omega0(self, c, dt, window):
+        assert window == round(2.0 * math.pi / dt)
+        # a detuning of 0.1/c against 2*eps = 0.02/c: the pair beats
+        cfg = OscillatorArrayConfig(n=2, rho=1.0 / c, epsilon=0.01 / c, dt=dt, t_end=60.0 * c)
+        omega, init = 1.0 + np.array([-0.05, 0.05]) / c, random_initial_state(2, 1)
         trace = integrate(omega, cfg, init)
         num = trace.num_samples
         gradient = np.gradient(unwrapped_phases(rk4_history(omega, cfg, init)), trace.times, axis=0)
@@ -778,10 +785,12 @@ class TestInstantaneousFrequency:
 
 
 def decaying_over(tau: float, dt: float) -> OscillatorArrayConfig:
-    """A config whose peak detector decays with time constant tau, PEAK_DECAY_PERIODS
-    carrier periods, sampled every dt; the accuracy guard needs dt below about tau/250."""
-    return OscillatorArrayConfig(n=1, omega0=PEAK_DECAY_PERIODS * 2.0 * math.pi / tau, dt=dt,
-                                 t_end=2 * dt)
+    """A config whose peak detector decays with time constant tau, sampled every dt:
+    its decay time, PEAK_DECAY_PERIODS carrier periods, is tau with time in units of
+    tau / (PEAK_DECAY_PERIODS * 2*pi), so its dt is dt in those units. The accuracy
+    guard needs dt below about tau/275."""
+    dt *= PEAK_DECAY_PERIODS * 2.0 * math.pi / tau
+    return OscillatorArrayConfig(n=1, dt=dt, t_end=2 * dt)
 
 
 class TestPeakDetector:
@@ -813,11 +822,9 @@ class TestPeakDetector:
             peak_detector(np.array([]), decaying_over(1.0, 0.001))
 
     def test_rejects_bad_params(self):
-        # its decay reads omega0 and dt, which the config holds positive and finite;
-        # a NaN in either would make every sample after the first NaN
+        # its decay reads dt, which the config holds positive and finite; a NaN
+        # would make every sample after the first NaN
         for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ConfigurationError, match=f"^omega0 must be .* finite, got {bad}"):
-                peak_detector(np.ones(3), OscillatorArrayConfig(n=1, omega0=bad))
             with pytest.raises(ConfigurationError, match=f"^dt must be .* finite, got {bad}"):
                 peak_detector(np.ones(3), OscillatorArrayConfig(n=1, dt=bad))
 
@@ -842,8 +849,9 @@ class TestSweepLocking:
         with pytest.raises(ConfigurationError, match=message):
             sweep_locking(0.0, np.array([0.1]))
         # the sweep sets n, delta_omega and epsilon itself and takes no other array setting
-        for key in ("n", "delta_omega"):
-            message = f"^a locking sweep sets only t_end, rho, omega0, dt, not {key}$"
+        # the carrier omega0 is no setting at all
+        for key in ("n", "delta_omega", "omega0"):
+            message = f"^a locking sweep sets only t_end, rho, dt, not {key}$"
             with pytest.raises(ConfigurationError, match=message):
                 sweep_locking(0.05, np.array([0.1]), **{key: 1})
 
@@ -884,16 +892,16 @@ class TestSweepLocking:
             return integrate(omega, cfg, *args, **kwargs)
 
         monkeypatch.setattr(oscconv.inference, "integrate", recording)
-        points = sweep_locking(0.05, np.array([0.0, 0.1]), omega0=1.2, rho=0.5, t_end=60.0)
+        points = sweep_locking(0.05, np.array([0.0, 0.1]), rho=0.5, dt=0.1, t_end=60.0)
         assert len(points) == 2
         [(omega, cfg)] = calls
-        assert (cfg.omega0, cfg.rho, cfg.t_end) == (1.2, 0.5, 60.0)
+        assert (cfg.rho, cfg.dt, cfg.t_end) == (0.5, 0.1, 60.0)
         # the oscillators sit at omega0 -/+ d/2
-        assert np.allclose(omega, [[1.2, 1.2], [1.15, 1.25]])
+        assert np.allclose(omega, [[1.0, 1.0], [0.95, 1.05]])
         # the array settings take their defaults from the config alone
         named = inspect.signature(sweep_locking).parameters
-        assert not {"omega0", "rho", "t_end", "dt"} & set(named)
-        # so an old positional omega0 is refused rather than read as the seed
+        assert not {"rho", "t_end", "dt"} & set(named)
+        # so a positional setting is refused rather than read as the seed
         assert named["seed"].kind is inspect.Parameter.KEYWORD_ONLY
         with pytest.raises(TypeError):
             sweep_locking(0.05, np.array([0.1]), 2)

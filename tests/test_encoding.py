@@ -194,7 +194,7 @@ class TestDefaultBank:
 
 class TestFskEncode:
     # fsk_encode reads omega0 and delta_omega off the config; n is not checked
-    CFG = OscillatorArrayConfig(n=25, omega0=1.0, delta_omega=0.05)
+    CFG = OscillatorArrayConfig(n=25, delta_omega=0.05)
 
     def test_perfect_match_collapses_detuning(self):
         filt = gabor_filter(5, 30.0, 0.35)
@@ -232,19 +232,18 @@ class TestFskEncode:
     @given(
         side=st.integers(1, 4),
         data=st.data(),
-        omega0=st.floats(0.1, 10.0),
         delta_omega=st.floats(0.0, 1.0),
     )
-    def test_range_bound_property(self, side, data, omega0, delta_omega):
+    def test_range_bound_property(self, side, data, delta_omega):
         unit = st.lists(st.floats(-1.0, 1.0), min_size=side * side, max_size=side * side)
         frag = Fragment(side=side, values=np.array(data.draw(unit)))
         filt = GaborFilter(
             side=side, values=np.array(data.draw(unit)), theta_deg=0.0, k=0.0, binarized=False
         )
-        cfg = OscillatorArrayConfig(n=side * side, omega0=omega0, delta_omega=delta_omega)
+        cfg = OscillatorArrayConfig(n=side * side, delta_omega=delta_omega)
         omega = fsk_encode(frag, filt, cfg)
-        assert omega.min() >= omega0 - 2.0 * delta_omega
-        assert omega.max() <= omega0 + 2.0 * delta_omega
+        assert omega.min() >= cfg.omega0 - 2.0 * delta_omega
+        assert omega.max() <= cfg.omega0 + 2.0 * delta_omega
 
     def test_side_mismatch(self):
         with pytest.raises(ConfigurationError):

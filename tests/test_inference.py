@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import math
 import re
@@ -580,6 +581,53 @@ class TestDominance:
         )
         assert wins >= 10
         assert report.ranking[0] == 3
+
+
+CARRIER_CFG = OscillatorArrayConfig(n=25)
+# the default bank on the edge fragment, each of which locks, then the anti-match,
+# which does not; a seed per row
+CARRIER_OMEGA = np.array(
+    [fsk_encode(edge_fragment(), filt, CARRIER_CFG) for filt in default_bank()]
+    + [fsk_encode(ANTI_FRAG, FILTER, CARRIER_CFG)]
+)
+CARRIER_INIT = np.array([random_initial_state(25, seed) for seed in range(len(CARRIER_OMEGA))])
+
+
+@functools.lru_cache(maxsize=None)
+def carrier_block(c: float) -> SimulationTrace:
+    """The carrier-1 block run at carrier c: its frequencies, rho, delta_omega and
+    epsilon times c, its dt and t_end over c, and the same initial states."""
+    cfg = CARRIER_CFG
+    scaled = OscillatorArrayConfig(n=25, rho=c * cfg.rho, delta_omega=c * cfg.delta_omega,
+                                   epsilon=c * cfg.epsilon, dt=cfg.dt / c, t_end=cfg.t_end / c)
+    return integrate(c * CARRIER_OMEGA, scaled, CARRIER_INIT)
+
+
+class TestCarrierScaling:
+    """The model has no time scale but the carrier, omega0 = 1, so a block at
+    carrier c is the carrier-1 block with time divided by c."""
+
+    # a power of 2 scales every product exactly: each step is the carrier-1 step
+    @pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
+    def test_a_power_of_2_carrier_reads_the_same_bits(self, c):
+        ref, run = carrier_block(1.0), carrier_block(c)
+        assert run.num_samples == ref.num_samples
+        assert np.array_equal(run.averager, ref.averager)
+        assert dom(run) == dom(ref)
+        assert classify_lock(run) == classify_lock(ref) == [True] * 18 + [False]
+        times = measure_lock_time(run)
+        assert [t if t is None else t * c for t in times] == measure_lock_time(ref)
+
+    # final_freq smooths over a period of the carrier 1, c periods of the carrier c:
+    # a locked row holds one frequency, whatever the window, but the beating
+    # anti-match does not
+    @pytest.mark.parametrize("c", [0.5, 1.25, 2.0, 4.0])
+    def test_any_carrier_reads_the_same_to_rounding(self, c):
+        ref, run = carrier_block(1.0), carrier_block(c)
+        assert np.abs(run.averager - ref.averager).max() <= 1e-13
+        assert classify_lock(run) == classify_lock(ref)
+        locked = slice(0, 18)
+        assert np.abs(run.final_freq[locked] - c * ref.final_freq[locked]).max() <= 2e-12 * c
 
 
 class TestFeatureMapOnn:
