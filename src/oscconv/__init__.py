@@ -8,10 +8,7 @@ averager envelope and validated against an exact digital oracle.
 from .dynamics import (
     OscillatorArrayConfig,
     SimulationTrace,
-    default_coupling,
-    default_timestep,
     derivative,
-    instantaneous_frequency,
     integrate,
     peak_detector,
     random_initial_state,
@@ -65,9 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "OscillatorArrayConfig", "SimulationTrace",
-    "default_coupling", "default_timestep", "derivative",
-    "instantaneous_frequency", "integrate", "peak_detector",
-    "random_initial_state",
+    "derivative", "integrate", "peak_detector", "random_initial_state",
     "Fragment", "GaborFilter", "default_bank", "edge_fragment",
     "fsk_encode", "gabor_filter", "normalize_fragment",
     "OscconvError", "ConfigurationError", "InputError",

@@ -10,8 +10,8 @@ Configuration comes from built-in defaults, overridden by a JSON config
 file (--config), overridden by flags. All CSV output has a header row
 and locale-independent number formatting; runs are deterministic given
 the config and seeds. Exit codes: 0 success, 1 usage or config error
-or an output directory or file that cannot be made or written, 2 runtime
-numeric error.
+or an output directory or file that cannot be made or written, or a
+closed stdout, 2 runtime numeric error.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
@@ -549,10 +550,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, and not at exit
+        return code
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError as exc:
+        print(f"error: stdout is closed: {exc}", file=sys.stderr)
+        # so that the flush at exit, of what stdout still holds, does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     # an output directory or file that cannot be made or written is one line too
     except (OscconvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

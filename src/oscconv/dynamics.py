@@ -39,35 +39,6 @@ VALUE_CAP = 2**24
 PEAK_DECAY_PERIODS = 10.0
 
 
-def default_coupling(n: int, delta_omega: float) -> float:
-    """Default coupling coefficient for an n-oscillator FSK-encoded array.
-
-    Returns 3 * delta_omega / n. The product eps * n is the array-level
-    pull rate; tying it to delta_omega keeps full-match encodings locked
-    well inside one beat period while opposite-sign encodings stay outside
-    the locking range, and makes the measured lock time scale as
-    1 / delta_omega. The factor 3 was calibrated on the bundled filter
-    bank (DOM-dot correlation and good/bad separation margins).
-    """
-    if n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {n}")
-    if not 0 <= delta_omega < math.inf:  # negated, so NaN fails too
-        raise ConfigurationError(f"delta_omega must be >= 0 and finite, got {delta_omega}")
-    coupling = 3.0 * delta_omega / n
-    if coupling == math.inf:  # 3 * delta_omega overflows past about 6e307
-        raise ConfigurationError(f"delta_omega={delta_omega:g} makes the default epsilon infinite")
-    return coupling
-
-
-def default_timestep(omega_max: float) -> float:
-    """Default integration step: 50 samples per period of the fastest oscillator."""
-    if not 0 < omega_max < math.inf:
-        raise ConfigurationError(f"omega_max must be positive and finite, got {omega_max}")
-    if 50.0 * omega_max == math.inf:  # and the step 2*pi over it would be 0.0
-        raise ConfigurationError(f"omega_max={omega_max:g} is too large for a positive default dt")
-    return 2.0 * math.pi / (50.0 * omega_max)
-
-
 def _check_accuracy(dt: float, omega_max: float) -> None:
     """Integration-accuracy guard: at least 25 steps per period of omega_max."""
     limit = 2.0 * math.pi / (25.0 * omega_max)
@@ -86,10 +57,10 @@ class OscillatorArrayConfig:
         rho: nonlinear gain (sets the limit-cycle relaxation rate).
         delta_omega: FSK full-scale detuning; encoded frequencies stay
             within omega0 +/- 2*delta_omega.
-        epsilon: coupling coefficient. None selects
-            default_coupling(n, delta_omega).
+        epsilon: coupling coefficient. None selects 3*delta_omega/n.
         dt: integration step in radian-time. None selects
-            default_timestep(omega0 + 2*delta_omega).
+            2*pi/(50*omega_max): 50 steps per period of the fastest
+            encoded frequency omega_max = omega0 + 2*delta_omega.
         t_end: total integration span in radian-time.
     """
 
@@ -113,14 +84,23 @@ class OscillatorArrayConfig:
             raise ConfigurationError(f"rho must be positive and finite, got {self.rho}")
         if not 0 <= self.delta_omega < math.inf:
             raise ConfigurationError(f"delta_omega must be >= 0 and finite, got {self.delta_omega}")
+        # past delta_omega about 1.8e306 the default dt, 2*pi over this, would be 0, and the
+        # accuracy guard would admit no dt above 1e-306; below it the default epsilon is finite
+        if 50.0 * self.omega_max == math.inf:
+            raise ConfigurationError(
+                f"delta_omega={self.delta_omega:g} makes 50*(1 + 2*delta_omega) overflow; "
+                f"set delta_omega below 1e306"
+            )
         if self.epsilon is None:
-            object.__setattr__(self, "epsilon", default_coupling(self.n, self.delta_omega))
+            # eps*n, the array-level pull rate, goes with delta_omega: full-match encodings
+            # lock well inside one beat period, opposite-sign ones stay outside the locking
+            # range, and the lock time goes as 1/delta_omega. The factor 3 was calibrated on
+            # the bundled bank (DOM-dot correlation and good/bad separation margins).
+            object.__setattr__(self, "epsilon", 3.0 * self.delta_omega / self.n)
         if not 0 <= self.epsilon < math.inf:
             raise ConfigurationError(f"epsilon must be >= 0 and finite, got {self.epsilon}")
         if self.dt is None:
-            if 50.0 * self.omega_max == math.inf:  # 2*pi over it, the default dt, is 0.0
-                raise ConfigurationError(f"delta_omega={self.delta_omega:g} makes the default dt 0")
-            object.__setattr__(self, "dt", default_timestep(self.omega_max))
+            object.__setattr__(self, "dt", 2.0 * math.pi / (50.0 * self.omega_max))
         if not 0 < self.dt < math.inf:
             raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
         if not self.dt <= self.t_end < math.inf:

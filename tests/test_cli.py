@@ -497,9 +497,13 @@ BLAMED = {
     "sweep-zero-epsilon": "epsilon is 0, and so is the lock tolerance; set epsilon above 0",
     "sweep-negative-spread-tol": "unrecognized arguments: --spread-tol -1",
     "sweep-grid-negative": "detunings must be >= 0",
-    "match-delta-omega-overflows-dt": "delta_omega=2e+306 makes the default dt 0",
-    "match-delta-omega-overflows-omega-max": "delta_omega=1e+308 makes the default dt 0",
-    "match-delta-omega-overflows-epsilon": "delta_omega=1e+308 makes the default epsilon infinite",
+    "match-delta-omega-overflows-dt": "delta_omega=2e+306 makes 50*(1 + 2*delta_omega) overflow",
+    "match-delta-omega-overflows-omega-max":
+        "delta_omega=1e+308 makes 50*(1 + 2*delta_omega) overflow",
+    "match-delta-omega-overflows-omega-max-given-dt":
+        "delta_omega=1e+308 makes 50*(1 + 2*delta_omega) overflow",
+    "match-delta-omega-overflows-epsilon":
+        "delta_omega=1e+308 makes 50*(1 + 2*delta_omega) overflow",
 }
 
 
@@ -592,11 +596,14 @@ class TestMalformedValues:
         pytest.param(["match", "IMAGE", "--seeds", "0:10000000000"], id="match-huge-seed-range"),
         # 50 * omega_max, omega_max = 1 + 2*delta_omega, overflows, or omega_max does,
         # and the default dt would be 0: the error names delta_omega, not a dt that was
-        # never set or an omega_max that no setting names
+        # never set or an omega_max that no setting names, and so it does with dt set
         pytest.param(["match", "IMAGE", "--delta-omega", "2e306", "--epsilon", "0.1",
                       "--seeds", "0"], id="match-delta-omega-overflows-dt"),
         pytest.param(["match", "IMAGE", "--delta-omega", "1e308", "--epsilon", "0.1",
                       "--seeds", "0"], id="match-delta-omega-overflows-omega-max"),
+        pytest.param(["match", "IMAGE", "--delta-omega", "1e308", "--epsilon", "0.1",
+                      "--dt", "0.1", "--seeds", "0"],
+                     id="match-delta-omega-overflows-omega-max-given-dt"),
         # 3 * delta_omega overflows: the error names delta_omega, not an epsilon never set
         pytest.param(["match", "IMAGE", "--delta-omega", "1e308", "--seeds", "0"],
                      id="match-delta-omega-overflows-epsilon"),
@@ -828,8 +835,36 @@ def assert_one_line_naming(code, err, *names):
 
 
 class TestOneLineFailures:
-    """An output that cannot be made or written, and JSON nested past the
-    recursion limit, exit 1 with one line like any other bad input."""
+    """An output that cannot be made or written, a closed stdout, and JSON nested
+    past the recursion limit, exit 1 with one line like any other bad input."""
+
+    # stdout on a pipe is block-buffered unless PYTHONUNBUFFERED is set, so the
+    # write to a closed one fails at the flush, after the command has returned
+    @pytest.mark.parametrize("argv, unbuffered", [
+        pytest.param(["hw", "--i-drv", "0.26e-3", "--vcc", "0.8", "--freq", "6e9",
+                      "--c-coup", "1e-15"], False, id="hw"),
+        pytest.param(["hw", "--i-drv", "0.26e-3", "--vcc", "0.8", "--freq", "6e9",
+                      "--c-coup", "1e-15"], True, id="hw-unbuffered"),
+        pytest.param(["sweep-locking", "--t-end", "20", "--out-dir", "OUT"], False,
+                     id="sweep-locking"),
+        pytest.param(["match", str(GOLDEN_INPUTS / "fragment.pgm"), "--seeds", "0",
+                      "--t-end", "20", "--out-dir", "OUT"], False, id="match"),
+    ])
+    def test_a_closed_stdout(self, tmp_path, argv, unbuffered):
+        src = str(Path(oscconv.cli.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            argv = [str(tmp_path / "o") if a == "OUT" else a for a in argv]
+            run = subprocess.run([sys.executable, "-m", "oscconv.cli", *argv], stdout=write_end,
+                                 stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(write_end)
+        assert_one_line_naming(run.returncode, run.stderr, "stdout is closed")
 
     # the directory is made after the command's own input checks, before any run
     @pytest.mark.parametrize("argv, runs, under", [

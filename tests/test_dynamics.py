@@ -17,18 +17,24 @@ from oscconv import (
     OscillatorArrayConfig,
     SimulationTrace,
     classify_lock,
-    default_coupling,
-    default_timestep,
     derivative,
     dom,
-    instantaneous_frequency,
+    edge_fragment,
+    fsk_encode,
+    gabor_filter,
     integrate,
     measure_lock_time,
     peak_detector,
     random_initial_state,
     sweep_locking,
 )
-from oscconv.dynamics import PEAK_DECAY_PERIODS, _check_block, sample_times
+from oscconv.dynamics import (
+    PEAK_DECAY_PERIODS,
+    _check_accuracy,
+    _check_block,
+    instantaneous_frequency,
+    sample_times,
+)
 from reference import history_trace, rk4_history
 
 
@@ -46,9 +52,8 @@ def unwrapped_phases(states):
 class TestConfig:
     def test_defaults(self):
         cfg = OscillatorArrayConfig(n=25)
-        assert cfg.epsilon == pytest.approx(default_coupling(25, 0.05))
-        assert cfg.epsilon == pytest.approx(3.0 * 0.05 / 25)
-        assert cfg.dt == pytest.approx(default_timestep(1.0 + 2 * 0.05))
+        assert cfg.epsilon == 3.0 * 0.05 / 25
+        assert cfg.dt == 2.0 * math.pi / (50.0 * (1.0 + 2 * 0.05))
         assert cfg.omega_max == pytest.approx(1.1)
 
     @pytest.mark.parametrize(
@@ -79,22 +84,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=name):
             OscillatorArrayConfig(n=2, **{name: value})
 
-    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
-    def test_default_helpers_reject_bad_values(self, value):
-        # the non-finite ones too: default_timestep(inf) was 0.0, default_coupling(25, nan) NaN
-        with pytest.raises(ConfigurationError, match="omega_max must be positive and finite"):
-            default_timestep(value)
-        with pytest.raises(ConfigurationError, match="delta_omega must be >= 0 and finite"):
-            default_coupling(25, value)
-
-    def test_default_timestep_rejects_an_omega_max_whose_step_rounds_to_zero(self):
-        # 50 * omega_max overflows past about 3.6e306, and 2*pi over it is 0.0
-        assert default_timestep(3.5e306) > 0
-        for omega_max in (3.6e306, 1e308):
-            message = re.escape(f"omega_max={omega_max:g} is too large for a positive default dt")
-            with pytest.raises(ConfigurationError, match=f"^{message}$"):
-                default_timestep(omega_max)
-
     def test_the_carrier_is_a_constant_and_not_a_setting(self):
         names = [f.name for f in dataclasses.fields(OscillatorArrayConfig)]
         assert names == ["n", "rho", "delta_omega", "epsilon", "dt", "t_end"]
@@ -105,13 +94,49 @@ class TestConfig:
     def test_default_coupling_rejects_a_delta_omega_whose_coupling_overflows(self):
         # 3 * delta_omega overflows past about 6e307; the error names delta_omega,
         # not the epsilon it defaults
-        assert default_coupling(25, 5.9e307) == 3.0 * 5.9e307 / 25
         for delta_omega in (6e307, 1e308):
-            message = re.escape(f"delta_omega={delta_omega:g} makes the default epsilon infinite")
-            with pytest.raises(ConfigurationError, match=f"^{message}$"):
-                default_coupling(25, delta_omega)
-        with pytest.raises(ConfigurationError, match="^delta_omega=1e\\+308 makes"):
-            OscillatorArrayConfig(n=25, delta_omega=1e308)
+            message = re.escape(f"delta_omega={delta_omega:g} makes")
+            with pytest.raises(ConfigurationError, match=f"^{message}"):
+                OscillatorArrayConfig(n=25, delta_omega=delta_omega)
+
+    # 50 * omega_max, omega_max = 1 + 2*delta_omega, overflows past about 1.8e306:
+    # the default dt, 2*pi over it, would be 0, and the accuracy guard would admit
+    # no given dt above 1e-306, so the config refuses delta_omega itself either way
+    @pytest.mark.parametrize("kw", [
+        dict(), dict(epsilon=0.1), dict(epsilon=0.1, dt=0.1), dict(dt=1e-310, t_end=3e-310),
+    ], ids=["defaults", "epsilon", "epsilon-and-dt", "a-dt-below-the-guard"])
+    @pytest.mark.parametrize("delta_omega", [1.8e306, 1e308])
+    def test_a_delta_omega_whose_step_overflows(self, kw, delta_omega):
+        message = re.escape(f"delta_omega={delta_omega:g} makes 50*(1 + 2*delta_omega) overflow; "
+                            f"set delta_omega below 1e306")
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            OscillatorArrayConfig(n=25, delta_omega=delta_omega, **kw)
+        # the bound the message states is one the config accepts
+        cfg = OscillatorArrayConfig(n=25, delta_omega=1e306, dt=1e-307, t_end=3e-307)
+        assert cfg.epsilon == 3.0 * 1e306 / 25
+        assert OscillatorArrayConfig(n=25, delta_omega=1e306, t_end=3e-306).dt > 0
+
+    # the derived values are the closed forms, bit for bit, and the default dt
+    # passes the accuracy guard that integrate applies to every FSK encoding
+    @given(n=st.integers(1, 1000),
+           delta_omega=st.one_of(st.floats(0.0, 1.0), st.floats(1e-320, 1e306)),
+           epsilon=st.none() | st.floats(0.0, 10.0),
+           k=st.floats(0.0, 1.0), phase=st.floats(-math.pi, math.pi))
+    @example(n=1, delta_omega=0.0, epsilon=None, k=0.0, phase=0.0)
+    @example(n=25, delta_omega=1e306, epsilon=None, k=0.5, phase=math.pi)
+    @settings(max_examples=300, deadline=None)
+    def test_derived_values_are_the_closed_forms(self, n, delta_omega, epsilon, k, phase):
+        # t_end spans about 64 default steps, inside the recorded-value cap at any delta_omega
+        cfg = OscillatorArrayConfig(n=n, delta_omega=delta_omega, epsilon=epsilon,
+                                    t_end=8.0 / (1.0 + 2.0 * delta_omega))
+        assert cfg.epsilon == (3.0 * delta_omega / n if epsilon is None else epsilon)
+        assert cfg.dt == 2.0 * math.pi / (50.0 * cfg.omega_max)
+        # encodings at both extremes of F - G, and of a grating filter on the edge fragment
+        fragment = edge_fragment()
+        for filt in (gabor_filter(5, 0.0, k, phase), gabor_filter(5, 90.0, k, phase)):
+            for frag in (fragment, dataclasses.replace(fragment, values=-filt.values)):
+                omega = fsk_encode(frag, filt, cfg)
+                _check_accuracy(cfg.dt, max(np.abs(omega).max(), cfg.omega_max))
 
     # final_freq reads 3 samples, so a run takes 2 steps or more
     def test_a_run_takes_at_least_two_steps(self):
@@ -881,7 +906,7 @@ class TestSweepLocking:
 
     def test_default_dt_covers_the_fastest_grid_frequency(self):
         grid = np.array([0.0, 0.06, 0.1])
-        explicit = sweep_locking(0.05, grid, t_end=60.0, dt=default_timestep(1.0 + 0.5 * 0.1))
+        explicit = sweep_locking(0.05, grid, t_end=60.0, dt=2 * math.pi / (50 * 1.05))
         assert sweep_locking(0.05, grid, t_end=60.0) == explicit
 
     def test_array_settings_reach_the_config(self, monkeypatch):
